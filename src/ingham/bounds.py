@@ -8,9 +8,12 @@ The two-sided sampled-energy inequality
 is made sharp per instance by solving the generalized eigenproblem
 S v = lambda Q v, where S is the sampled Gram matrix of the active
 exponentials and Q the block matrix of the quadratic form.  The pencil is
-reduced by congruence with the Cholesky factor of Q and diagonalized with
-a self-contained complex Hermitian Jacobi eigensolver (off-diagonal
-Frobenius threshold 1e-13 * ||A||, dimension capped at 200).
+reduced by congruence with the Cholesky factor L of Q to the Hermitian
+matrix L^{-1} S L^{-H}, which LAPACK's divide-and-conquer solver (numpy's
+eigh) diagonalizes; every eigenpair is then checked against the residual
+gate ||S v - lambda Q v|| <= 1e-9 ||S||.  The congruence already gives up
+the relative accuracy a Jacobi solver would offer, so LAPACK loses
+nothing, and the pencil dimension is limited only by memory.
 
 The augmentation machinery follows the averaging filter
 
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import StructuralError, ValidationError
 from .exponents import BandMask, ExponentSequence, GapClassification, band_mask, classify
 from .quadforms import q_matrix
-from .sums import AugmentedExpSum, ExpSum, SamplingGrid
+from .sums import AugmentedExpSum, ExpSum, SamplingGrid, continuous_gram
 
 # min_eig at or below this fraction of max_eig marks the pencil singular
 SINGULAR_RTOL = 1e-10
@@ -47,8 +50,6 @@ PAIR_GAP_FLOOR = 1e-12
 # absolute distance to a nonzero multiple of pi that counts as resonance
 RESONANCE_WINDOW = 1e-10
 
-_JACOBI_OFF_RTOL = 1e-13
-_JACOBI_MAX_DIM = 200
 _RESIDUAL_RTOL = 1e-9
 
 
@@ -149,65 +150,15 @@ def sampled_gram(seq: ExponentSequence, grid: SamplingGrid, mask: BandMask) -> n
     return _gram_from_omegas(omegas, grid)
 
 
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and vectors of a complex Hermitian matrix by cyclic Jacobi."""
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if n > _JACOBI_MAX_DIM:
-        raise StructuralError(f"pencil dimension {n} exceeds the supported cap {_JACOBI_MAX_DIM}")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.reshape(1).copy(), v
-    norm = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(80):
-        # sum |a_pq|^2 over p != q directly: the difference of squared norms
-        # cancels to zero long before the threshold is reached
-        strict = a.copy()
-        np.fill_diagonal(strict, 0.0)
-        off = float(np.linalg.norm(strict))
-        if off <= _JACOBI_OFF_RTOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                phase = apq / abs(apq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                sr = t * c
-                # unitary on the (p, q) plane: diag(1, conj(phase)) then a
-                # real rotation, zeroing the (p, q) entry
-                rot = np.array(
-                    [[c, sr], [-sr * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=complex,
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise StructuralError("Jacobi eigensolver did not converge")
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def hermitian_pencil_eig(
     s: np.ndarray, q: np.ndarray, with_vectors: bool = False
 ):
     """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
 
     Q must be positive definite (checked via Cholesky).  Residuals
-    ||S v - lambda Q v|| are verified against 1e-9 ||S||.
+    ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
+    eigensolve or residual check (for example NaN or inf in S) raises
+    StructuralError.
     """
     s = np.asarray(s, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -221,18 +172,27 @@ def hermitian_pencil_eig(
     a = np.linalg.solve(chol, s)
     a = np.linalg.solve(chol, a.conj().T).conj().T
     a = 0.5 * (a + a.conj().T)
-    vals, u = _jacobi_eigh(a)
+    try:
+        vals, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        raise StructuralError("pencil eigensolver did not converge") from None
     vecs = np.linalg.solve(chol.conj().T, u)
     s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
     resid = s @ vecs - q @ vecs * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
-    if worst > _RESIDUAL_RTOL * max(s_norm, 1e-300):
+    # written so that a NaN residual (NaN or inf on the diagonal of S) fails
+    if not worst <= _RESIDUAL_RTOL * max(s_norm, 1e-300):
         raise StructuralError(
             f"pencil residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * ||S||"
         )
     if with_vectors:
         return vals, vecs
     return vals
+
+
+def pencil_singular(vals: np.ndarray) -> bool:
+    """Singular rule on ascending pencil eigenvalues: min <= SINGULAR_RTOL * max(max, 0)."""
+    return float(vals[0]) <= SINGULAR_RTOL * max(float(vals[-1]), 0.0)
 
 
 def frame_constants(
@@ -268,7 +228,7 @@ def frame_constants(
     vals = hermitian_pencil_eig(s, qm.matrix)
     min_eig = float(vals[0])
     max_eig = float(vals[-1])
-    singular = min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
+    singular = pencil_singular(vals)
     horizon = grid.J * grid.delta
     diagnostics = (
         f"band mask: {len(active)} of {len(seq)} admissible",
@@ -474,7 +434,7 @@ def extended_frame_constants(
     vals = hermitian_pencil_eig(s_ext, q_ext)
     min_eig = float(vals[0])
     max_eig = float(vals[-1])
-    singular = min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
+    singular = pencil_singular(vals)
     j, jp = grid.J, plan.J_prime
     c4_formula = (
         (1.0 + (2 * j + 2 * jp + 1) / (2 * j + 1))
@@ -531,14 +491,6 @@ class ContinuumRow:
         }
 
 
-def _continuous_gram(omegas: np.ndarray, R: float) -> np.ndarray:
-    diffs = omegas[:, None] - omegas[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = 2.0 * np.sin(diffs * R) / diffs
-    kappa[diffs == 0.0] = 2.0 * R
-    return kappa.astype(complex)
-
-
 def continuum_limit_scan(
     seq: ExponentSequence,
     cls: GapClassification,
@@ -569,7 +521,7 @@ def continuum_limit_scan(
         report = frame_constants(seq, grid, cls)
         omegas = np.array([seq.omegas[k] for k in active], dtype=float)
         qm = q_matrix(cls, seq, mask).matrix
-        cvals = hermitian_pencil_eig(_continuous_gram(omegas, R), qm)
+        cvals = hermitian_pencil_eig(continuous_gram(omegas, R), qm)
         c1c, c2c = float(cvals[0]), float(cvals[-1])
         if report.singular or c1c <= 0.0:
             rel = math.inf

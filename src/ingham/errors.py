@@ -4,7 +4,7 @@ Two failure categories are distinguished because the CLI maps them to
 different exit codes:
 
 * StructuralError (exit 1): malformed input such as wrong lengths,
-  non-finite numbers, unreadable configs, or unsupported dimensions.
+  non-finite numbers, or unreadable configs.
 * ValidationError (exit 2): well-formed input that violates a mathematical
   precondition (gap condition, band condition, sampling resonance,
   singular pencil, mode caps, contraction failure).

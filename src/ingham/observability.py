@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import SINGULAR_RTOL, hermitian_pencil_eig
+from .bounds import _gram_from_omegas, hermitian_pencil_eig, pencil_singular
 from .errors import StructuralError, ValidationError
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, eval_sum
@@ -440,12 +440,10 @@ def verify_observability(
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
         # per +- branch of each mode
         nu.append(0.5 * length * (lam**s0 + lam**s1 * omega * omega) / (w * w))
-    from .bounds import _gram_from_omegas  # shared Dirichlet-kernel assembly
-
     gram = _gram_from_omegas(np.array(seq.omegas), grid)
     pencil = hermitian_pencil_eig(gram, np.diag(nu).astype(complex))
     min_eig = float(pencil[0])
-    singular = min_eig <= SINGULAR_RTOL * max(float(pencil[-1]), 0.0)
+    singular = pencil_singular(pencil)
     c_pencil = math.inf if singular else 1.0 / min_eig
     rng = np.random.default_rng(seed)
     ratios = []

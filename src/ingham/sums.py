@@ -179,20 +179,25 @@ def sampled_energy(s, grid: SamplingGrid) -> float:
     return grid.delta * math.fsum(np.abs(values) ** 2)
 
 
-def continuous_energy(s, R: float) -> float:
-    """Closed form of integral_{-R}^{R} |x(t)|^2 dt.
+def continuous_gram(omegas: np.ndarray, R: float) -> np.ndarray:
+    """Gram matrix kappa(w_k - w_n) of the exponentials on [-R, R].
 
-    Uses the pair kernel kappa(0) = 2R and kappa(w) = 2 sin(wR)/w.
+    The pair kernel is kappa(0) = 2R and kappa(w) = 2 sin(wR)/w.
     """
-    R = float(R)
-    if not (math.isfinite(R) and R > 0.0):
-        raise StructuralError(f"R must be positive, got {R}")
-    omegas, coeffs = _components(s)
     diffs = omegas[:, None] - omegas[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = 2.0 * np.sin(diffs * R) / diffs
     kappa[diffs == 0.0] = 2.0 * R
-    return float((coeffs @ kappa @ coeffs.conj()).real)
+    return kappa
+
+
+def continuous_energy(s, R: float) -> float:
+    """Closed form of integral_{-R}^{R} |x(t)|^2 dt, by `continuous_gram`."""
+    R = float(R)
+    if not (math.isfinite(R) and R > 0.0):
+        raise StructuralError(f"R must be positive, got {R}")
+    omegas, coeffs = _components(s)
+    return float((coeffs @ continuous_gram(omegas, R) @ coeffs.conj()).real)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _dirichlet, _filter_factor, _jacobi_eigh, _sinc, _sinc_crossing
+from ingham.bounds import _dirichlet, _filter_factor, _sinc, _sinc_crossing
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
@@ -113,14 +113,32 @@ class TestPencil:
         with pytest.raises(StructuralError):
             hermitian_pencil_eig(np.eye(2), np.eye(3))
 
-    def test_dimension_cap(self):
-        n = 201
-        with pytest.raises(StructuralError) as err:
-            hermitian_pencil_eig(np.eye(n), np.eye(n))
-        assert "dimension" in str(err.value)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_non_finite_s(self, bad, entry):
+        s = np.eye(3, dtype=complex)
+        s[entry] = s[entry[::-1]] = bad
+        with pytest.raises(StructuralError):
+            hermitian_pencil_eig(s, np.eye(3))
 
-    def test_jacobi_diagonal_input(self):
-        vals, vecs = _jacobi_eigh(np.diag([3.0, -1.0, 2.0]).astype(complex))
+    def test_dimension_above_200(self, rng):
+        # 250 active exponents: the pencil dimension has no cap of its own
+        seq = block_sequence(rng, nmin=250, nmax=250)
+        grid = admissible_grid(seq)
+        cls = classify(seq)
+        rep = frame_constants(seq, grid, cls)
+        assert rep.pencil_dim == 250 and not rep.singular
+        # Gram summed sample by sample, against scipy's generalized solver
+        v = np.exp(1j * np.multiply.outer(grid.times(), seq.omegas))
+        s = grid.delta * (v.T @ v.conj())
+        q = q_matrix(cls, seq, band_mask(seq, grid.delta)).matrix
+        expected = scipy.linalg.eigh(s, q, eigvals_only=True)
+        tol = 1e-9 * np.linalg.norm(s)
+        assert rep.c_lower == pytest.approx(expected[0], abs=tol)
+        assert rep.c_upper == pytest.approx(expected[-1], abs=tol)
+
+    def test_diagonal_input(self):
+        vals, vecs = hermitian_pencil_eig(np.diag([3.0, -1.0, 2.0]), np.eye(3), with_vectors=True)
         assert np.allclose(vals, [-1.0, 2.0, 3.0])
         assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
