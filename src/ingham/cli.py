@@ -202,13 +202,15 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
         sys_cfg["gamma"] = body["gamma"]
     system = CoupledSystem.from_dict(sys_cfg)
     grid = _grid_from(body)
-    epsilon = float(body.get("epsilon", 0.5))
-    trials = int(body.get("trials", 100))
+    try:
+        epsilon = float(body.get("epsilon", 0.5))
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"malformed epsilon: {exc}") from None
     report = verify_observability(
         system,
         grid,
         epsilon,
-        trials,
+        body.get("trials", 100),
         seed=cfg.seed,
         enforce_horizon=bool(body.get("enforce_horizon", True)),
     )

@@ -21,6 +21,7 @@ unshifted sin(m pi x/(1 - a)) would not vanish at both x = a and x = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ _COLLISION_RTOL = 1e-9
 # rounding guard: a two-step gap this close to 2*gamma counts as equal
 _GAP_ULP_RTOL = 1e-13
 _RANK_RTOL = 1e-10
+# trials drawn and evaluated together: a constant, so memory does not grow with trials
+_TRIAL_CHUNK = 64
+# batched trial 0 and its per-system recomputation must agree to this (relative)
+_WITNESS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,36 @@ def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
     return ObservationTrace(grid, tuple(values))
 
 
+def _modes(sys: CoupledSystem) -> list[tuple[str, Mode]]:
+    """(side, mode) pairs, left modes then right modes: the order of every per-mode array."""
+    return [("left", m) for m in sys.left] + [("right", m) for m in sys.right]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    # hypot, as Python's abs(complex); np.abs differs from it in the last bit
+    h = np.hypot(z.real, z.imag)
+    return h * h
+
+
+def _sobolev_factors(sys: CoupledSystem, spec: SobolevSpec) -> np.ndarray:
+    """(side/2) * lambda^s per mode; a squared norm sums factor * |coef|^2."""
+    return np.array(
+        [0.5 * sys.side_length(side) * spec.weight(sys.spatial_eigenvalue(side, m.n))
+         for side, m in _modes(sys)],
+        dtype=float,
+    )
+
+
+def _coef_sq(sys: CoupledSystem, plus: np.ndarray, minus: np.ndarray, which: str) -> np.ndarray:
+    """|coef|^2 per mode for amplitude arrays shaped (..., modes)."""
+    if which == "u0":
+        return _abs2(plus + minus)
+    if which == "u1":
+        omega = np.array([sys.mode_frequency(side, m.n) for side, m in _modes(sys)], dtype=float)
+        return omega * omega * _abs2(plus - minus)
+    raise StructuralError(f"which must be 'u0' or 'u1', got {which!r}")
+
+
 def sobolev_norm(sys: CoupledSystem, spec: SobolevSpec, which: str) -> float:
     """Squared spectral Sobolev norm of u0 or u1.
 
@@ -317,20 +352,11 @@ def sobolev_norm(sys: CoupledSystem, spec: SobolevSpec, which: str) -> float:
     (plus-minus); each contributes (side/2) * lambda^s * |coef|^2 with
     lambda the spatial eigenvalue (n pi / side)^2.
     """
-    if which not in ("u0", "u1"):
-        raise StructuralError(f"which must be 'u0' or 'u1', got {which!r}")
-    total = []
-    for side, modes in (("left", sys.left), ("right", sys.right)):
-        length = sys.side_length(side)
-        for m in modes:
-            lam = sys.spatial_eigenvalue(side, m.n)
-            if which == "u0":
-                coef_sq = abs(m.plus + m.minus) ** 2
-            else:
-                omega = sys.mode_frequency(side, m.n)
-                coef_sq = omega * omega * abs(m.plus - m.minus) ** 2
-            total.append(0.5 * length * spec.weight(lam) * coef_sq)
-    return math.fsum(total)
+    modes = _modes(sys)
+    plus = np.array([m.plus for _, m in modes], dtype=complex)
+    minus = np.array([m.minus for _, m in modes], dtype=complex)
+    coef_sq = _coef_sq(sys, plus, minus, which)
+    return math.fsum(_sobolev_factors(sys, spec) * coef_sq)
 
 
 def _horizon_threshold(sys: CoupledSystem) -> float:
@@ -339,30 +365,43 @@ def _horizon_threshold(sys: CoupledSystem) -> float:
     return math.pi / sys.gap_parameter()
 
 
+def _energy_specs(kind: str, epsilon: float) -> tuple[SobolevSpec, SobolevSpec]:
+    """Norms of (u0, u1) in the observability estimate."""
+    return SobolevSpec(-epsilon if kind == STRING else 1.0 - epsilon), SobolevSpec(-1.0 - epsilon)
+
+
 def initial_data_energy(sys: CoupledSystem, epsilon: float) -> float:
     """||u0||^2 + ||u1||^2 in the norms of the observability estimate.
 
     Strings pair H^{-eps} with H^{-1-eps}; beams pair H^{1-eps} with
     H^{-1-eps} (the extra power reflects the fourth-order operator).
     """
-    s0 = -epsilon if sys.kind == STRING else 1.0 - epsilon
-    return sobolev_norm(sys, SobolevSpec(s0), "u0") + sobolev_norm(
-        sys, SobolevSpec(-1.0 - epsilon), "u1"
-    )
+    spec0, spec1 = _energy_specs(sys.kind, epsilon)
+    return sobolev_norm(sys, spec0, "u0") + sobolev_norm(sys, spec1, "u1")
+
+
+def _unit_disc(rng: np.random.Generator, trials: int, modes: int) -> np.ndarray:
+    """(trials, modes, 2) amplitudes (plus, minus), uniform on the unit disc.
+
+    Each amplitude takes two doubles of the stream, modulus sqrt(u) then
+    angle 2 pi u', in the order trial, mode, plus before minus.
+    """
+    u = rng.random((trials, modes, 2, 2))
+    r = np.sqrt(u[..., 0])
+    phi = 2.0 * math.pi * u[..., 1]
+    amps = np.empty(r.shape, dtype=complex)
+    amps.real = r * np.cos(phi)
+    amps.imag = r * np.sin(phi)
+    return amps
 
 
 def with_amplitudes(sys: CoupledSystem, rng: np.random.Generator) -> CoupledSystem:
     """Same mode layout with fresh amplitudes drawn uniformly from the unit disc."""
-
-    def draw() -> complex:
-        r = math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        return complex(r * math.cos(phi), r * math.sin(phi))
-
-    def redraw(modes):
-        return tuple(Mode(m.n, draw(), draw()) for m in modes)
-
-    return CoupledSystem(sys.kind, sys.a, redraw(sys.left), redraw(sys.right), sys.gamma)
+    modes = _modes(sys)
+    amps = _unit_disc(rng, 1, len(modes))[0]
+    drawn = [Mode(m.n, complex(p), complex(q)) for (_, m), (p, q) in zip(modes, amps)]
+    cut = len(sys.left)
+    return CoupledSystem(sys.kind, sys.a, tuple(drawn[:cut]), tuple(drawn[cut:]), sys.gamma)
 
 
 @dataclass(frozen=True)
@@ -397,6 +436,59 @@ class ObservabilityReport:
         }
 
 
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0.0 else math.inf
+
+
+def _trial_ratios(
+    sys: CoupledSystem,
+    grid: SamplingGrid,
+    seq: ExponentSequence,
+    tags: tuple[ExponentTag, ...],
+    epsilon: float,
+    trials: int,
+    seed: int,
+) -> list[float]:
+    """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
+
+    Trial k carries the amplitudes that the k-th of repeated
+    with_amplitudes calls on default_rng(seed) would draw; its ratio is
+    initial_data_energy over observe(...).energy(), computed from arrays
+    with the same roundings (fsum per trial, one matrix-vector product
+    per trial on the shared design matrix).
+    """
+    modes = _modes(sys)
+    spec0, spec1 = _energy_specs(sys.kind, epsilon)
+    f0, f1 = _sobolev_factors(sys, spec0), _sobolev_factors(sys, spec1)
+    # exponent k carries jump_weight * (plus or minus) of its tagged mode, as in trace_jump_sum
+    slot = {(side, m.n): 2 * k for k, (side, m) in enumerate(modes)}
+    cols = [slot[(tag.side, tag.n)] + (0 if tag.sign > 0 else 1) for tag in tags]
+    weights = np.array([sys.jump_weight(tag.side, tag.n) for tag in tags], dtype=float)
+    design = np.exp(1j * np.multiply.outer(grid.times(), np.array(seq.omegas, dtype=float)))
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(modes))
+        plus, minus = amps[..., 0], amps[..., 1]
+        u0 = f0 * _coef_sq(sys, plus, minus, "u0")
+        u1 = f1 * _coef_sq(sys, plus, minus, "u1")
+        coeffs = weights * amps.reshape(len(amps), -1)[:, cols]
+        for k in range(len(amps)):
+            den = grid.delta * math.fsum(_abs2(design @ coeffs[k]))
+            ratios.append(_ratio(math.fsum(u0[k]) + math.fsum(u1[k]), den))
+    return ratios
+
+
+def _check_witness(
+    sys: CoupledSystem, grid: SamplingGrid, epsilon: float, seed: int, ratio: float
+) -> None:
+    """Recompute trial 0 through the public per-system path and compare."""
+    trial = with_amplitudes(sys, np.random.default_rng(seed))
+    again = _ratio(initial_data_energy(trial, epsilon), observe(trial, grid).energy())
+    if again != ratio and not abs(again - ratio) <= _WITNESS_RTOL * abs(ratio):
+        raise StructuralError(f"trial 0 ratio {ratio!r} differs from its recomputation {again!r}")
+
+
 def verify_observability(
     sys: CoupledSystem,
     grid: SamplingGrid,
@@ -409,6 +501,15 @@ def verify_observability(
 
     Per trial, amplitudes are redrawn and the ratio (||u0||^2 + ||u1||^2)
     / (delta sum |jump|^2) recorded; the max is the empirical constant.
+    The trials are evaluated as a batch: amplitudes are drawn from
+    default_rng(seed) _TRIAL_CHUNK trials at a time (the stream that
+    repeated with_amplitudes calls would consume), every trial reuses one
+    design matrix exp(i t_j omega_k) on grid.times(), and memory does not
+    grow with the trial count.  Caps, horizon and the merged exponents are
+    checked once, since trials change only the amplitudes.  As a witness,
+    trial 0 is recomputed through with_amplitudes, initial_data_energy and
+    observe; a relative disagreement above _WITNESS_RTOL raises
+    StructuralError.
     Independently, the pencil of the sampled Gram against the diagonal of
     Sobolev weights over squared jump weights certifies finiteness: its
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
@@ -416,8 +517,9 @@ def verify_observability(
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise StructuralError(f"epsilon must be positive, got {epsilon}")
-    if trials < 0:
-        raise StructuralError("trials must be nonnegative")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 0:
+        raise StructuralError(f"trials must be a nonnegative integer, got {trials!r}")
+    trials = int(trials)
     check_caps(sys, grid.delta)
     horizon = grid.J * grid.delta
     threshold = _horizon_threshold(sys)
@@ -428,8 +530,7 @@ def verify_observability(
             details={"J_delta": horizon, "required_above": threshold},
         )
     seq, tags = assemble_exponents(sys)
-    s0 = -epsilon if sys.kind == STRING else 1.0 - epsilon
-    s1 = -1.0 - epsilon
+    spec0, spec1 = _energy_specs(sys.kind, epsilon)
     nu = []
     for tag in tags:
         lam = sys.spatial_eigenvalue(tag.side, tag.n)
@@ -439,23 +540,15 @@ def verify_observability(
         # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
         # per +- branch of each mode
-        nu.append(0.5 * length * (lam**s0 + lam**s1 * omega * omega) / (w * w))
+        nu.append(0.5 * length * (lam**spec0.s + lam**spec1.s * omega * omega) / (w * w))
     gram = _gram_from_omegas(np.array(seq.omegas), grid)
     pencil = hermitian_pencil_eig(gram, np.diag(nu).astype(complex))
     min_eig = float(pencil[0])
     singular = pencil_singular(pencil)
     c_pencil = math.inf if singular else 1.0 / min_eig
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(trials):
-        trial = with_amplitudes(sys, rng)
-        num = initial_data_energy(trial, epsilon)
-        den = observe(trial, grid).energy()
-        if den <= 0.0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(num / den)
+    ratios = _trial_ratios(sys, grid, seq, tags, epsilon, trials, seed)
     if ratios:
+        _check_witness(sys, grid, epsilon, seed, ratios[0])
         c_emp = max(ratios)
         med = float(np.median(ratios))
     else:

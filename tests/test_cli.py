@@ -230,6 +230,27 @@ class TestObservabilityCommands:
         _, text_c, _ = run_cli(tmp_path, "string", STRING_CFG, "--seed", "0", out="c.json")
         assert text_a == text_c
 
+    @pytest.mark.parametrize(
+        "field, value", [("trials", "abc"), ("trials", 2.5), ("trials", True), ("epsilon", "x")]
+    )
+    def test_malformed_trials_or_epsilon_exit_1(self, tmp_path, field, value):
+        code, text, _ = run_cli(tmp_path, "string", dict(STRING_CFG, **{field: value}))
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert field in error["message"]
+
+    def test_witness_disagreement_exit_1(self, tmp_path, monkeypatch):
+        from ingham import observability
+
+        honest = observability.initial_data_energy
+        monkeypatch.setattr(
+            observability, "initial_data_energy", lambda s, eps: (1.0 + 1e-9) * honest(s, eps)
+        )
+        code, text, _ = run_cli(tmp_path, "string", STRING_CFG)
+        assert code == 1
+        assert json.loads(text)["error"]["type"] == "structural"
+
     def test_horizon_exit_2(self, tmp_path):
         payload = dict(STRING_CFG, J=5)
         code, text, _ = run_cli(tmp_path, "string", payload)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ingham import observability
 from ingham import (
     BEAM,
     STRING,
@@ -407,6 +408,52 @@ class TestVerifyObservability:
             verify_observability(sys, grid, epsilon=0.0, trials=1)
         with pytest.raises(StructuralError):
             verify_observability(sys, grid, epsilon=0.1, trials=-1)
+
+    # 193 trials: three chunks of observability._TRIAL_CHUNK = 64 and one more
+    @pytest.mark.parametrize("trials", [1, 100, 3 * 64 + 1])
+    @pytest.mark.parametrize(
+        "sys, grid",
+        [
+            (full_string(A_IRR, 0.2), SamplingGrid(0.2, 8)),
+            (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29)),
+            (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30)),
+        ],
+        ids=["string-8", "string-36", "beam-8"],
+    )
+    def test_batch_matches_per_trial_loop(self, sys, grid, trials):
+        rng = np.random.default_rng(17)
+        ratios = []
+        for _ in range(trials):
+            trial = with_amplitudes(sys, rng)
+            num = initial_data_energy(trial, 0.05)
+            den = observe(trial, grid).energy()
+            ratios.append(math.inf if den <= 0.0 else num / den)
+        rep = verify_observability(sys, grid, epsilon=0.05, trials=trials, seed=17)
+        assert rep.exponent_count == len(assemble_exponents(sys)[0])
+        assert rep.c_empirical == pytest.approx(max(ratios), rel=1e-13)
+        assert rep.ratio_median == pytest.approx(float(np.median(ratios)), rel=1e-13)
+
+    def test_witness_disagreement_raises(self, monkeypatch):
+        sys, grid = self.string_instance()
+        honest = observability.initial_data_energy
+        monkeypatch.setattr(
+            observability, "initial_data_energy", lambda s, eps: (1.0 + 1e-9) * honest(s, eps)
+        )
+        with pytest.raises(StructuralError, match="trial 0"):
+            verify_observability(sys, grid, epsilon=0.05, trials=5)
+        rep = verify_observability(sys, grid, epsilon=0.05, trials=0)
+        assert rep.c_empirical == rep.c_pencil
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None])
+    def test_non_integer_trials(self, trials):
+        sys, grid = self.string_instance()
+        with pytest.raises(StructuralError, match="trials"):
+            verify_observability(sys, grid, epsilon=0.05, trials=trials)
+
+    def test_numpy_integer_trials(self):
+        sys, grid = self.string_instance()
+        rep = verify_observability(sys, grid, epsilon=0.05, trials=np.int64(3))
+        assert rep.trials == 3 and type(rep.trials) is int
 
     def test_report_dict(self):
         sys, grid = self.string_instance()
