@@ -128,17 +128,36 @@ def _dirichlet(theta: float, J: int) -> float:
 
 
 def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
-    """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}."""
+    """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}.
+
+    The upper triangle is the Dirichlet closed form of `_dirichlet` on the
+    whole array, with its direct-sum fallback for the near-resonant
+    entries, times delta e^{i(w_k - w_n) t'}; the lower triangle is its
+    conjugate.  The operations are those of the scalar formula
+    `delta * complex(cos, sin) * d`, in its order, so every entry is the
+    same double, signed zeros included, it would be entry by entry.
+    """
+    omegas = np.asarray(omegas)
     n = len(omegas)
+    delta, J = grid.delta, grid.J
+    upper = np.triu_indices(n, 1)
+    diff = omegas[upper[0]] - omegas[upper[1]]
+    half = 0.5 * (diff * delta)
+    sin_half = np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sin((2 * J + 1) * half) / sin_half
+    # written so that a NaN sine, like a small one, takes the fallback
+    for i in np.flatnonzero(~(np.abs(sin_half) >= 1e-8)):
+        d[i] = _dirichlet(diff[i] * delta, J)
+    arg = diff * grid.t_shift
+    phase = np.empty(len(diff), dtype=complex)
+    phase.real = np.cos(arg)
+    phase.imag = np.sin(arg)
+    vals = (delta * phase) * d
     s = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        s[k, k] = grid.delta * (2 * grid.J + 1)
-        for m in range(k + 1, n):
-            diff = omegas[k] - omegas[m]
-            d = _dirichlet(diff * grid.delta, grid.J)
-            val = grid.delta * complex(math.cos(diff * grid.t_shift), math.sin(diff * grid.t_shift)) * d
-            s[k, m] = val
-            s[m, k] = val.conjugate()
+    s[upper] = vals
+    s[upper[::-1]] = vals.conj()
+    np.fill_diagonal(s, delta * (2 * J + 1))
     return s
 
 

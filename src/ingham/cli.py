@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -88,9 +89,19 @@ def _seq_from(data: dict) -> ExponentSequence:
     return ExponentSequence(omegas, gamma, gamma0)
 
 
+def _integer(data: dict, key: str) -> int:
+    """data[key] as an int: a bool or a number with a fractional part is malformed."""
+    value = data[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise StructuralError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _grid_from(data: dict) -> SamplingGrid:
     try:
-        return SamplingGrid(float(data["delta"]), int(data["J"]), float(data.get("t_shift", 0.0)))
+        return SamplingGrid(float(data["delta"]), _integer(data, "J"), float(data.get("t_shift", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed grid config: {exc}") from None
 
@@ -176,7 +187,7 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     grid = _grid_from(data)
     try:
         omega_prime = float(data["omega_prime"])
-        j_prime = int(data["J_prime"])
+        j_prime = _integer(data, "J_prime")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed haraux config: {exc}") from None
     mask = band_mask(seq, grid.delta)
@@ -350,9 +361,12 @@ _HANDLERS = {
 
 
 def _sanitize(obj):
-    """JSON-safe copy: tuples to lists, complexes to [re, im], non-finite to strings."""
+    """JSON-safe copy: tuples to lists, complexes to [re, im], non-finite to
+    strings, dataclass instances to dicts of their fields."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
@@ -513,9 +527,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on first use, then kept for the process.
+
+    Parsing keeps no state in the parser, so an in-process caller of `main`
+    (tests, benchmarks, scripts) pays for building it once, as a fresh
+    `ingham` process does.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
     except StructuralError as exc:

@@ -73,18 +73,18 @@ _TPI = (
 def _phi(u):
     """pi^2 sin(u)/(u (pi^2 - u^2)) for u >= 0, series-filled near 0 and pi."""
     u = np.asarray(u, dtype=float)
-    near0 = u < _SING_WINDOW
-    nearpi = np.abs(u - math.pi) < _SING_WINDOW
-    safe = ~(near0 | nearpi)
     out = np.empty_like(u)
-    us = np.where(safe, u, 1.0)  # placeholder avoids 0/0 warnings
-    out[...] = _PI2 * np.sin(us) / (us * (_PI2 - us * us))
-    if np.any(near0):
-        u2 = u * u
-        out = np.where(near0, _T0[0] + u2 * (_T0[1] + u2 * (_T0[2] + u2 * _T0[3])), out)
-    if np.any(nearpi):
-        v = u - math.pi
-        out = np.where(nearpi, _TPI[0] + v * (_TPI[1] + v * (_TPI[2] + v * _TPI[3])), out)
+    # the closed form divides 0/0 at u = 0 and u = pi; the series overwrite those
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(_PI2 * np.sin(u), u * (_PI2 - u * u), out=out)
+    near0 = u < _SING_WINDOW
+    if near0.any():
+        u2 = u[near0] * u[near0]
+        out[near0] = _T0[0] + u2 * (_T0[1] + u2 * (_T0[2] + u2 * _T0[3]))
+    nearpi = np.abs(u - math.pi) < _SING_WINDOW
+    if nearpi.any():
+        v = u[nearpi] - math.pi
+        out[nearpi] = _TPI[0] + v * (_TPI[1] + v * (_TPI[2] + v * _TPI[3]))
     return out
 
 

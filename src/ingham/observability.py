@@ -54,7 +54,7 @@ class Mode:
     minus: complex = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
             raise StructuralError(f"mode index must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "plus", complex(self.plus))
@@ -150,23 +150,21 @@ class CoupledSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoupledSystem":
-        def modes(items):
-            return tuple(
-                Mode(
-                    int(m["n"]),
-                    complex(m["plus"][0], m["plus"][1]),
-                    complex(m["minus"][0], m["minus"][1]),
-                )
-                for m in items
-            )
+        """Inverse of `to_dict`: modes are {"n", "plus": [re, im], "minus": [re, im]}."""
 
-        return cls(
-            kind=data["kind"],
-            a=float(data["a"]),
-            left=modes(data.get("left", ())),
-            right=modes(data.get("right", ())),
-            gamma=data.get("gamma"),
-        )
+        def modes(items):
+            out = []
+            for m in items:
+                (p_re, p_im), (m_re, m_im) = m["plus"], m["minus"]
+                out.append(Mode(m["n"], complex(p_re, p_im), complex(m_re, m_im)))
+            return tuple(out)
+
+        try:
+            kind, a = data["kind"], float(data["a"])
+            left, right = modes(data.get("left", ())), modes(data.get("right", ()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StructuralError(f"malformed system config: {exc}") from None
+        return cls(kind=kind, a=a, left=left, right=right, gamma=data.get("gamma"))
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ def eval_sum(s, t):
 def sampled_energy(s, grid: SamplingGrid) -> float:
     """delta * sum_{j=-J..J} |x(t' + j delta)|^2, compensated accumulation."""
     values = eval_sum(s, grid.times())
-    return grid.delta * math.fsum(np.abs(values) ** 2)
+    return grid.delta * math.fsum((np.abs(values) ** 2).tolist())
 
 
 def continuous_gram(omegas: np.ndarray, R: float) -> np.ndarray:
@@ -298,9 +298,11 @@ def poisson_sides(
 
     J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
     grid = SamplingGrid(delta, J)
-    weights = g_transform(kernel, grid.times())
+    # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored
+    half = g_transform(kernel, delta * np.arange(J + 1))
+    weights = np.concatenate((half[:0:-1], half))
     values = eval_sum(s, grid)
-    lhs = delta * math.fsum(weights * np.abs(values) ** 2)
+    lhs = delta * math.fsum((weights * np.abs(values) ** 2).tolist())
 
     diffs = omegas[:, None] - omegas[None, :]
     raw = convolution_eval(kernel, diffs)

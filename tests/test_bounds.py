@@ -30,7 +30,7 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _dirichlet, _filter_factor, _sinc, _sinc_crossing
+from ingham.bounds import _dirichlet, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
@@ -198,6 +198,56 @@ class TestSampledGram:
         other = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         with pytest.raises(StructuralError):
             sampled_gram(CHAIN, SamplingGrid(0.3, 4), band_mask(other, 0.3))
+
+
+def _gram_loop(omegas, grid):
+    """The entry-by-entry Gram assembly that `_gram_from_omegas` replaced."""
+    n = len(omegas)
+    s = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        s[k, k] = grid.delta * (2 * grid.J + 1)
+        for m in range(k + 1, n):
+            diff = omegas[k] - omegas[m]
+            d = _dirichlet(diff * grid.delta, grid.J)
+            val = grid.delta * complex(math.cos(diff * grid.t_shift), math.sin(diff * grid.t_shift)) * d
+            s[k, m] = val
+            s[m, k] = val.conjugate()
+    return s
+
+
+def test_gram_matches_loop():
+    rng = np.random.default_rng(20261018)
+    fallbacks = 0
+    for case in range(120):
+        n = int(rng.integers(2, 41))
+        delta = float(rng.uniform(0.05, 1.0))
+        J = int(rng.integers(1, 120))
+        t_shift = 0.0 if case % 4 == 0 else float(rng.uniform(-3.0, 3.0))
+        omegas = rng.uniform(-math.pi / delta, math.pi / delta, n)
+        k, m = rng.choice(n, size=2, replace=False)
+        if case % 3 == 0:  # near-resonant: |sin(theta/2)| ~ 1e-9
+            omegas[m] = omegas[k] + 2.0 * math.pi / delta * (1.0 + 1e-10)
+        elif case % 3 == 1:  # aliased by exactly one period, or coinciding
+            omegas[m] = omegas[k] + (2.0 * math.pi / delta if case % 2 else 0.0)
+        if case % 2 == 0:
+            omegas.sort()
+        grid = SamplingGrid(delta, J, t_shift)
+        s = _gram_from_omegas(omegas, grid)
+        expected = _gram_loop(omegas, grid)
+        # bit for bit, signed zeros included
+        assert np.array_equal(s.view(np.uint64), expected.view(np.uint64)), case
+        theta = np.subtract.outer(omegas, omegas) * delta
+        fallbacks += int(np.sum(np.triu(np.abs(np.sin(0.5 * theta)) < 1e-8, 1)))
+        if case % 10 == 0:
+            # independent oracle: the Gram summed sample by sample, scipy's eigh
+            v = np.exp(1j * np.multiply.outer(grid.times(), omegas))
+            brute = delta * (v.T @ v.conj())
+            tol = 1e-9 * np.linalg.norm(brute)
+            assert np.max(np.abs(s - brute)) <= tol
+            assert np.allclose(
+                np.linalg.eigvalsh(s), scipy.linalg.eigh(brute, eigvals_only=True), rtol=0.0, atol=tol
+            )
+    assert fallbacks >= 80
 
 
 class TestFrameConstants:

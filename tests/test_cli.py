@@ -11,7 +11,7 @@ import pytest
 
 import ingham
 from ingham import StructuralError
-from ingham.cli import RunConfig, _sanitize, main
+from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -172,6 +172,21 @@ class TestFrameCommand:
         assert rep["c_upper"] >= rep["c_lower"]
         assert rep["singular"] is False
 
+    @pytest.mark.parametrize("command", ["frame", "string"])
+    @pytest.mark.parametrize("J", [16.9, True, "16", None])
+    def test_malformed_J_exit_1(self, tmp_path, command, J):
+        base = dict(CHAIN_SEQ, delta=0.25) if command == "frame" else STRING_CFG
+        code, text, _ = run_cli(tmp_path, command, dict(base, J=J))
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert "J" in error["message"]
+
+    def test_integral_float_J_runs(self, tmp_path):
+        _, as_int, _ = run_cli(tmp_path, "frame", dict(CHAIN_SEQ, delta=0.25, J=16), out="a.json")
+        _, as_float, _ = run_cli(tmp_path, "frame", dict(CHAIN_SEQ, delta=0.25, J=16.0), out="b.json")
+        assert json.loads(as_int)["report"] == json.loads(as_float)["report"]
+
     def test_singular_exit_2_with_report(self, tmp_path):
         payload = {"omegas": [0.0, 3.0, 6.0, 9.0, 12.0], "gamma": 1.0, "delta": 0.2, "J": 1}
         code, text, _ = run_cli(tmp_path, "frame", payload)
@@ -201,6 +216,13 @@ class TestHarauxCommand:
         payload = dict(CHAIN_SEQ, delta=0.2, J=20)
         code, _, _ = run_cli(tmp_path, "haraux", payload)
         assert code == 1
+
+    @pytest.mark.parametrize("j_prime", [25.5, False])
+    def test_malformed_J_prime_exit_1(self, tmp_path, j_prime):
+        payload = dict(CHAIN_SEQ, delta=0.2, J=20, omega_prime=4.7, J_prime=j_prime)
+        code, text, _ = run_cli(tmp_path, "haraux", payload)
+        assert code == 1
+        assert "J_prime" in json.loads(text)["error"]["message"]
 
 
 class TestObservabilityCommands:
@@ -256,6 +278,34 @@ class TestObservabilityCommands:
         code, text, _ = run_cli(tmp_path, "string", payload)
         assert code == 2
         assert "horizon" in json.loads(text)["error"]["message"]
+
+    def test_resonant_junction_exit_2(self, tmp_path):
+        # a = 1/2 gives both sides the frequencies n pi / (1/2): mode 1 coincides
+        mode = {"n": 1, "plus": [1.0, 0.0], "minus": [1.0, 0.0]}
+        payload = {"a": 0.5, "left": [mode], "right": [mode], "delta": 0.2, "J": 8}
+        code, text, _ = run_cli(tmp_path, "string", payload)
+        assert code == 2
+        error = json.loads(text)["error"]
+        assert error["type"] == "validation"
+        assert "resonant" in error["message"]
+        assert {tag["side"] for tag in error["details"]["tags"]} == {"left", "right"}
+        assert all(tag["n"] == 1 for tag in error["details"]["tags"])
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            {"n": 1, "plus": 1.0, "minus": 1.0},
+            {"n": 1, "plus": [1.0], "minus": [1.0, 0.0]},
+            {"n": 1, "plus": [1.0, 0.0]},
+            {"n": 1.5, "plus": [1.0, 0.0], "minus": [1.0, 0.0]},
+            {"n": True, "plus": [1.0, 0.0], "minus": [1.0, 0.0]},
+            {"plus": [1.0, 0.0], "minus": [1.0, 0.0]},
+        ],
+    )
+    def test_malformed_mode_exit_1(self, tmp_path, mode):
+        code, text, _ = run_cli(tmp_path, "string", dict(STRING_CFG, left=[mode]))
+        assert code == 1
+        assert json.loads(text)["error"]["type"] == "structural"
 
 
 class TestScanCommand:
@@ -403,6 +453,52 @@ class TestConfigPrecedence:
         assert env["command"] == "gaps"
 
 
+class TestRepeatedMain:
+    """`main` keeps one parser per process; nothing of one call reaches the next."""
+
+    def test_parser_shared_build_parser_fresh(self):
+        assert _shared_parser() is _shared_parser()
+        assert build_parser() is not build_parser()
+
+    def test_format_does_not_carry_over(self, tmp_path):
+        cfg = write_cfg(tmp_path, CHAIN_SEQ)
+        first = tmp_path / "first.json"
+        assert main(["gaps", "--input", str(cfg), "--output", str(first)]) == 0
+        csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+        assert main(["gaps", "--input", str(cfg), "--output", str(csv_out), "--format", "csv"]) == 0
+        assert main(["gaps", "--input", str(cfg), "--output", str(json_out)]) == 0
+        assert not csv_out.read_text().startswith("{")
+        assert json_out.read_bytes() == first.read_bytes()
+
+    def test_seed_flag_does_not_carry_over(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, CHAIN_SEQ)
+        out = tmp_path / "o.json"
+        monkeypatch.delenv("INGHAM_SEED", raising=False)
+        main(["gaps", "--input", str(cfg), "--output", str(out), "--seed", "3"])
+        assert json.loads(out.read_text())["seed"] == 3
+        monkeypatch.setenv("INGHAM_SEED", "7")
+        main(["gaps", "--input", str(cfg), "--output", str(out)])
+        assert json.loads(out.read_text())["seed"] == 7
+        monkeypatch.delenv("INGHAM_SEED")
+        main(["gaps", "--input", str(cfg), "--output", str(out)])
+        assert json.loads(out.read_text())["seed"] == 0
+
+    def test_exits_do_not_disturb_the_next_call(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(CHAIN_SEQ, delta=0.25, J=16))
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert main(["frame", "--input", str(cfg), "--output", str(first)]) == 0
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert "ingham" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as bad:
+            main(["frame", "--input", str(cfg), "--tol", "not-a-number"])
+        assert bad.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert main(["frame", "--input", str(cfg), "--output", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(StructuralError):
@@ -433,6 +529,13 @@ class TestSanitize:
         assert out["e"] == [2.0, 3.0]
         assert out["f"] == [1, 2]
         assert out["g"] is True
+
+    def test_dataclass_fields(self):
+        from ingham.observability import ExponentTag
+
+        out = _sanitize({"tags": (ExponentTag("left", 1, -1),)})
+        assert out == {"tags": [{"side": "left", "n": 1, "sign": -1}]}
+        assert json.loads(json.dumps(out)) == out
 
     def test_numpy_scalars(self):
         import numpy as np
