@@ -130,12 +130,12 @@ def _dirichlet(theta: float, J: int) -> float:
 def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}.
 
-    The upper triangle is the Dirichlet closed form of `_dirichlet` on the
-    whole array, with its direct-sum fallback for the near-resonant
-    entries, times delta e^{i(w_k - w_n) t'}; the lower triangle is its
-    conjugate.  The operations are those of the scalar formula
-    `delta * complex(cos, sin) * d`, in its order, so every entry is the
-    same double, signed zeros included, it would be entry by entry.
+    The upper triangle is the Dirichlet closed form of `_dirichlet`,
+    evaluated as arrays, with its direct-sum fallback for the
+    near-resonant entries, times delta e^{i(w_k - w_n) t'}; the lower
+    triangle is its conjugate.  The operations are those of the scalar
+    formula `delta * complex(cos, sin) * d`, in its order, so every entry
+    is the same double, signed zeros included, it would be entry by entry.
     """
     omegas = np.asarray(omegas)
     n = len(omegas)

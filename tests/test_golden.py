@@ -14,10 +14,13 @@ rounds differently, regenerate them with
 and review the diff: a changed value is a changed result.
 """
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from ingham.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -52,8 +55,6 @@ CASES = {
 
 
 def run_case(name: str, out_path: Path) -> int:
-    from ingham.cli import main
-
     command, flags = CASES[name]
     cfg = GOLDEN / f"{name}.json"
     return main([command, "--input", str(cfg), "--output", str(out_path), *flags])
@@ -61,8 +62,6 @@ def run_case(name: str, out_path: Path) -> int:
 
 @pytest.fixture(autouse=True)
 def _no_ingham_env(monkeypatch):
-    import os
-
     for key in [k for k in os.environ if k.startswith("INGHAM_")]:
         monkeypatch.delenv(key)
 
