@@ -89,19 +89,20 @@ def _seq_from(data: dict) -> ExponentSequence:
     return ExponentSequence(omegas, gamma, gamma0)
 
 
-def _integer(data: dict, key: str) -> int:
-    """data[key] as an int: a bool or a number with a fractional part is malformed."""
-    value = data[key]
+def _integer(value, name: str) -> int:
+    """value as an int: a bool or a number with a fractional part is malformed."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
-        raise StructuralError(f"{key} must be an integer, got {value!r}")
+        raise StructuralError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _grid_from(data: dict) -> SamplingGrid:
     try:
-        return SamplingGrid(float(data["delta"]), _integer(data, "J"), float(data.get("t_shift", 0.0)))
+        return SamplingGrid(
+            float(data["delta"]), _integer(data["J"], "J"), float(data.get("t_shift", 0.0))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed grid config: {exc}") from None
 
@@ -117,7 +118,7 @@ def _kernel_from(data: dict) -> WindowKernel:
         variant,
         gamma,
         R=None if r is None else float(r),
-        grid_points=int(data.get("grid_points", 10001)),
+        grid_points=_integer(data.get("grid_points", 10001), "grid_points"),
         margin=float(data.get("margin", 0.05)),
     )
 
@@ -187,7 +188,7 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     grid = _grid_from(data)
     try:
         omega_prime = float(data["omega_prime"])
-        j_prime = _integer(data, "J_prime")
+        j_prime = _integer(data["J_prime"], "J_prime")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed haraux config: {exc}") from None
     mask = band_mask(seq, grid.delta)
@@ -329,9 +330,9 @@ def _handle_scan(data: dict, cfg: RunConfig):
         seq = _seq_from(base)
         cls = classify(seq)
         if axes:
-            j_list = [int(v) for v in axes[0]["values"]]
+            j_list = [_integer(v, "J") for v in axes[0]["values"]]
         else:
-            j_list = [int(v) for v in base.get("J_list", ())]
+            j_list = [_integer(v, "J") for v in base.get("J_list", ())]
         if not j_list:
             raise ValidationError("continuum scan needs J values")
         rows = [row.to_dict() for row in continuum_limit_scan(seq, cls, float(base["R"]), j_list)]

@@ -39,7 +39,7 @@ _COLLISION_RTOL = 1e-9
 # rounding guard: a two-step gap this close to 2*gamma counts as equal
 _GAP_ULP_RTOL = 1e-13
 _RANK_RTOL = 1e-10
-# trials drawn and evaluated together: a constant, so memory does not grow with trials
+# trials drawn and evaluated together: memory is O(chunk x exponents), whatever the trial count
 _TRIAL_CHUNK = 64
 # batched trial 0 and its per-system recomputation must agree to this (relative)
 _WITNESS_RTOL = 1e-12
@@ -440,8 +440,7 @@ def _ratio(num: float, den: float) -> float:
 
 def _trial_ratios(
     sys: CoupledSystem,
-    grid: SamplingGrid,
-    seq: ExponentSequence,
+    gram: np.ndarray,
     tags: tuple[ExponentTag, ...],
     epsilon: float,
     trials: int,
@@ -450,10 +449,11 @@ def _trial_ratios(
     """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
 
     Trial k carries the amplitudes that the k-th of repeated
-    with_amplitudes calls on default_rng(seed) would draw; its ratio is
-    initial_data_energy over observe(...).energy(), computed from arrays
-    with the same roundings (fsum per trial, one matrix-vector product
-    per trial on the shared design matrix).
+    with_amplitudes calls on default_rng(seed) would draw.  Its ratio is
+    initial_data_energy over the sampled jump energy, which for exponent
+    coefficients c is the quadratic form c^T S conj(c) in the Gram S of
+    the merged exponents (c^H S c would be the energy of the time-reversed
+    samples).  Both agree with the time-domain fsum path to rounding.
     """
     modes = _modes(sys)
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
@@ -462,18 +462,15 @@ def _trial_ratios(
     slot = {(side, m.n): 2 * k for k, (side, m) in enumerate(modes)}
     cols = [slot[(tag.side, tag.n)] + (0 if tag.sign > 0 else 1) for tag in tags]
     weights = np.array([sys.jump_weight(tag.side, tag.n) for tag in tags], dtype=float)
-    design = np.exp(1j * np.multiply.outer(grid.times(), np.array(seq.omegas, dtype=float)))
     rng = np.random.default_rng(seed)
     ratios = []
     for start in range(0, trials, _TRIAL_CHUNK):
         amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(modes))
         plus, minus = amps[..., 0], amps[..., 1]
-        u0 = f0 * _coef_sq(sys, plus, minus, "u0")
-        u1 = f1 * _coef_sq(sys, plus, minus, "u1")
+        num = f0 * _coef_sq(sys, plus, minus, "u0") + f1 * _coef_sq(sys, plus, minus, "u1")
         coeffs = weights * amps.reshape(len(amps), -1)[:, cols]
-        for k in range(len(amps)):
-            den = grid.delta * math.fsum(_abs2(design @ coeffs[k]))
-            ratios.append(_ratio(math.fsum(u0[k]) + math.fsum(u1[k]), den))
+        den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram.T).real
+        ratios += [_ratio(n, d) for n, d in zip(num.sum(axis=1).tolist(), den.tolist())]
     return ratios
 
 
@@ -499,13 +496,12 @@ def verify_observability(
 
     Per trial, amplitudes are redrawn and the ratio (||u0||^2 + ||u1||^2)
     / (delta sum |jump|^2) recorded; the max is the empirical constant.
-    The trials are evaluated as a batch: amplitudes are drawn from
-    default_rng(seed) _TRIAL_CHUNK trials at a time (the stream that
-    repeated with_amplitudes calls would consume), every trial reuses one
-    design matrix exp(i t_j omega_k) on grid.times(), and memory does not
-    grow with the trial count.  Caps, horizon and the merged exponents are
-    checked once, since trials change only the amplitudes.  As a witness,
-    trial 0 is recomputed through with_amplitudes, initial_data_energy and
+    The trials are evaluated as a batch (see _trial_ratios): amplitudes
+    come from default_rng(seed) _TRIAL_CHUNK trials at a time, and each
+    sampled energy is a quadratic form in the pencil's Gram.  Caps,
+    horizon and the merged exponents are checked once, since trials
+    change only the amplitudes.  As a witness, trial 0 is recomputed in
+    the time domain through with_amplitudes, initial_data_energy and
     observe; a relative disagreement above _WITNESS_RTOL raises
     StructuralError.
     Independently, the pencil of the sampled Gram against the diagonal of
@@ -544,7 +540,7 @@ def verify_observability(
     min_eig = float(pencil[0])
     singular = pencil_singular(pencil)
     c_pencil = math.inf if singular else 1.0 / min_eig
-    ratios = _trial_ratios(sys, grid, seq, tags, epsilon, trials, seed)
+    ratios = _trial_ratios(sys, gram, tags, epsilon, trials, seed)
     if ratios:
         _check_witness(sys, grid, epsilon, seed, ratios[0])
         c_emp = max(ratios)

@@ -1,4 +1,4 @@
-"""Shared generators for the test suite.
+"""Shared generators and subprocess environment for the test suite.
 
 Sequences come from a block construction that satisfies the two-step gap
 condition by design: free gaps of at least 1.05 gamma, and close pairs
@@ -9,10 +9,20 @@ every window of two consecutive gaps sums to more than 2 gamma.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import ingham
 from ingham import ExponentSequence, SamplingGrid
+
+
+def env_with_package() -> dict:
+    """Environment whose PYTHONPATH starts at the imported ingham package's parent."""
+    root = str(Path(ingham.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=root + (os.pathsep + inherited if inherited else ""))
 
 
 def block_sequence(

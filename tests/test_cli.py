@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import ingham
+from helpers import env_with_package
 from ingham import StructuralError
 from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
@@ -128,6 +127,22 @@ class TestKernelCommand:
         code, _, _ = run_cli(tmp_path, "kernel", {"variant": "boxcar", "gamma": 1.0})
         assert code == 1
 
+    @pytest.mark.parametrize("grid_points", [10001.9, True, "10001"])
+    def test_malformed_grid_points_exit_1(self, tmp_path, grid_points):
+        payload = {"variant": "direct", "gamma": 1.0, "grid_points": grid_points}
+        code, text, _ = run_cli(tmp_path, "kernel", payload)
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert "grid_points" in error["message"]
+
+    def test_integral_float_grid_points_runs(self, tmp_path):
+        payload = {"variant": "direct", "gamma": 1.0}
+        code, as_int, _ = run_cli(tmp_path, "kernel", dict(payload, grid_points=10001), out="a.json")
+        assert code == 0
+        _, as_float, _ = run_cli(tmp_path, "kernel", dict(payload, grid_points=10001.0), out="b.json")
+        assert json.loads(as_int)["report"] == json.loads(as_float)["report"]
+
 
 class TestPoissonCommand:
     def payload(self):
@@ -234,6 +249,14 @@ class TestObservabilityCommands:
         assert rep["singular"] is False
         assert rep["roundtrip"]["amplitude_error"] < 1e-8
         assert rep["roundtrip"]["residual"] < 1e-8
+        assert rep["c_empirical"] <= rep["c_pencil"] * (1 + 1e-9)
+
+    def test_shifted_grid_string(self, tmp_path):
+        # off t' = 0 the batched trial energies must still match the trial-0 witness
+        code, text, _ = run_cli(tmp_path, "string", dict(STRING_CFG, t_shift=0.37))
+        assert code == 0
+        rep = json.loads(text)["report"]
+        assert rep["roundtrip"]["amplitude_error"] < 1e-8
         assert rep["c_empirical"] <= rep["c_pencil"] * (1 + 1e-9)
 
     def test_beam_roundtrip(self, tmp_path):
@@ -384,22 +407,38 @@ class TestScanCommand:
         assert code == 0
         assert len(json.loads(text)["report"]["rows"]) == 1
 
+    def continuum_payload(self, values, as_axis=True):
+        base = {"omegas": [-3.1, -0.4, 0.2, 2.6, 5.6], "gamma": 1.2, "gamma0": 0.8, "R": 4.0}
+        if as_axis:
+            return {"task": "continuum", "base": base, "axes": [{"name": "J", "values": values}]}
+        return {"task": "continuum", "base": dict(base, J_list=values)}
+
     def test_continuum_scan(self, tmp_path):
-        payload = {
-            "task": "continuum",
-            "base": {
-                "omegas": [-3.1, -0.4, 0.2, 2.6, 5.6],
-                "gamma": 1.2,
-                "gamma0": 0.8,
-                "R": 4.0,
-            },
-            "axes": [{"name": "J", "values": [32, 64, 128]}],
-        }
-        code, text, _ = run_cli(tmp_path, "scan", payload)
+        code, text, _ = run_cli(tmp_path, "scan", self.continuum_payload([32, 64, 128]))
         assert code == 0
         rows = json.loads(text)["report"]["rows"]
         gaps = [row["rel_gap"] for row in rows]
         assert gaps[2] < gaps[0]
+
+    @pytest.mark.parametrize("as_axis", [True, False], ids=["axis", "J_list"])
+    @pytest.mark.parametrize(
+        "values", [[32.7, True], [32, True], [32, "64"]], ids=["fractional", "bool", "string"]
+    )
+    def test_continuum_malformed_J_exit_1(self, tmp_path, values, as_axis):
+        code, text, _ = run_cli(tmp_path, "scan", self.continuum_payload(values, as_axis))
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert "J" in error["message"]
+
+    @pytest.mark.parametrize("as_axis", [True, False], ids=["axis", "J_list"])
+    def test_continuum_integral_float_J_runs(self, tmp_path, as_axis):
+        payload = self.continuum_payload([32, 64], as_axis)
+        code, as_int, _ = run_cli(tmp_path, "scan", payload, out="a.json")
+        assert code == 0
+        payload = self.continuum_payload([32, 64.0], as_axis)
+        _, as_float, _ = run_cli(tmp_path, "scan", payload, out="b.json")
+        assert json.loads(as_int)["report"] == json.loads(as_float)["report"]
 
     def test_gaps_scan(self, tmp_path):
         payload = {
@@ -557,13 +596,6 @@ def _pyproject_script(name: str) -> tuple[str, str]:
     return module.strip(), attr.strip()
 
 
-def _env_with_package():
-    """Environment whose PYTHONPATH starts at the imported ingham package's parent."""
-    root = str(Path(ingham.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=root + (os.pathsep + inherited if inherited else ""))
-
-
 class TestInstalledEntryPoint:
     def test_console_script(self, tmp_path):
         # the wrapper an installer writes for `ingham = "module:attr"`
@@ -580,7 +612,7 @@ class TestInstalledEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
-            env=_env_with_package(),
+            env=env_with_package(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "gaps"
@@ -603,7 +635,7 @@ class TestInstalledEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
-            env=_env_with_package(),
+            env=env_with_package(),
         )
         assert proc.returncode == 0
         assert "ingham" in proc.stdout

@@ -417,8 +417,11 @@ class TestVerifyObservability:
             (full_string(A_IRR, 0.2), SamplingGrid(0.2, 8)),
             (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29)),
             (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30)),
+            # a nonzero t_shift tells c^T S conj(c) from the time-reversed c^H S c
+            (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29, 0.37)),
+            (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30, -1.9)),
         ],
-        ids=["string-8", "string-36", "beam-8"],
+        ids=["string-8", "string-36", "beam-8", "string-36-shifted", "beam-8-shifted"],
     )
     def test_batch_matches_per_trial_loop(self, sys, grid, trials):
         rng = np.random.default_rng(17)
