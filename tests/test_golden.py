@@ -2,8 +2,12 @@
 
 Each case is a config `tests/golden/<name>.json` run as `ingham <command>
 --input <config> <flags>` through the in-process `ingham.cli.main`; the
-exact bytes written to `--output` must equal `tests/golden/<name>.out`.
-The configs are those of `tests/test_cli.py` and the README examples.
+exact bytes written to `--output` must equal `tests/golden/<name>.out`,
+and the exit code must equal the one recorded in `CASES`.  The configs are
+those of `tests/test_cli.py` and the README examples, plus edge cases of
+the report serializer: an unset field left out (`kernel_direct_R`), a set
+one kept (`string_gamma`), validation details, integer-keyed maps that
+sort as strings (`gaps_lead10`), and CSV forms of nested reports.
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -24,38 +28,45 @@ from ingham.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name -> (command, extra flags); the config is GOLDEN / f"{name}.json"
+# name -> (command, extra flags, exit code); the config is GOLDEN / f"{name}.json"
 CASES = {
-    "gaps_chain": ("gaps", ()),
-    "gaps_chain_csv": ("gaps", ("--format", "csv")),
-    "gaps_violation": ("gaps", ()),
-    "kernel_direct": ("kernel", ()),
-    "kernel_inverse_inadmissible": ("kernel", ()),
-    "poisson_direct": ("poisson", ()),
-    "poisson_inverse": ("poisson", ()),
-    "poisson_band_violation": ("poisson", ()),
-    "poisson_band_off": ("poisson", ()),
-    "frame_chain": ("frame", ()),
-    "frame_singular": ("frame", ()),
-    "haraux_chain": ("haraux", ()),
-    "haraux_collision": ("haraux", ()),
-    "string": ("string", ()),
-    "string_seed1": ("string", ("--seed", "1")),
-    "string_horizon": ("string", ()),
-    "beam": ("beam", ()),
-    "scan_frame_delta": ("scan", ()),
-    "scan_frame_delta_csv": ("scan", ("--format", "csv")),
-    "scan_frame_two_axes": ("scan", ()),
-    "scan_frame_single": ("scan", ()),
-    "scan_continuum": ("scan", ()),
-    "scan_gaps": ("scan", ()),
-    "readme_frame": ("frame", ()),
-    "readme_scan": ("scan", ()),
+    "gaps_chain": ("gaps", (), 0),
+    "gaps_chain_csv": ("gaps", ("--format", "csv"), 0),
+    "gaps_violation": ("gaps", (), 2),
+    "kernel_direct": ("kernel", (), 0),
+    "kernel_inverse_inadmissible": ("kernel", (), 2),
+    "poisson_direct": ("poisson", (), 0),
+    "poisson_inverse": ("poisson", (), 0),
+    "poisson_band_violation": ("poisson", (), 2),
+    "poisson_band_off": ("poisson", (), 0),
+    "frame_chain": ("frame", (), 0),
+    "frame_singular": ("frame", (), 2),
+    "haraux_chain": ("haraux", (), 0),
+    "haraux_collision": ("haraux", (), 2),
+    "string": ("string", (), 0),
+    "string_seed1": ("string", ("--seed", "1"), 0),
+    "string_horizon": ("string", (), 2),
+    "beam": ("beam", (), 0),
+    "scan_frame_delta": ("scan", (), 0),
+    "scan_frame_delta_csv": ("scan", ("--format", "csv"), 0),
+    "scan_frame_two_axes": ("scan", (), 0),
+    "scan_frame_single": ("scan", (), 0),
+    "scan_continuum": ("scan", (), 0),
+    "scan_gaps": ("scan", (), 0),
+    "readme_frame": ("frame", (), 0),
+    "readme_scan": ("scan", (), 0),
+    "kernel_direct_R": ("kernel", (), 0),
+    "string_gamma": ("string", (), 0),
+    "string_gamma_violation": ("string", (), 2),
+    "gaps_lead10": ("gaps", (), 0),
+    "gaps_lead10_csv": ("gaps", ("--format", "csv"), 0),
+    "poisson_inverse_csv": ("poisson", ("--format", "csv"), 0),
+    "haraux_chain_csv": ("haraux", ("--format", "csv"), 0),
 }
 
 
 def run_case(name: str, out_path: Path) -> int:
-    command, flags = CASES[name]
+    command, flags, _ = CASES[name]
     cfg = GOLDEN / f"{name}.json"
     return main([command, "--input", str(cfg), "--output", str(out_path), *flags])
 
@@ -69,7 +80,7 @@ def _no_ingham_env(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     out = tmp_path / "out"
-    run_case(name, out)
+    assert run_case(name, out) == CASES[name][2]
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
@@ -83,4 +94,5 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
     for case in sorted(CASES):
         code = run_case(case, GOLDEN / f"{case}.out")
-        print(f"{case}: exit {code}")
+        expected = CASES[case][2]
+        print(f"{case}: exit {code}" + ("" if code == expected else f", CASES says {expected}"))
