@@ -66,18 +66,6 @@ class FrameBoundReport:
     diagnostics: tuple[str, ...] = ()
     companions: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "pencil_dim": self.pencil_dim,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "singular": self.singular,
-            "diagnostics": list(self.diagnostics),
-            "companions": dict(sorted(self.companions.items())),
-        }
-
 
 @dataclass(frozen=True)
 class HarauxPlan:
@@ -96,21 +84,6 @@ class HarauxPlan:
     # Policy flag: the proximity condition |omega_k - omega'| < 2 c'/delta
     # is enforced for every active index, not only those with x_k != 0.
     eq19_enforced_all_active: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "J_prime": self.J_prime,
-            "delta": self.delta,
-            "omega_prime": self.omega_prime,
-            "eps_k": list(self.eps_k),
-            "eps_sup": self.eps_sup,
-            "c_prime": self.c_prime,
-            "lipschitz_L": self.lipschitz_L,
-            "gamma_prime": self.gamma_prime,
-            "eps_prime": self.eps_prime,
-            "active": list(self.active),
-            "eq19_enforced_all_active": self.eq19_enforced_all_active,
-        }
 
 
 def _sinc(x: float) -> float:
@@ -269,6 +242,12 @@ def frame_constants(
     )
 
 
+def _resonant(half: float) -> bool:
+    """Resonance rule: the half angle lies within RESONANCE_WINDOW of a nonzero multiple of pi."""
+    m = round(half / math.pi)
+    return m != 0 and abs(half - m * math.pi) < RESONANCE_WINDOW
+
+
 def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) -> float:
     """Contraction factor of the averaging filter at one frequency.
 
@@ -282,8 +261,7 @@ def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) ->
     if u == 0.0:
         raise ValidationError("omega_k equals omega_prime")
     half = u * delta / 2.0
-    m = round(half / math.pi)
-    if m != 0 and abs(half - m * math.pi) < RESONANCE_WINDOW:
+    if _resonant(half):
         raise ValidationError(
             "sampling resonance: (omega_k - omega') delta/2 at a multiple of pi",
             details={"omega_k": omega_k, "half_angle": half},
@@ -381,8 +359,7 @@ def _filter_factor(omega: float, omega_prime: float, J_prime: int, delta: float)
     half = 0.5 * phi
     if half == 0.0:
         return 1.0 + 0.0j
-    m = round(half / math.pi)
-    if m != 0 and abs(half - m * math.pi) < RESONANCE_WINDOW:
+    if _resonant(half):
         raise ValidationError(
             "sampling resonance in the filter factor",
             details={"omega": omega, "half_angle": half},
@@ -494,20 +471,6 @@ class ContinuumRow:
     c2_continuous: float
     rel_gap: float
     singular: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "delta": self.delta,
-            "active_count": self.active_count,
-            "active_changed": self.active_changed,
-            "c1_discrete": self.c1_discrete,
-            "c2_discrete": self.c2_discrete,
-            "c1_continuous": self.c1_continuous,
-            "c2_continuous": self.c2_continuous,
-            "rel_gap": self.rel_gap,
-            "singular": self.singular,
-        }
 
 
 def continuum_limit_scan(

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def _seq_from(data: dict) -> ExponentSequence:
         gamma = float(data["gamma"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed sequence config: {exc}") from None
-    gamma0 = float(data.get("gamma0", gamma))
+    gamma0 = _real(data.get("gamma0", gamma), "gamma0")
     return ExponentSequence(omegas, gamma, gamma0)
 
 
@@ -96,6 +96,21 @@ def _integer(value, name: str) -> int:
     ):
         raise StructuralError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """float(value); a value float() rejects is malformed."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise StructuralError(f"{name} must be a number, got {value!r}") from None
+
+
+def _flag(value, name: str) -> bool:
+    """value as a bool: only JSON true and false are accepted."""
+    if not isinstance(value, bool):
+        raise StructuralError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _grid_from(data: dict) -> SamplingGrid:
@@ -117,9 +132,9 @@ def _kernel_from(data: dict) -> WindowKernel:
     return certify_constants(
         variant,
         gamma,
-        R=None if r is None else float(r),
+        R=None if r is None else _real(r, "R"),
         grid_points=_integer(data.get("grid_points", 10001), "grid_points"),
-        margin=float(data.get("margin", 0.05)),
+        margin=_real(data.get("margin", 0.05), "margin"),
     )
 
 
@@ -127,26 +142,18 @@ def _handle_gaps(data: dict, cfg: RunConfig):
     seq = _seq_from(data)
     validation = validate_weak_gap(seq)
     if not validation.ok:
-        raise ValidationError("gap violations", details=validation.to_dict())
-    cls = classify(seq)
-    report = {
-        "omegas": list(seq.omegas),
-        "gamma": seq.gamma,
-        "gamma0": seq.gamma0,
-        "gaps": list(seq.gaps()),
-        "validation": validation.to_dict(),
-        "classification": cls.to_dict(),
-    }
+        raise ValidationError("gap violations", details=asdict(validation))
+    report = dict(
+        _sanitize(seq), gaps=seq.gaps(), validation=validation, classification=classify(seq)
+    )
     return report, None
 
 
 def _handle_kernel(data: dict, cfg: RunConfig):
     kernel = _kernel_from(data)
-    report = kernel.to_dict()
-    report["G0"] = float(G_eval(kernel, 0.0))
-    report["g0"] = float(g_transform(kernel, 0.0))
-    report["alpha"] = kernel.alpha
-    report["beta"] = kernel.beta
+    report = dict(
+        _sanitize(kernel), G0=float(G_eval(kernel, 0.0)), g0=float(g_transform(kernel, 0.0))
+    )
     return report, None
 
 
@@ -158,26 +165,23 @@ def _handle_poisson(data: dict, cfg: RunConfig):
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed poisson config: {exc}") from None
     kernel = _kernel_from(kernel_cfg)
-    s = sum_from_dict(sum_cfg, kernel.gamma, data.get("gamma0"))
+    gamma0 = data.get("gamma0")
+    s = sum_from_dict(sum_cfg, kernel.gamma, None if gamma0 is None else _real(gamma0, "gamma0"))
     report = poisson_sides(
         s,
         kernel,
         delta,
-        tail_tol=float(data.get("tail_tol", cfg.tol)),
-        enforce_band=bool(data.get("enforce_band", True)),
+        tail_tol=_real(data.get("tail_tol", cfg.tol), "tail_tol"),
+        enforce_band=_flag(data.get("enforce_band", True), "enforce_band"),
     )
-    out = report.to_dict()
-    out["delta"] = delta
-    out["kernel"] = kernel.to_dict()
-    return out, None
+    return dict(_sanitize(report), delta=delta, kernel=kernel), None
 
 
 def _handle_frame(data: dict, cfg: RunConfig):
     seq = _seq_from(data)
     grid = _grid_from(data)
     report = frame_constants(seq, grid)
-    out = report.to_dict()
-    out["grid"] = grid.to_dict()
+    out = dict(_sanitize(report), grid=grid)
     if report.singular:
         return out, "singular pencil"
     return out, None
@@ -194,11 +198,7 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     mask = band_mask(seq, grid.delta)
     plan = plan_haraux(seq, mask, omega_prime, j_prime, grid.delta)
     extended = extended_frame_constants(seq, mask, omega_prime, grid, j_prime)
-    report = {
-        "plan": plan.to_dict(),
-        "extended": extended.to_dict(),
-        "grid": grid.to_dict(),
-    }
+    report = {"plan": plan, "extended": extended, "grid": grid}
     if extended.singular:
         return report, "singular pencil"
     return report, None
@@ -224,11 +224,9 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
         epsilon,
         body.get("trials", 100),
         seed=cfg.seed,
-        enforce_horizon=bool(body.get("enforce_horizon", True)),
+        enforce_horizon=_flag(body.get("enforce_horizon", True), "enforce_horizon"),
     )
-    out = report.to_dict()
-    out["grid"] = grid.to_dict()
-    out["system"] = system.to_dict()
+    out = dict(_sanitize(report), grid=grid, system=system)
     rng = np.random.default_rng(cfg.seed)
     trial = with_amplitudes(system, rng)
     trace = observe(trial, grid)
@@ -266,8 +264,8 @@ _SCAN_AXES = {
 def _scan_rows(task: str, base: dict, combo: dict, cfg: RunConfig) -> dict:
     merged = dict(base)
     merged.update(combo)
+    report = _sanitize(_HANDLERS[task](merged, cfg)[0])
     if task == "frame":
-        report, _ = _handle_frame(merged, cfg)
         return {
             **combo,
             "c_lower": report["c_lower"],
@@ -278,7 +276,6 @@ def _scan_rows(task: str, base: dict, combo: dict, cfg: RunConfig) -> dict:
             "singular": report["singular"],
         }
     if task == "gaps":
-        report, _ = _handle_gaps(merged, cfg)
         cls = report["classification"]
         return {
             **combo,
@@ -287,7 +284,6 @@ def _scan_rows(task: str, base: dict, combo: dict, cfg: RunConfig) -> dict:
             "a2_leads": ";".join(str(k) for k in cls["a2_leads"]),
         }
     if task == "haraux":
-        report, _ = _handle_haraux(merged, cfg)
         plan = report["plan"]
         ext = report["extended"]
         return {
@@ -324,7 +320,7 @@ def _handle_scan(data: dict, cfg: RunConfig):
             )
         if not values:
             raise ValidationError(f"axis {name!r} has no values")
-        if not all(math.isfinite(float(v)) for v in values):
+        if not all(math.isfinite(_real(v, name)) for v in values):
             raise ValidationError(f"axis {name!r} has non-finite values")
     if task == "continuum":
         seq = _seq_from(base)
@@ -335,7 +331,7 @@ def _handle_scan(data: dict, cfg: RunConfig):
             j_list = [_integer(v, "J") for v in base.get("J_list", ())]
         if not j_list:
             raise ValidationError("continuum scan needs J values")
-        rows = [row.to_dict() for row in continuum_limit_scan(seq, cls, float(base["R"]), j_list)]
+        rows = _sanitize(continuum_limit_scan(seq, cls, _real(base.get("R"), "R"), j_list))
     else:
         combos = [{}]
         for axis in axes:
@@ -362,14 +358,20 @@ _HANDLERS = {
 
 
 def _sanitize(obj):
-    """JSON-safe copy: tuples to lists, complexes to [re, im], non-finite to
-    strings, dataclass instances to dicts of their fields."""
+    """JSON-safe copy, the one serializer of reports: tuples to lists, sets
+    to sorted lists, complexes to [re, im], non-finite to strings, dict keys
+    to strings, dataclass instances to dicts of their fields, leaving out a
+    field whose value is None."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
+        return {
+            f.name: _sanitize(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None
+        }
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_sanitize(v) for v in sorted(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -24,9 +24,8 @@ Band admissibility for a sampling step delta marks index k admissible iff
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import StructuralError, ValidationError
 
@@ -68,23 +67,6 @@ class ExponentSequence:
         w = self.omegas
         return tuple(w[k + 1] - w[k] for k in range(len(w) - 1))
 
-    def to_dict(self) -> dict:
-        return {"omegas": list(self.omegas), "gamma": self.gamma, "gamma0": self.gamma0}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExponentSequence":
-        try:
-            return cls(tuple(data["omegas"]), data["gamma"], data["gamma0"])
-        except KeyError as exc:
-            raise StructuralError(f"missing sequence field {exc}") from None
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "ExponentSequence":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class GapViolation:
@@ -102,21 +84,6 @@ class GapValidation:
     ok: bool
     violations: tuple[GapViolation, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "i": v.i,
-                    "j": v.j,
-                    "observed": v.observed,
-                    "required": v.required,
-                }
-                for v in self.violations
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class GapClassification:
@@ -126,14 +93,6 @@ class GapClassification:
     a2_leads: frozenset[int]
     partners: dict[int, int]
     boundary_policy: str = BOUNDARY_GAP_INFINITE
-
-    def to_dict(self) -> dict:
-        return {
-            "a1": sorted(self.a1),
-            "a2_leads": sorted(self.a2_leads),
-            "partners": {str(k): v for k, v in sorted(self.partners.items())},
-            "boundary_policy": self.boundary_policy,
-        }
 
 
 @dataclass(frozen=True)
@@ -150,13 +109,6 @@ class BandMask:
     @property
     def active_count(self) -> int:
         return sum(self.admissible)
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": list(self.admissible),
-            "delta": self.delta,
-            "threshold": self.threshold,
-        }
 
 
 def validate_weak_gap(seq: ExponentSequence) -> GapValidation:
@@ -189,7 +141,7 @@ def classify(seq: ExponentSequence) -> GapClassification:
     report = validate_weak_gap(seq)
     if not report.ok:
         raise ValidationError(
-            "sequence violates the weakened gap condition", details=report.to_dict()
+            "sequence violates the weakened gap condition", details=asdict(report)
         )
     w = seq.omegas
     g0 = seq.gamma0

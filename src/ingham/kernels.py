@@ -132,6 +132,7 @@ class WindowKernel:
     Inverse variant invariants:
       G(0) - G(x) >= alpha x^2 for |x| <= gamma; G(x) = 0 for |x| >= gamma;
       G(0) > 0; g(t) <= 0 for |t| >= R; g <= beta everywhere; alpha <= G(0).
+    R belongs to the inverse variant; a certified direct kernel stores None.
     """
 
     variant: str
@@ -139,8 +140,6 @@ class WindowKernel:
     alpha: float
     beta: float
     R: float | None = None
-    margin: float = 0.05
-    grid_points: int = 10001
 
     def __post_init__(self):
         if self.variant not in (VARIANT_DIRECT, VARIANT_INVERSE):
@@ -150,30 +149,6 @@ class WindowKernel:
         if self.variant == VARIANT_INVERSE:
             if self.R is None or not (self.R > 0.0 and math.isfinite(self.R)):
                 raise StructuralError("inverse kernel requires positive R")
-
-    def to_dict(self) -> dict:
-        data = {
-            "variant": self.variant,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-        if self.variant == VARIANT_INVERSE:
-            data["R"] = self.R
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WindowKernel":
-        try:
-            return cls(
-                variant=data["variant"],
-                gamma=data["gamma"],
-                alpha=data["alpha"],
-                beta=data["beta"],
-                R=data.get("R"),
-            )
-        except KeyError as exc:
-            raise StructuralError(f"missing kernel field {exc}") from None
 
 
 def convolution_eval(kernel: WindowKernel, x):
@@ -326,9 +301,7 @@ def certify_constants(
         gamma=gamma,
         alpha=float(alpha),
         beta=float(beta),
-        R=R,
-        margin=margin,
-        grid_points=grid_points,
+        R=R if variant == VARIANT_INVERSE else None,
     )
 
 

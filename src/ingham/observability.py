@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,13 +61,6 @@ class Mode:
         object.__setattr__(self, "minus", complex(self.minus))
         if not (math.isfinite(abs(self.plus)) and math.isfinite(abs(self.minus))):
             raise StructuralError("mode amplitudes must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "plus": [self.plus.real, self.plus.imag],
-            "minus": [self.minus.real, self.minus.imag],
-        }
 
 
 @dataclass(frozen=True)
@@ -137,20 +130,13 @@ class CoupledSystem:
             return (n * math.pi / self.a) * (-1.0) ** n
         return -(n * math.pi / (1.0 - self.a))
 
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "a": self.a,
-            "left": [m.to_dict() for m in self.left],
-            "right": [m.to_dict() for m in self.right],
-        }
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "CoupledSystem":
-        """Inverse of `to_dict`: modes are {"n", "plus": [re, im], "minus": [re, im]}."""
+        """Parse a system config, the form `cli._sanitize` writes a system in.
+
+        Modes are {"n", "plus": [re, im], "minus": [re, im]}; an absent
+        gamma stays None.
+        """
 
         def modes(items):
             out = []
@@ -288,7 +274,7 @@ def assemble_exponents(
     if not report.ok:
         raise ValidationError(
             "merged frequencies violate the weakened gap condition",
-            details=report.to_dict(),
+            details=asdict(report),
         )
     return seq, tuple(e[1] for e in entries)
 
@@ -417,21 +403,6 @@ class ObservabilityReport:
     horizon_ok: bool
     exponent_count: int
     diagnostics: tuple[str, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "c_empirical": self.c_empirical,
-            "ratio_median": self.ratio_median,
-            "c_pencil": self.c_pencil,
-            "min_eig": self.min_eig,
-            "singular": self.singular,
-            "horizon_ok": self.horizon_ok,
-            "exponent_count": self.exponent_count,
-            "diagnostics": list(self.diagnostics),
-        }
 
 
 def _ratio(num: float, den: float) -> float:

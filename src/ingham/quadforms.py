@@ -18,7 +18,7 @@ principal submatrix on the active set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ def _check_consistency(cls: GapClassification, seq: ExponentSequence) -> None:
     ):
         raise ValidationError(
             "classification does not match the sequence",
-            details={"expected": recomputed.to_dict(), "given": cls.to_dict()},
+            details={"expected": asdict(recomputed), "given": asdict(cls)},
         )
 
 
@@ -74,9 +74,6 @@ class QMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_rows(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.matrix]
 
 
 def q_matrix(cls: GapClassification, seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:

@@ -53,12 +53,6 @@ class ExpSum:
     def eval(self, t):
         return eval_sum(self, t)
 
-    def to_dict(self) -> dict:
-        return {
-            "omegas": list(self.seq.omegas),
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
-
 
 @dataclass(frozen=True)
 class AugmentedExpSum:
@@ -87,12 +81,6 @@ class AugmentedExpSum:
     def eval(self, t):
         return eval_sum(self, t)
 
-    def to_dict(self) -> dict:
-        data = self.base.to_dict()
-        data["omega_prime"] = self.omega_prime
-        data["x_prime"] = [self.x_prime.real, self.x_prime.imag]
-        return data
-
 
 @dataclass(frozen=True)
 class SamplingGrid:
@@ -114,16 +102,6 @@ class SamplingGrid:
 
     def times(self) -> np.ndarray:
         return self.t_shift + self.delta * np.arange(-self.J, self.J + 1)
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "J": self.J, "t_shift": self.t_shift}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplingGrid":
-        try:
-            return cls(data["delta"], data["J"], data.get("t_shift", 0.0))
-        except KeyError as exc:
-            raise StructuralError(f"missing grid field {exc}") from None
 
 
 def _components(s) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +183,7 @@ class PoissonReport:
     """Both sides of the summation identity plus the certified tail bound.
 
     `rhs` uses the raw convolution; `rhs_pinned_support` uses the kernel
-    with support pinned to [-gamma, gamma].
+    with support pinned to [-gamma, gamma]; `abs_gap` is |lhs - rhs|.
     """
 
     lhs: float
@@ -213,19 +191,10 @@ class PoissonReport:
     tail_bound: float
     rhs_pinned_support: float
     j_half_count: int
+    abs_gap: float = field(init=False)
 
-    def __iter__(self):
-        return iter((self.lhs, self.rhs))
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tail_bound": self.tail_bound,
-            "rhs_pinned_support": self.rhs_pinned_support,
-            "j_half_count": self.j_half_count,
-            "abs_gap": abs(self.lhs - self.rhs),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "abs_gap", abs(self.lhs - self.rhs))
 
 
 def _tail_plan(kernel: WindowKernel, coeff_l1: float, delta: float, tail_tol: float) -> tuple[int, float]:
@@ -313,9 +282,9 @@ def poisson_sides(
 
 
 def sum_from_dict(data: dict, gamma: float, gamma0: float | None = None):
-    """Build a plain or augmented sum from its JSON form.
+    """Build a plain or augmented sum from its JSON config.
 
-    The serialized form carries no gap parameters, so gamma (and
+    The config carries no gap parameters, so gamma (and
     optionally gamma0) are supplied by the caller, typically from the
     kernel descriptor of the surrounding config.
     """

@@ -31,6 +31,7 @@ from ingham import (
     sampled_gram,
 )
 from ingham.bounds import _dirichlet, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing
+from ingham.cli import _sanitize
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
@@ -317,9 +318,10 @@ class TestFrameConstants:
 
     def test_report_dict_keys(self):
         rep = frame_constants(CHAIN, SamplingGrid(0.25, 16))
-        d = rep.to_dict()
+        d = _sanitize(rep)
         for key in ("c_lower", "c_upper", "pencil_dim", "min_eig", "max_eig", "singular", "diagnostics"):
             assert key in d
+        assert isinstance(d["diagnostics"], list)
 
     @settings(max_examples=15)
     @given(st.integers(0, 2**32 - 1))

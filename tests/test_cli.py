@@ -46,6 +46,16 @@ BEAM_CFG = {
 }
 
 
+POISSON_CFG = {
+    "kernel": {"variant": "direct", "gamma": 1.0},
+    "sum": {
+        "omegas": [-2.0, 0.5, 3.0],
+        "coeffs": [[1.0, 0.0], [0.0, -1.0], [0.5, 0.0]],
+    },
+    "delta": 0.8,
+}
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -146,14 +156,7 @@ class TestKernelCommand:
 
 class TestPoissonCommand:
     def payload(self):
-        return {
-            "kernel": {"variant": "direct", "gamma": 1.0},
-            "sum": {
-                "omegas": [-2.0, 0.5, 3.0],
-                "coeffs": [[1.0, 0.0], [0.0, -1.0], [0.5, 0.0]],
-            },
-            "delta": 0.8,
-        }
+        return dict(POISSON_CFG)
 
     def test_identity_holds(self, tmp_path):
         code, text, _ = run_cli(tmp_path, "poisson", self.payload())
@@ -174,6 +177,34 @@ class TestPoissonCommand:
         payload["delta"] = 1.0
         payload["enforce_band"] = False
         code, text, _ = run_cli(tmp_path, "poisson", payload)
+        assert code == 0
+
+
+class TestFlags:
+    """enforce_band and enforce_horizon take JSON true or false, nothing else."""
+
+    CASES = {
+        # both configs fail their check when it is enforced
+        "enforce_band": ("poisson", dict(POISSON_CFG, delta=1.0)),
+        "enforce_horizon": ("string", dict(STRING_CFG, J=5)),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(CASES))
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_non_boolean_exit_1(self, tmp_path, flag, value):
+        command, payload = self.CASES[flag]
+        code, text, _ = run_cli(tmp_path, command, dict(payload, **{flag: value}))
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert flag in error["message"]
+
+    @pytest.mark.parametrize("flag", sorted(CASES))
+    def test_json_booleans(self, tmp_path, flag):
+        command, payload = self.CASES[flag]
+        code, _, _ = run_cli(tmp_path, command, dict(payload, **{flag: True}), out="on.json")
+        assert code == 2
+        code, _, _ = run_cli(tmp_path, command, dict(payload, **{flag: False}), out="off.json")
         assert code == 0
 
 
@@ -452,6 +483,56 @@ class TestScanCommand:
         assert rows[0]["n_a2"] == 0 and rows[1]["n_a2"] == 2
 
 
+class TestMalformedNumbers:
+    """A value float() rejects in a numeric field exits 1 with the structural envelope."""
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("kernel", {"variant": "direct", "gamma": 1.0, "margin": "x"}, "margin"),
+            ("kernel", {"variant": "direct", "gamma": 1.0, "R": "x"}, "R"),
+            ("gaps", dict(CHAIN_SEQ, gamma0="x"), "gamma0"),
+            ("poisson", dict(POISSON_CFG, tail_tol="x"), "tail_tol"),
+            ("poisson", dict(POISSON_CFG, gamma0="x"), "gamma0"),
+            (
+                "scan",
+                {
+                    "task": "frame",
+                    "base": dict(CHAIN_SEQ, J=16),
+                    "axes": [{"name": "delta", "values": ["abc"]}],
+                },
+                "delta",
+            ),
+            (
+                "scan",
+                {"task": "continuum", "base": dict(CHAIN_SEQ, J_list=[32])},
+                "R",
+            ),
+        ],
+        ids=[
+            "kernel-margin",
+            "kernel-R",
+            "gaps-gamma0",
+            "poisson-tail_tol",
+            "poisson-gamma0",
+            "scan-axis",
+            "continuum-no-R",
+        ],
+    )
+    def test_exit_1(self, tmp_path, command, payload, field):
+        code, text, _ = run_cli(tmp_path, command, payload)
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert field in error["message"]
+
+    def test_numeric_strings_still_accepted(self, tmp_path):
+        code, as_str, _ = run_cli(tmp_path, "poisson", dict(POISSON_CFG, tail_tol="1e-9"), out="a.json")
+        assert code == 0
+        _, as_num, _ = run_cli(tmp_path, "poisson", dict(POISSON_CFG, tail_tol=1e-9), out="b.json")
+        assert json.loads(as_str)["report"] == json.loads(as_num)["report"]
+
+
 class TestConfigPrecedence:
     def test_env_input(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, CHAIN_SEQ)
@@ -582,6 +663,18 @@ class TestSanitize:
         out = _sanitize({"i": np.int64(4), "x": np.float64(0.5), "b": np.bool_(False)})
         assert out == {"i": 4, "x": 0.5, "b": False}
         assert isinstance(out["i"], int) and isinstance(out["x"], float)
+
+    def test_sets_sorted(self):
+        out = _sanitize({"s": frozenset({10, 2, 7}), "t": {3.5, -1.0}})
+        assert out == {"s": [2, 7, 10], "t": [-1.0, 3.5]}
+
+    def test_none_field_left_out(self):
+        from ingham.observability import STRING, CoupledSystem
+
+        assert "gamma" not in _sanitize(CoupledSystem(STRING, 0.3))
+        assert _sanitize(CoupledSystem(STRING, 0.3, gamma=2.0))["gamma"] == 2.0
+        # a None outside a dataclass field is data, not an unset field
+        assert _sanitize({"x": None, "y": [None]}) == {"x": None, "y": [None]}
 
 
 def _pyproject_script(name: str) -> tuple[str, str]:

@@ -15,6 +15,7 @@ from ingham import (
     classify,
     validate_weak_gap,
 )
+from ingham.cli import _sanitize, _seq_from
 
 
 def seq(*omegas, gamma=1.0, gamma0=None):
@@ -42,7 +43,7 @@ class TestConstruction:
 
     def test_serialization_roundtrip(self):
         s = seq(0.0, 0.4, 2.2, gamma=1.0, gamma0=0.5)
-        again = ExponentSequence.from_dict(json.loads(json.dumps(s.to_dict())))
+        again = _seq_from(json.loads(json.dumps(_sanitize(s))))
         assert again == s
 
 

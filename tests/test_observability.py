@@ -28,6 +28,7 @@ from ingham import (
     verify_observability,
     with_amplitudes,
 )
+from ingham.cli import _sanitize
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -104,10 +105,11 @@ class TestConstruction:
 
     def test_serialization_roundtrip(self, rng):
         sys = full_string(A_IRR, 0.2, rng)
-        back = CoupledSystem.from_dict(sys.to_dict())
+        assert sys.gamma is None and "gamma" not in _sanitize(sys)
+        back = CoupledSystem.from_dict(_sanitize(sys))
         assert back == sys
         beam = full_beam(A_IRR, 8.0, 0.015, rng)
-        assert CoupledSystem.from_dict(beam.to_dict()) == beam
+        assert CoupledSystem.from_dict(_sanitize(beam)) == beam
 
 
 class TestModeCaps:
@@ -461,7 +463,7 @@ class TestVerifyObservability:
     def test_report_dict(self):
         sys, grid = self.string_instance()
         rep = verify_observability(sys, grid, epsilon=0.05, trials=3)
-        d = rep.to_dict()
+        d = _sanitize(rep)
         assert d["kind"] == STRING and d["trials"] == 3
         assert isinstance(d["diagnostics"], list)
 
