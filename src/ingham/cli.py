@@ -210,8 +210,8 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
     body.setdefault("left", [])
     body.setdefault("right", [])
     sys_cfg = {k: body[k] for k in ("kind", "a", "left", "right") if k in body}
-    if "gamma" in body:
-        sys_cfg["gamma"] = body["gamma"]
+    if body.get("gamma") is not None:
+        sys_cfg["gamma"] = _real(body["gamma"], "gamma")
     system = CoupledSystem.from_dict(sys_cfg)
     grid = _grid_from(body)
     try:

@@ -494,6 +494,7 @@ class TestMalformedNumbers:
             ("gaps", dict(CHAIN_SEQ, gamma0="x"), "gamma0"),
             ("poisson", dict(POISSON_CFG, tail_tol="x"), "tail_tol"),
             ("poisson", dict(POISSON_CFG, gamma0="x"), "gamma0"),
+            ("string", dict(STRING_CFG, gamma="x"), "gamma"),
             (
                 "scan",
                 {
@@ -515,6 +516,7 @@ class TestMalformedNumbers:
             "gaps-gamma0",
             "poisson-tail_tol",
             "poisson-gamma0",
+            "string-gamma",
             "scan-axis",
             "continuum-no-R",
         ],
