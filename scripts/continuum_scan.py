@@ -8,7 +8,7 @@ ones should shrink roughly linearly in delta.
 
 import argparse
 
-from ingham import ExponentSequence, classify, continuum_limit_scan
+from ingham import ExponentSequence, continuum_limit_scan
 
 
 def main() -> None:
@@ -18,11 +18,10 @@ def main() -> None:
     args = ap.parse_args()
 
     seq = ExponentSequence((-3.0, -0.5, 0.3, 2.8, 5.9), 1.3, 0.9)
-    cls = classify(seq)
-    rows = continuum_limit_scan(seq, cls, args.horizon, [2**p for p in range(4, args.max_pow + 1)])
+    rows = continuum_limit_scan(seq, args.horizon, [2**p for p in range(4, args.max_pow + 1)])
 
     print(f"exponents: {seq.omegas}  gamma={seq.gamma}  gamma0={seq.gamma0}")
-    print(f"clustered leads: {sorted(cls.a2_leads)}")
+    print(f"clustered leads: {sorted(seq.classification.a2_leads)}")
     print(f"{'J':>6} {'delta':>10} {'c1_disc':>12} {'c2_disc':>12} {'c1_cont':>12} {'c2_cont':>12} {'rel_gap':>10}")
     for r in rows:
         print(

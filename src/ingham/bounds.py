@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError, ValidationError
-from .exponents import BandMask, ExponentSequence, GapClassification, band_mask, classify
+from .exponents import BandMask, ExponentSequence, band_mask
 from .quadforms import q_matrix
 from .sums import AugmentedExpSum, ExpSum, SamplingGrid, continuous_gram
 
@@ -187,17 +187,14 @@ def pencil_singular(vals: np.ndarray) -> bool:
     return float(vals[0]) <= SINGULAR_RTOL * max(float(vals[-1]), 0.0)
 
 
-def frame_constants(
-    seq: ExponentSequence, grid: SamplingGrid, cls: GapClassification | None = None
-) -> FrameBoundReport:
+def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundReport:
     """Sharp empirical constants of the two-sided sampled-energy inequality.
 
     The band mask for grid.delta is applied before assembling the pencil.
     A rank-deficient sampled Gram (for example fewer samples than active
     exponents) is reported as singular with c_lower = 0.
     """
-    if cls is None:
-        cls = classify(seq)
+    cls = seq.classification
     mask = band_mask(seq, grid.delta)
     active = mask.active_indices()
     if not active:
@@ -215,7 +212,7 @@ def frame_constants(
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-    qm = q_matrix(cls, seq, mask)
+    qm = q_matrix(seq, mask)
     s = sampled_gram(seq, grid, mask)
     vals = hermitian_pencil_eig(s, qm.matrix)
     min_eig = float(vals[0])
@@ -288,26 +285,22 @@ def _sinc_crossing(eps_prime: float) -> float:
 
 
 def plan_haraux(
-    seq: ExponentSequence,
-    mask: BandMask,
-    omega_prime: float,
-    J_prime: int,
-    delta: float,
+    seq: ExponentSequence, omega_prime: float, J_prime: int, delta: float
 ) -> HarauxPlan:
     """Plan the averaging filter for one added frequency.
 
-    Computes eps' over the active indices, the admissible radius c' from
-    the first sinc crossing, the Lipschitz companion constant of the
-    filter factor, and every per-index contraction factor.  Fails when
-    any active index violates the proximity condition
-    |omega_k - omega'| < 2 c'/delta or when the contraction factor
-    reaches 1.
+    Computes eps' over the indices active under band_mask(seq, delta),
+    the admissible radius c' from the first sinc crossing, the Lipschitz
+    companion constant of the filter factor, and every per-index
+    contraction factor.  Fails when any active index violates the
+    proximity condition |omega_k - omega'| < 2 c'/delta or when the
+    contraction factor reaches 1.
     """
     if int(J_prime) != J_prime or J_prime < 1:
         raise StructuralError(f"J_prime must be a positive integer, got {J_prime}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise StructuralError(f"delta must be positive, got {delta}")
-    active = mask.active_indices()
+    active = band_mask(seq, delta).active_indices()
     if not active:
         raise ValidationError("no active indices under the band mask")
     omega_prime = float(omega_prime)
@@ -391,12 +384,7 @@ def haraux_filter(aug: AugmentedExpSum, plan: HarauxPlan) -> ExpSum:
 
 
 def extended_frame_constants(
-    seq: ExponentSequence,
-    mask: BandMask,
-    omega_prime: float,
-    grid: SamplingGrid,
-    J_prime: int,
-    cls: GapClassification | None = None,
+    seq: ExponentSequence, grid: SamplingGrid, omega_prime: float, J_prime: int
 ) -> FrameBoundReport:
     """Empirical c3, c4 for the augmented system on the extended grid.
 
@@ -409,18 +397,16 @@ def extended_frame_constants(
     from the covering argument is reported alongside; the empirical c4 is
     sharper by construction.
     """
-    if cls is None:
-        cls = classify(seq)
-    base = frame_constants(seq, grid, cls)
+    base = frame_constants(seq, grid)
     if base.singular:
         raise ValidationError(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    plan = plan_haraux(seq, mask, omega_prime, J_prime, grid.delta)
-    active = mask.active_indices()
-    omegas = np.array([seq.omegas[k] for k in active] + [plan.omega_prime], dtype=float)
-    qm = q_matrix(cls, seq, mask).matrix
+    plan = plan_haraux(seq, omega_prime, J_prime, grid.delta)
+    mask = band_mask(seq, grid.delta)
+    omegas = np.array([seq.omegas[k] for k in plan.active] + [plan.omega_prime], dtype=float)
+    qm = q_matrix(seq, mask).matrix
     dim = qm.shape[0] + 1
     q_ext = np.zeros((dim, dim), dtype=float)
     q_ext[:-1, :-1] = qm
@@ -473,12 +459,7 @@ class ContinuumRow:
     singular: bool
 
 
-def continuum_limit_scan(
-    seq: ExponentSequence,
-    cls: GapClassification,
-    R: float,
-    J_list,
-) -> tuple[ContinuumRow, ...]:
+def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[ContinuumRow, ...]:
     """Compare discrete pencil constants at delta = R/J with the continuous ones.
 
     The discrete grid spans [-R, R]; as J grows the sampled Gram converges
@@ -498,11 +479,11 @@ def continuum_limit_scan(
         J = int(J)
         delta = R / J
         grid = SamplingGrid(delta, J, 0.0)
+        report = frame_constants(seq, grid)
         mask = band_mask(seq, delta)
         active = mask.active_indices()
-        report = frame_constants(seq, grid, cls)
         omegas = np.array([seq.omegas[k] for k in active], dtype=float)
-        qm = q_matrix(cls, seq, mask).matrix
+        qm = q_matrix(seq, mask).matrix
         cvals = hermitian_pencil_eig(continuous_gram(omegas, R), qm)
         c1c, c2c = float(cvals[0]), float(cvals[-1])
         if report.singular or c1c <= 0.0:

@@ -39,7 +39,7 @@ from .bounds import (
     plan_haraux,
 )
 from .errors import StructuralError, ValidationError
-from .exponents import ExponentSequence, band_mask, classify, validate_weak_gap
+from .exponents import ExponentSequence, validate_weak_gap
 from .kernels import G_eval, WindowKernel, certify_constants, g_transform
 from .observability import (
     BEAM,
@@ -144,7 +144,7 @@ def _handle_gaps(data: dict, cfg: RunConfig):
     if not validation.ok:
         raise ValidationError("gap violations", details=asdict(validation))
     report = dict(
-        _sanitize(seq), gaps=seq.gaps(), validation=validation, classification=classify(seq)
+        _sanitize(seq), gaps=seq.gaps(), validation=validation, classification=seq.classification
     )
     return report, None
 
@@ -195,9 +195,8 @@ def _handle_haraux(data: dict, cfg: RunConfig):
         j_prime = _integer(data["J_prime"], "J_prime")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed haraux config: {exc}") from None
-    mask = band_mask(seq, grid.delta)
-    plan = plan_haraux(seq, mask, omega_prime, j_prime, grid.delta)
-    extended = extended_frame_constants(seq, mask, omega_prime, grid, j_prime)
+    plan = plan_haraux(seq, omega_prime, j_prime, grid.delta)
+    extended = extended_frame_constants(seq, grid, omega_prime, j_prime)
     report = {"plan": plan, "extended": extended, "grid": grid}
     if extended.singular:
         return report, "singular pencil"
@@ -303,11 +302,13 @@ def _handle_scan(data: dict, cfg: RunConfig):
     try:
         task = data["task"]
         base = dict(data.get("base", {}))
-        axes = list(data.get("axes", []))
-    except (KeyError, TypeError) as exc:
+        axes = data.get("axes", [])
+    except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed scan config: {exc}") from None
     if task not in _SCAN_AXES:
         raise StructuralError(f"unknown scan task {task!r}")
+    if not (isinstance(axes, list) and all(isinstance(axis, dict) for axis in axes)):
+        raise StructuralError(f"scan axes must be a list of objects, got {axes!r}")
     if len(axes) > 2:
         raise ValidationError("at most two sweep axes are supported")
     for axis in axes:
@@ -318,20 +319,21 @@ def _handle_scan(data: dict, cfg: RunConfig):
                 f"axis {name!r} not sweepable for task {task!r}",
                 details={"allowed": list(_SCAN_AXES[task])},
             )
+        if values is not None and not isinstance(values, list):
+            raise StructuralError(f"axis {name!r} values must be a list, got {values!r}")
         if not values:
             raise ValidationError(f"axis {name!r} has no values")
         if not all(math.isfinite(_real(v, name)) for v in values):
             raise ValidationError(f"axis {name!r} has non-finite values")
     if task == "continuum":
         seq = _seq_from(base)
-        cls = classify(seq)
-        if axes:
-            j_list = [_integer(v, "J") for v in axes[0]["values"]]
-        else:
-            j_list = [_integer(v, "J") for v in base.get("J_list", ())]
+        j_values = axes[0]["values"] if axes else base.get("J_list", [])
+        if not isinstance(j_values, list):
+            raise StructuralError(f"J_list must be a list, got {j_values!r}")
+        j_list = [_integer(v, "J") for v in j_values]
         if not j_list:
             raise ValidationError("continuum scan needs J values")
-        rows = _sanitize(continuum_limit_scan(seq, cls, _real(base.get("R"), "R"), j_list))
+        rows = _sanitize(continuum_limit_scan(seq, _real(base.get("R"), "R"), j_list))
     else:
         combos = [{}]
         for axis in axes:
@@ -517,8 +519,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if input_path is None:
         raise StructuralError("no input: pass --input or set INGHAM_INPUT")
     output_path = args.output if args.output is not None else _env("OUTPUT", None)
-    tol = args.tol if args.tol is not None else float(_env("TOL", _DEFAULT_TOL))
-    seed = args.seed if args.seed is not None else int(_env("SEED", _DEFAULT_SEED))
+    try:
+        tol = args.tol if args.tol is not None else float(_env("TOL", _DEFAULT_TOL))
+        seed = args.seed if args.seed is not None else int(_env("SEED", _DEFAULT_SEED))
+    except ValueError as exc:
+        raise StructuralError(f"malformed INGHAM_TOL or INGHAM_SEED: {exc}") from None
     fmt = args.fmt if args.fmt is not None else str(_env("FORMAT", _DEFAULT_FORMAT))
     return RunConfig(
         command=args.command,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .errors import StructuralError, ValidationError
 
@@ -66,6 +67,11 @@ class ExponentSequence:
         """Consecutive differences omega_{k+1} - omega_k."""
         w = self.omegas
         return tuple(w[k + 1] - w[k] for k in range(len(w) - 1))
+
+    @cached_property
+    def classification(self) -> GapClassification:
+        """`classify(self)`, computed once per sequence and shared by every caller."""
+        return classify(self)
 
 
 @dataclass(frozen=True)

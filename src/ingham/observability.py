@@ -237,16 +237,14 @@ def check_caps(sys: CoupledSystem, delta: float) -> None:
         )
 
 
-def assemble_exponents(
-    sys: CoupledSystem, gamma_hint: float | None = None
-) -> tuple[ExponentSequence, tuple[ExponentTag, ...]]:
+def assemble_exponents(sys: CoupledSystem) -> tuple[ExponentSequence, tuple[ExponentTag, ...]]:
     """Merged sorted +- frequency list of both sides with origin tags.
 
     Validates the weakened gap condition at gamma (strings default to the
     formula, beams use the user value); coinciding cross-side frequencies
     mean the junction is resonant and reconstruction is hopeless.
     """
-    gamma = float(gamma_hint) if gamma_hint is not None else sys.gap_parameter()
+    gamma = sys.gap_parameter()
     entries = []
     for side, modes in (("left", sys.left), ("right", sys.right)):
         for m in modes:

@@ -18,31 +18,18 @@ principal submatrix on the active set.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError
-from .exponents import BandMask, ExponentSequence, GapClassification, classify
+from .errors import StructuralError
+from .exponents import BandMask, ExponentSequence
 from .sums import AugmentedExpSum
 
 
-def _check_consistency(cls: GapClassification, seq: ExponentSequence) -> None:
-    recomputed = classify(seq)
-    if (
-        recomputed.a1 != cls.a1
-        or recomputed.a2_leads != cls.a2_leads
-        or recomputed.partners != cls.partners
-    ):
-        raise ValidationError(
-            "classification does not match the sequence",
-            details={"expected": asdict(recomputed), "given": asdict(cls)},
-        )
-
-
-def q_form(cls: GapClassification, seq: ExponentSequence, coeffs) -> float:
+def q_form(seq: ExponentSequence, coeffs) -> float:
     """Scalar quadratic form Q on a coefficient vector."""
-    _check_consistency(cls, seq)
+    cls = seq.classification
     x = tuple(complex(c) for c in coeffs)
     if len(x) != len(seq):
         raise StructuralError(
@@ -59,9 +46,9 @@ def q_form(cls: GapClassification, seq: ExponentSequence, coeffs) -> float:
     return math.fsum(terms)
 
 
-def q_prime(aug: AugmentedExpSum, cls: GapClassification, seq: ExponentSequence) -> float:
-    """Q'(x) = |x'|^2 + Q(x)."""
-    return abs(aug.x_prime) ** 2 + q_form(cls, seq, aug.base.coeffs)
+def q_prime(aug: AugmentedExpSum) -> float:
+    """Q'(x) = |x'|^2 + Q(x) on the base sequence of the augmented sum."""
+    return abs(aug.x_prime) ** 2 + q_form(aug.base.seq, aug.base.coeffs)
 
 
 @dataclass(eq=False)
@@ -76,13 +63,13 @@ class QMatrix:
         return self.matrix.shape[0]
 
 
-def q_matrix(cls: GapClassification, seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
+def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
     """Assemble the block matrix of Q over the active (band-admissible) indices.
 
     A pair with only one active member contributes the diagonal entry
     1 + d^2 (the principal submatrix of the full block).
     """
-    _check_consistency(cls, seq)
+    cls = seq.classification
     if mask is None:
         active = tuple(range(len(seq)))
     else:

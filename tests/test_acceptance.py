@@ -34,7 +34,6 @@ from ingham import (
     WindowKernel,
     band_mask,
     certify_constants,
-    classify,
     continuum_limit_scan,
     convolution_eval,
     extended_frame_constants,
@@ -98,17 +97,16 @@ def test_criterion_02_two_sided_sandwich(say):
             attempts += 1
             assert attempts < 600
             seq = block_sequence(rng, nmax=10, chain_prob=0.6)
-            cls = classify(seq)
-            if not cls.a2_leads:
+            if not seq.classification.a2_leads:
                 continue
             assert seq.gamma0 < seq.gamma
             grid = admissible_grid(seq, rng)
             assert grid.J * grid.delta > math.pi / seq.gamma
-            rep = frame_constants(seq, grid, cls)
+            rep = frame_constants(seq, grid)
             assert rep.min_eig > 0.0 and not rep.singular
             mask = band_mask(seq, grid.delta)
             gram = sampled_gram(seq, grid, mask)
-            qm = q_matrix(cls, seq, mask).matrix
+            qm = q_matrix(seq, mask).matrix
             n = len(seq)
             x = rng.normal(size=(n, 1000)) + 1j * rng.normal(size=(n, 1000))
             energy = np.einsum("ij,ij->j", x.conj(), gram @ x).real
@@ -125,11 +123,11 @@ def test_criterion_03_uniform_gap_reduction(say):
     with verdict(say, 3, "uniform integer exponents reduce Q to plain energy; single-exponent constants exact"):
         rng = np.random.default_rng(20260816)
         seq = ExponentSequence(tuple(float(k) for k in range(-3, 4)), 0.5, 0.5)
-        cls = classify(seq)
+        cls = seq.classification
         assert cls.a1 == set(range(7)) and not cls.a2_leads
         for _ in range(50):
             x = random_coeffs(rng, 7)
-            assert q_form(cls, seq, x) == math.fsum(abs(c) ** 2 for c in x)
+            assert q_form(seq, x) == math.fsum(abs(c) ** 2 for c in x)
         for delta, J in ((0.4, 6), (0.25, 10), (0.7, 3)):
             rep = frame_constants(ExponentSequence((1.3,), 1.0, 1.0), SamplingGrid(delta, J))
             expect = delta * (2 * J + 1)
@@ -227,9 +225,8 @@ def test_criterion_06_augmentation_filter(say):
             omega_prime = 0.5 * (seq.omegas[i] + seq.omegas[i + 1])
             gap_prime = min(abs(w - omega_prime) for w in seq.omegas)
             j_prime = int(math.ceil(2.0 * math.pi / (gap_prime * delta)))
-            mask = band_mask(seq, delta)
             try:
-                plan = plan_haraux(seq, mask, omega_prime, j_prime, delta)
+                plan = plan_haraux(seq, omega_prime, j_prime, delta)
             except ValidationError:
                 continue  # wide spans can violate the proximity condition
             assert plan.eps_sup < 1.0
@@ -255,7 +252,7 @@ def test_criterion_06_augmentation_filter(say):
             rhs = 4.0 * math.fsum(np.abs(xv) ** 2)
             assert lhs <= rhs * (1.0 + 1e-12)
 
-            ext = extended_frame_constants(seq, mask, omega_prime, grid, j_prime)
+            ext = extended_frame_constants(seq, grid, omega_prime, j_prime)
             assert ext.c_lower > 0.0
             assert ext.c_upper <= ext.companions["c4_formula"]
             usable += 1
@@ -266,7 +263,7 @@ def test_criterion_06_augmentation_filter(say):
 def test_criterion_07_continuum_limit(say):
     with verdict(say, 7, "discrete constants within 1e-3 of continuous ones at J = 1024"):
         seq = ExponentSequence((-3.0, -0.5, 0.3, 2.8, 5.9), 1.3, 0.9)
-        rows = continuum_limit_scan(seq, classify(seq), 2.6, [64, 256, 1024])
+        rows = continuum_limit_scan(seq, 2.6, [64, 256, 1024])
         assert all(row.active_count == 5 and not row.singular for row in rows)
         assert rows[0].rel_gap > rows[1].rel_gap > rows[2].rel_gap
         assert rows[-1].rel_gap <= 1e-3

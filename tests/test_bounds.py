@@ -16,7 +16,6 @@ from ingham import (
     StructuralError,
     ValidationError,
     band_mask,
-    classify,
     continuum_limit_scan,
     epsilon_k,
     extended_frame_constants,
@@ -126,13 +125,12 @@ class TestPencil:
         # 250 active exponents: the pencil dimension has no cap of its own
         seq = block_sequence(rng, nmin=250, nmax=250)
         grid = admissible_grid(seq)
-        cls = classify(seq)
-        rep = frame_constants(seq, grid, cls)
+        rep = frame_constants(seq, grid)
         assert rep.pencil_dim == 250 and not rep.singular
         # Gram summed sample by sample, against scipy's generalized solver
         v = np.exp(1j * np.multiply.outer(grid.times(), seq.omegas))
         s = grid.delta * (v.T @ v.conj())
-        q = q_matrix(cls, seq, band_mask(seq, grid.delta)).matrix
+        q = q_matrix(seq, band_mask(seq, grid.delta)).matrix
         expected = scipy.linalg.eigh(s, q, eigvals_only=True)
         tol = 1e-9 * np.linalg.norm(s)
         assert rep.c_lower == pytest.approx(expected[0], abs=tol)
@@ -275,13 +273,12 @@ class TestFrameConstants:
         for _ in range(10):
             seq = block_sequence(rng, nmax=7)
             grid = admissible_grid(seq, rng)
-            cls = classify(seq)
-            rep = frame_constants(seq, grid, cls)
+            rep = frame_constants(seq, grid)
             assert not rep.singular and rep.c_lower > 0.0
             ratios = []
             for _ in range(40):
                 x = random_coeffs(rng, len(seq))
-                q = q_form(cls, seq, x)
+                q = q_form(seq, x)
                 e = sampled_energy(ExpSum(seq, x), grid)
                 assert rep.c_lower * q <= e * (1 + 1e-10) + 1e-12
                 assert e <= rep.c_upper * q * (1 + 1e-10) + 1e-12
@@ -294,11 +291,10 @@ class TestFrameConstants:
     def test_extremes_attained(self, rng):
         seq = CHAIN
         grid = SamplingGrid(0.25, 16)
-        cls = classify(seq)
-        rep = frame_constants(seq, grid, cls)
+        rep = frame_constants(seq, grid)
         mask = band_mask(seq, grid.delta)
         s = sampled_gram(seq, grid, mask)
-        qm = q_matrix(cls, seq, mask).matrix
+        qm = q_matrix(seq, mask).matrix
         vals, vecs = hermitian_pencil_eig(s, qm, with_vectors=True)
         z = vecs[:, 0]
         ratio = float((z.conj() @ s @ z).real / (z.conj() @ qm @ z).real)
@@ -315,6 +311,23 @@ class TestFrameConstants:
         seq = ExponentSequence((30.0, 33.0), 1.0, 1.0)
         with pytest.raises(ValidationError):
             frame_constants(seq, SamplingGrid(0.5, 8))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seq, grid: frame_constants(seq, grid),
+            lambda seq, grid: extended_frame_constants(seq, grid, 1.2, 8),
+            lambda seq, grid: continuum_limit_scan(seq, grid.J * grid.delta, [grid.J]),
+        ],
+        ids=["frame", "extended", "continuum"],
+    )
+    def test_pair_gap_floor_refused(self, call):
+        # an A2 pair 1e-13 apart, every exponent band-active: Q is refused
+        # by name before the pencil is assembled
+        seq = ExponentSequence((-3.5, -0.5, -0.5 + 1e-13, 2.8, 5.9), 1.3, 0.9)
+        with pytest.raises(ValidationError, match="pair gap below 1e-12") as err:
+            call(seq, SamplingGrid(0.18, 16))
+        assert err.value.details["lead"] == 1
 
     def test_report_dict_keys(self):
         rep = frame_constants(CHAIN, SamplingGrid(0.25, 16))
@@ -387,8 +400,7 @@ class TestSincCrossing:
 
 
 def chain_plan(delta=0.2, J_prime=25, omega_prime=4.7):
-    mask = band_mask(CHAIN, delta)
-    return plan_haraux(CHAIN, mask, omega_prime, J_prime, delta)
+    return plan_haraux(CHAIN, omega_prime, J_prime, delta)
 
 
 class TestHarauxPlan:
@@ -413,26 +425,26 @@ class TestHarauxPlan:
             chain_plan(omega_prime=3.4)
 
     def test_proximity_violation(self):
-        # permissive mask keeps a far exponent active; a large step then
-        # shrinks the admissible radius 2c'/delta below the distance
+        # both exponents are band-active at delta 0.1; a short filter keeps
+        # eps' near 1 for the near one, so the admissible radius 2c'/delta
+        # (about 4.2) falls below the distance 5.3 to the far one
         seq = ExponentSequence((0.0, 6.0), 1.0, 1.0)
-        mask = band_mask(seq, 0.1)
         with pytest.raises(ValidationError) as err:
-            plan_haraux(seq, mask, 0.7, 4, 2.0)
+            plan_haraux(seq, 0.7, 3, 0.1)
         assert "proximity" in str(err.value)
+        assert err.value.details["indices"] == [1]
 
     def test_empty_active(self):
         seq = ExponentSequence((30.0, 33.0), 1.0, 1.0)
-        mask = band_mask(seq, 0.5)  # threshold ~5.8, both inactive
-        with pytest.raises(ValidationError):
-            plan_haraux(seq, mask, 31.0, 4, 0.5)
+        with pytest.raises(ValidationError) as err:
+            plan_haraux(seq, 31.0, 4, 0.5)  # threshold ~5.8, both inactive
+        assert "no active indices" in str(err.value)
 
     def test_bad_parameters(self):
-        mask = band_mask(CHAIN, 0.2)
         with pytest.raises(StructuralError):
-            plan_haraux(CHAIN, mask, 4.7, 0, 0.2)
+            plan_haraux(CHAIN, 4.7, 0, 0.2)
         with pytest.raises(StructuralError):
-            plan_haraux(CHAIN, mask, 4.7, 4, math.inf)
+            plan_haraux(CHAIN, 4.7, 4, math.inf)
 
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
@@ -442,14 +454,13 @@ class TestHarauxPlan:
         rng = np.random.default_rng(seed)
         seq = block_sequence(rng, nmax=6)
         delta = admissible_grid(seq, rng).delta
-        mask = band_mask(seq, delta)
         gaps = seq.gaps()
         i = int(np.argmax(gaps))
         omega_prime = 0.5 * (seq.omegas[i] + seq.omegas[i + 1])
         gp = min(abs(w - omega_prime) for w in seq.omegas)
         J_prime = int(math.ceil(2.0 * math.pi / (gp * delta)))
         try:
-            plan = plan_haraux(seq, mask, omega_prime, J_prime, delta)
+            plan = plan_haraux(seq, omega_prime, J_prime, delta)
         except ValidationError:
             return  # proximity can fail for wide spans; nothing to check
         assert plan.eps_sup < 1.0
@@ -504,7 +515,7 @@ class TestHarauxFilter:
         seq = ExponentSequence((0.0, resonant), 1.0, 1.0)
         mask = band_mask(seq, delta)
         assert mask.active_indices() == (0,)
-        plan = plan_haraux(seq, mask, 0.25, 8, delta)
+        plan = plan_haraux(seq, 0.25, 8, delta)
         ok = AugmentedExpSum(ExpSum(seq, (1.0, 0.0)), 0.25, 1.0)
         y = haraux_filter(ok, plan)
         assert y.coeffs[1] == 0.0
@@ -525,8 +536,7 @@ class TestExtendedConstants:
 
     def test_positive_and_bounded(self):
         grid = self.grid()
-        mask = band_mask(CHAIN, grid.delta)
-        rep = extended_frame_constants(CHAIN, mask, 4.7, grid, 25)
+        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
         assert not rep.singular
         assert 0.0 < rep.c_lower <= rep.c_upper
         assert rep.pencil_dim == 6
@@ -535,40 +545,34 @@ class TestExtendedConstants:
 
     def test_sandwich_on_augmented_vectors(self, rng):
         grid = self.grid()
-        mask = band_mask(CHAIN, grid.delta)
-        rep = extended_frame_constants(CHAIN, mask, 4.7, grid, 25)
-        cls = classify(CHAIN)
+        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
         ext = SamplingGrid(grid.delta, grid.J + 25, grid.t_shift)
         for _ in range(25):
             aug = AugmentedExpSum(ExpSum(CHAIN, random_coeffs(rng, 5)), 4.7, uniform_disc(rng))
-            qp = q_prime(aug, cls, CHAIN)
+            qp = q_prime(aug)
             e = sampled_energy(aug, ext)
             assert rep.c_lower * qp <= e * (1 + 1e-9) + 1e-12
             assert e <= rep.c_upper * qp * (1 + 1e-9) + 1e-12
 
     def test_zero_augmented_coefficient(self, rng):
         grid = self.grid()
-        mask = band_mask(CHAIN, grid.delta)
-        rep = extended_frame_constants(CHAIN, mask, 4.7, grid, 25)
-        cls = classify(CHAIN)
+        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
         ext = SamplingGrid(grid.delta, grid.J + 25, grid.t_shift)
         aug = AugmentedExpSum(ExpSum(CHAIN, random_coeffs(rng, 5)), 4.7, 0.0)
-        qp = q_prime(aug, cls, CHAIN)
+        qp = q_prime(aug)
         e = sampled_energy(aug, ext)
         assert rep.c_lower * qp <= e * (1 + 1e-9)
 
     def test_base_singular_rejected(self):
         seq = ExponentSequence((0.0, 3.0, 6.0, 9.0, 12.0), 1.0, 1.0)
         grid = SamplingGrid(0.2, 1)
-        mask = band_mask(seq, grid.delta)
         with pytest.raises(ValidationError) as err:
-            extended_frame_constants(seq, mask, 1.5, grid, 10)
+            extended_frame_constants(seq, grid, 1.5, 10)
         assert "singular" in str(err.value)
 
     def test_companion_formula_value(self):
         grid = self.grid()
-        mask = band_mask(CHAIN, grid.delta)
-        rep = extended_frame_constants(CHAIN, mask, 4.7, grid, 25)
+        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
         j, jp, d = grid.J, 25, grid.delta
         expect = (
             (1.0 + (2 * j + 2 * jp + 1) / (2 * j + 1))
@@ -581,7 +585,7 @@ class TestExtendedConstants:
 class TestContinuumScan:
     def test_single_exponent_exact_gap(self):
         seq = ExponentSequence((0.0,), 1.0, 1.0)
-        rows = continuum_limit_scan(seq, classify(seq), 4.0, [4, 8, 16])
+        rows = continuum_limit_scan(seq, 4.0, [4, 8, 16])
         for row in rows:
             # delta (2J+1) vs 2R leaves exactly delta: rel gap = 1/(2J)
             assert row.rel_gap == pytest.approx(1.0 / (2 * row.J), rel=1e-10)
@@ -589,14 +593,14 @@ class TestContinuumScan:
 
     def test_gap_decreases(self):
         seq = ExponentSequence((-3.1, -0.4, 0.2, 2.6, 5.6), 1.2, 0.8)
-        rows = continuum_limit_scan(seq, classify(seq), 4.0, [32, 64, 128, 256])
+        rows = continuum_limit_scan(seq, 4.0, [32, 64, 128, 256])
         gaps = [row.rel_gap for row in rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-2
 
     def test_active_change_flagged(self):
         seq = ExponentSequence((0.0, 3.0, 6.0, 9.0, 30.0), 1.0, 1.0)
-        rows = continuum_limit_scan(seq, classify(seq), 4.0, [8, 16])
+        rows = continuum_limit_scan(seq, 4.0, [8, 16])
         # thresholds pi/delta - 1/2: 5.78 at J=8 keeps {0, 3}; 12.07 at J=16
         # keeps {0, 3, 6, 9}; 30 stays outside
         assert rows[0].active_count == 2 and rows[1].active_count == 4
@@ -605,4 +609,4 @@ class TestContinuumScan:
     def test_short_horizon_rejected(self):
         seq = ExponentSequence((0.0,), 1.0, 1.0)
         with pytest.raises(ValidationError):
-            continuum_limit_scan(seq, classify(seq), 3.0, [8])
+            continuum_limit_scan(seq, 3.0, [8])

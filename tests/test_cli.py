@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import env_with_package
-from ingham import StructuralError
+from ingham import StructuralError, exponents
 from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
 A_IRR = math.sqrt(2.0) / 2.0
@@ -471,6 +471,28 @@ class TestScanCommand:
         _, as_float, _ = run_cli(tmp_path, "scan", payload, out="b.json")
         assert json.loads(as_int)["report"] == json.loads(as_float)["report"]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"task": "frame", "base": dict(CHAIN_SEQ, J=16), "axes": [5]},
+            {"task": "frame", "base": dict(CHAIN_SEQ, J=16), "axes": {"name": "delta"}},
+            {
+                "task": "frame",
+                "base": dict(CHAIN_SEQ, J=16),
+                "axes": [{"name": "delta", "values": 5}],
+            },
+            {"task": "continuum", "base": dict(CHAIN_SEQ, R=4.0, J_list=32)},
+            {"task": "frame", "base": "ab"},
+        ],
+        ids=["axis-not-object", "axes-object", "values-not-list", "J_list-not-list", "base-string"],
+    )
+    def test_malformed_shape_exit_1(self, tmp_path, payload):
+        code, text, _ = run_cli(tmp_path, "scan", payload)
+        assert code == 1
+        env = json.loads(text)
+        assert env["error"]["type"] == "structural"
+        assert "report" not in env
+
     def test_gaps_scan(self, tmp_path):
         payload = {
             "task": "gaps",
@@ -559,6 +581,16 @@ class TestConfigPrecedence:
         main(["gaps", "--input", str(cfg), "--output", str(out), "--seed", "3"])
         assert json.loads(out.read_text())["seed"] == 3
 
+    @pytest.mark.parametrize("name, value", [("TOL", "x"), ("SEED", "1.5")])
+    def test_malformed_env_exit_1(self, tmp_path, monkeypatch, capsys, name, value):
+        cfg = write_cfg(tmp_path, CHAIN_SEQ)
+        out = tmp_path / "o.json"
+        monkeypatch.setenv(f"INGHAM_{name}", value)
+        assert main(["gaps", "--input", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(value) in err
+        assert not out.exists()
+
     def test_env_format(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, CHAIN_SEQ)
         out = tmp_path / "o.csv"
@@ -619,6 +651,40 @@ class TestRepeatedMain:
         assert "--tol" in capsys.readouterr().err
         assert main(["frame", "--input", str(cfg), "--output", str(again)]) == 0
         assert again.read_bytes() == first.read_bytes()
+
+
+class TestClassificationOnce:
+    """Each CLI case classifies its sequence once; every later use reads
+    `ExponentSequence.classification`."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("frame", dict(CHAIN_SEQ, delta=0.25, J=16)),
+            ("haraux", dict(CHAIN_SEQ, delta=0.2, J=20, omega_prime=4.7, J_prime=25)),
+            (
+                "scan",
+                {
+                    "task": "continuum",
+                    "base": dict(CHAIN_SEQ, R=4.0),
+                    "axes": [{"name": "J", "values": [32, 64, 128]}],
+                },
+            ),
+        ],
+        ids=["frame", "haraux", "continuum"],
+    )
+    def test_one_classify_call(self, tmp_path, monkeypatch, command, payload):
+        calls = []
+        original = exponents.classify
+
+        def counting(seq):
+            calls.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(exponents, "classify", counting)
+        code, _, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestRunConfig:

@@ -196,9 +196,11 @@ class TestAssembleExponents:
         assert seq.gamma == pytest.approx(CoupledSystem(STRING, a).gap_parameter(), rel=1e-12)
 
     def test_gamma_hint_override(self):
-        sys = CoupledSystem(STRING, A_IRR, left=(Mode(1, 1.0),))
-        seq, _ = assemble_exponents(sys, gamma_hint=1.0)
+        # an explicit system gamma replaces the string formula
+        sys = CoupledSystem(STRING, A_IRR, left=(Mode(1, 1.0),), gamma=1.0)
+        seq, _ = assemble_exponents(sys)
         assert seq.gamma == 1.0
+        assert CoupledSystem(STRING, A_IRR).gap_parameter() != 1.0
 
     def test_no_modes(self):
         with pytest.raises(ValidationError):

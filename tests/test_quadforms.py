@@ -9,9 +9,7 @@ from ingham import (
     ExponentSequence,
     ExpSum,
     StructuralError,
-    ValidationError,
     band_mask,
-    classify,
     q_form,
     q_matrix,
     q_prime,
@@ -23,12 +21,10 @@ CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 class TestScalarForm:
     def test_all_a1_is_plain_energy(self, rng):
         seq = ExponentSequence((0.0, 3.0, 6.5), 1.0, 1.0)
-        cls = classify(seq)
         x = random_coeffs(rng, 3)
-        assert q_form(cls, seq, x) == pytest.approx(sum(abs(c) ** 2 for c in x), rel=1e-15)
+        assert q_form(seq, x) == pytest.approx(sum(abs(c) ** 2 for c in x), rel=1e-15)
 
     def test_chain_value(self):
-        cls = classify(CHAIN)
         x = (1.0, 1.0j, 2.0, -1.0, 0.5)
         # pairs (0,1) gap 0.5 and (2,3) gap 0.4; index 4 alone
         expect = (
@@ -38,38 +34,29 @@ class TestScalarForm:
             + 0.16 * (4.0 + 1.0)
             + 0.25
         )
-        assert q_form(cls, CHAIN, x) == pytest.approx(expect, rel=1e-14)
+        assert q_form(CHAIN, x) == pytest.approx(expect, rel=1e-14)
 
     def test_coeff_count_mismatch(self):
-        cls = classify(CHAIN)
         with pytest.raises(StructuralError):
-            q_form(cls, CHAIN, (1.0, 2.0))
-
-    def test_classification_mismatch_rejected(self):
-        other = ExponentSequence((0.0, 3.0, 6.0, 9.0, 12.0), 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            q_form(classify(other), CHAIN, (1.0,) * 5)
+            q_form(CHAIN, (1.0, 2.0))
 
     def test_q_prime_adds_augmented_modulus(self):
         seq = ExponentSequence((0.0, 3.0), 1.0, 1.0)
-        cls = classify(seq)
         aug = AugmentedExpSum(ExpSum(seq, (1.0, 2.0j)), 1.5, 3.0 - 4.0j)
-        assert q_prime(aug, cls, seq) == pytest.approx(25.0 + 1.0 + 4.0, rel=1e-15)
+        assert q_prime(aug) == pytest.approx(25.0 + 1.0 + 4.0, rel=1e-15)
 
 
 class TestMatrixForm:
     def test_matches_scalar_form(self, rng):
         for _ in range(20):
             seq = block_sequence(rng)
-            cls = classify(seq)
-            qm = q_matrix(cls, seq)
+            qm = q_matrix(seq)
             x = np.array(random_coeffs(rng, len(seq)))
             quad = float(np.real(x.conj() @ qm.matrix @ x))
-            assert quad == pytest.approx(q_form(cls, seq, x), rel=1e-12, abs=1e-12)
+            assert quad == pytest.approx(q_form(seq, x), rel=1e-12, abs=1e-12)
 
     def test_block_structure_and_eigenvalues(self):
-        cls = classify(CHAIN)
-        qm = q_matrix(cls, CHAIN)
+        qm = q_matrix(CHAIN)
         m = qm.matrix
         assert qm.dim == 5 and qm.active == (0, 1, 2, 3, 4)
         assert m[0, 0] == m[1, 1] == 1.0 + 0.25
@@ -85,25 +72,23 @@ class TestMatrixForm:
 
     def test_masked_submatrix(self):
         # drop index 3 (partner of lead 2) and index 4
-        cls = classify(CHAIN)
-        full = q_matrix(cls, CHAIN)
+        full = q_matrix(CHAIN)
         mask = band_mask(CHAIN, delta=0.75)  # threshold pi/0.75 - 0.5 = 3.689
         assert mask.active_indices() == (0, 1, 2, 3)
-        qm = q_matrix(cls, CHAIN, mask)
+        qm = q_matrix(CHAIN, mask)
         assert qm.dim == 4
         assert np.allclose(qm.matrix, full.matrix[:4, :4])
 
     def test_lone_pair_member_diagonal(self):
         seq = ExponentSequence((0.0, 2.5, 2.9), 1.0, 0.6)
-        cls = classify(seq)
-        assert cls.a2_leads == {1}
+        assert seq.classification.a2_leads == {1}
         mask = band_mask(seq, delta=1.05)  # threshold 2.49: only index 0 and 1...
         # threshold = pi/1.05 - 0.5 = 2.4920 -> active {0}
         if mask.active_indices() == (0,):
-            qm = q_matrix(cls, seq, mask)
+            qm = q_matrix(seq, mask)
             assert qm.dim == 1 and qm.matrix[0, 0] == 1.0
         mask2 = band_mask(seq, delta=1.0)  # threshold 2.6416 -> active {0, 1}
-        qm2 = q_matrix(cls, seq, mask2)
+        qm2 = q_matrix(seq, mask2)
         d2 = 0.4**2
         assert qm2.dim == 2
         assert qm2.matrix[1, 1] == pytest.approx(1.0 + d2)
@@ -112,19 +97,18 @@ class TestMatrixForm:
     def test_positive_definite_when_gaps_positive(self, rng):
         for _ in range(10):
             seq = block_sequence(rng)
-            qm = q_matrix(classify(seq), seq)
+            qm = q_matrix(seq)
             assert np.linalg.eigvalsh(qm.matrix).min() > 0.0
 
     @given(st.integers(0, 2**32 - 1))
     def test_form_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         seq = block_sequence(rng, nmax=8)
-        cls = classify(seq)
         x = random_coeffs(rng, len(seq))
-        assert q_form(cls, seq, x) >= 0.0
+        assert q_form(seq, x) >= 0.0
 
     def test_mask_length_mismatch(self):
         other = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         mask = band_mask(other, 0.5)
         with pytest.raises(StructuralError):
-            q_matrix(classify(CHAIN), CHAIN, mask)
+            q_matrix(CHAIN, mask)
