@@ -187,13 +187,8 @@ def pencil_singular(vals: np.ndarray) -> bool:
     return float(vals[0]) <= SINGULAR_RTOL * max(float(vals[-1]), 0.0)
 
 
-def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundReport:
-    """Sharp empirical constants of the two-sided sampled-energy inequality.
-
-    The band mask for grid.delta is applied before assembling the pencil.
-    A rank-deficient sampled Gram (for example fewer samples than active
-    exponents) is reported as singular with c_lower = 0.
-    """
+def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
+    """(report of `frame_constants`, its active indices, its Q matrix)."""
     cls = seq.classification
     mask = band_mask(seq, grid.delta)
     active = mask.active_indices()
@@ -212,9 +207,9 @@ def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundRepo
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-    qm = q_matrix(seq, mask)
+    qm = q_matrix(seq, mask).matrix
     s = sampled_gram(seq, grid, mask)
-    vals = hermitian_pencil_eig(s, qm.matrix)
+    vals = hermitian_pencil_eig(s, qm)
     min_eig = float(vals[0])
     max_eig = float(vals[-1])
     singular = pencil_singular(vals)
@@ -236,7 +231,17 @@ def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundRepo
         max_eig=max_eig,
         singular=singular,
         diagnostics=diagnostics,
-    )
+    ), active, qm
+
+
+def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundReport:
+    """Sharp empirical constants of the two-sided sampled-energy inequality.
+
+    The band mask for grid.delta is applied before assembling the pencil.
+    A rank-deficient sampled Gram (for example fewer samples than active
+    exponents) is reported as singular with c_lower = 0.
+    """
+    return _frame_pencil(seq, grid)[0]
 
 
 def _resonant(half: float) -> bool:
@@ -384,29 +389,33 @@ def haraux_filter(aug: AugmentedExpSum, plan: HarauxPlan) -> ExpSum:
 
 
 def extended_frame_constants(
-    seq: ExponentSequence, grid: SamplingGrid, omega_prime: float, J_prime: int
+    seq: ExponentSequence, grid: SamplingGrid, plan: HarauxPlan
 ) -> FrameBoundReport:
     """Empirical c3, c4 for the augmented system on the extended grid.
 
-    The pencil runs over the active exponents plus omega', with the
-    quadratic form Q extended by the scalar 1 for the new coefficient and
-    the Gram taken over j = -(J+J') .. (J+J').  The explicit companion
+    `plan` is `plan_haraux(seq, omega', J', grid.delta)`; a plan built for
+    another step or another active set is rejected.  The pencil runs over
+    the active exponents plus omega', with the quadratic form Q extended by
+    the scalar 1 for the new coefficient and the Gram taken over
+    j = -(J+J') .. (J+J').  The explicit companion
 
         c4_formula = (1 + (2J+2J'+1)/(2J+1)) max{4 c2, 12 J delta} (1 + (J' delta)^2)
 
     from the covering argument is reported alongside; the empirical c4 is
     sharper by construction.
     """
-    base = frame_constants(seq, grid)
+    base, active, qm = _frame_pencil(seq, grid)
+    if (plan.delta, plan.active) != (grid.delta, active):
+        raise ValidationError(
+            "plan was built for a different delta or active set",
+            details={"plan_delta": plan.delta, "plan_active": plan.active},
+        )
     if base.singular:
         raise ValidationError(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    plan = plan_haraux(seq, omega_prime, J_prime, grid.delta)
-    mask = band_mask(seq, grid.delta)
-    omegas = np.array([seq.omegas[k] for k in plan.active] + [plan.omega_prime], dtype=float)
-    qm = q_matrix(seq, mask).matrix
+    omegas = np.array([seq.omegas[k] for k in active] + [plan.omega_prime], dtype=float)
     dim = qm.shape[0] + 1
     q_ext = np.zeros((dim, dim), dtype=float)
     q_ext[:-1, :-1] = qm
@@ -465,7 +474,7 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     The discrete grid spans [-R, R]; as J grows the sampled Gram converges
     to the continuous-energy Gram and the extreme pencil eigenvalues
     follow.  Rows flag changes of the active set (the band mask depends
-    on delta).
+    on delta).  Every J must be a positive integer.
     """
     R = float(R)
     if not R > math.pi / seq.gamma:
@@ -476,14 +485,12 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     rows = []
     prev_active: tuple[int, ...] | None = None
     for J in J_list:
+        if int(J) != J or J < 1:
+            raise StructuralError(f"J must be a positive integer, got {J}")
         J = int(J)
         delta = R / J
-        grid = SamplingGrid(delta, J, 0.0)
-        report = frame_constants(seq, grid)
-        mask = band_mask(seq, delta)
-        active = mask.active_indices()
+        report, active, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         omegas = np.array([seq.omegas[k] for k in active], dtype=float)
-        qm = q_matrix(seq, mask).matrix
         cvals = hermitian_pencil_eig(continuous_gram(omegas, R), qm)
         c1c, c2c = float(cvals[0]), float(cvals[-1])
         if report.singular or c1c <= 0.0:

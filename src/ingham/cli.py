@@ -196,7 +196,7 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed haraux config: {exc}") from None
     plan = plan_haraux(seq, omega_prime, j_prime, grid.delta)
-    extended = extended_frame_constants(seq, grid, omega_prime, j_prime)
+    extended = extended_frame_constants(seq, grid, plan)
     report = {"plan": plan, "extended": extended, "grid": grid}
     if extended.singular:
         return report, "singular pencil"

@@ -252,7 +252,7 @@ def test_criterion_06_augmentation_filter(say):
             rhs = 4.0 * math.fsum(np.abs(xv) ** 2)
             assert lhs <= rhs * (1.0 + 1e-12)
 
-            ext = extended_frame_constants(seq, grid, omega_prime, j_prime)
+            ext = extended_frame_constants(seq, grid, plan)
             assert ext.c_lower > 0.0
             assert ext.c_upper <= ext.companions["c4_formula"]
             usable += 1

@@ -316,7 +316,7 @@ class TestFrameConstants:
         "call",
         [
             lambda seq, grid: frame_constants(seq, grid),
-            lambda seq, grid: extended_frame_constants(seq, grid, 1.2, 8),
+            lambda seq, grid: extended_frame_constants(seq, grid, plan_haraux(seq, 1.2, 8, grid.delta)),
             lambda seq, grid: continuum_limit_scan(seq, grid.J * grid.delta, [grid.J]),
         ],
         ids=["frame", "extended", "continuum"],
@@ -536,7 +536,7 @@ class TestExtendedConstants:
 
     def test_positive_and_bounded(self):
         grid = self.grid()
-        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
+        rep = extended_frame_constants(CHAIN, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
         assert not rep.singular
         assert 0.0 < rep.c_lower <= rep.c_upper
         assert rep.pencil_dim == 6
@@ -545,7 +545,7 @@ class TestExtendedConstants:
 
     def test_sandwich_on_augmented_vectors(self, rng):
         grid = self.grid()
-        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
+        rep = extended_frame_constants(CHAIN, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
         ext = SamplingGrid(grid.delta, grid.J + 25, grid.t_shift)
         for _ in range(25):
             aug = AugmentedExpSum(ExpSum(CHAIN, random_coeffs(rng, 5)), 4.7, uniform_disc(rng))
@@ -556,7 +556,7 @@ class TestExtendedConstants:
 
     def test_zero_augmented_coefficient(self, rng):
         grid = self.grid()
-        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
+        rep = extended_frame_constants(CHAIN, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
         ext = SamplingGrid(grid.delta, grid.J + 25, grid.t_shift)
         aug = AugmentedExpSum(ExpSum(CHAIN, random_coeffs(rng, 5)), 4.7, 0.0)
         qp = q_prime(aug)
@@ -567,12 +567,24 @@ class TestExtendedConstants:
         seq = ExponentSequence((0.0, 3.0, 6.0, 9.0, 12.0), 1.0, 1.0)
         grid = SamplingGrid(0.2, 1)
         with pytest.raises(ValidationError) as err:
-            extended_frame_constants(seq, grid, 1.5, 10)
+            extended_frame_constants(seq, grid, plan_haraux(seq, 1.5, 10, grid.delta))
         assert "singular" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            lambda: plan_haraux(CHAIN, 4.7, 25, 0.25),
+            lambda: plan_haraux(ExponentSequence(CHAIN.omegas[:-1], 1.0, 0.85), 4.7, 25, 0.2),
+        ],
+        ids=["other_delta", "other_active_set"],
+    )
+    def test_mismatched_plan_rejected(self, plan):
+        with pytest.raises(ValidationError, match="plan was built for a different"):
+            extended_frame_constants(CHAIN, self.grid(), plan())
 
     def test_companion_formula_value(self):
         grid = self.grid()
-        rep = extended_frame_constants(CHAIN, grid, 4.7, 25)
+        rep = extended_frame_constants(CHAIN, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
         j, jp, d = grid.J, 25, grid.delta
         expect = (
             (1.0 + (2 * j + 2 * jp + 1) / (2 * j + 1))
@@ -605,6 +617,13 @@ class TestContinuumScan:
         # keeps {0, 3, 6, 9}; 30 stays outside
         assert rows[0].active_count == 2 and rows[1].active_count == 4
         assert not rows[0].active_changed and rows[1].active_changed
+
+    @pytest.mark.parametrize("J", [0, -4, 4.7])
+    def test_J_not_positive_integer_rejected(self, J):
+        # checked before delta = R / J is formed
+        seq = ExponentSequence((0.0,), 1.0, 1.0)
+        with pytest.raises(StructuralError, match=f"J must be a positive integer, got {J}"):
+            continuum_limit_scan(seq, 4.0, [J])
 
     def test_short_horizon_rejected(self):
         seq = ExponentSequence((0.0,), 1.0, 1.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import env_with_package
-from ingham import StructuralError, exponents
+from ingham import StructuralError, bounds, exponents, quadforms
 from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
 A_IRR = math.sqrt(2.0) / 2.0
@@ -685,6 +685,52 @@ class TestClassificationOnce:
         code, _, _ = run_cli(tmp_path, command, payload)
         assert code == 0
         assert len(calls) == 1
+
+
+class TestPencilAssemblyOnce:
+    """A CLI case builds each Haraux plan, band mask and Q matrix once: the
+    extended pencil takes the plan the CLI reports, and the extended pencil
+    and each continuum row take the active set and Q of their base pencil."""
+
+    @staticmethod
+    def counter(monkeypatch, original):
+        """Calls of `original` through every `ingham` module that binds it."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ingham" and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command, payload, plans, masks, qs",
+        [
+            ("haraux", dict(CHAIN_SEQ, delta=0.2, J=20, omega_prime=4.7, J_prime=25), 1, 2, 1),
+            (
+                "scan",
+                {
+                    "task": "continuum",
+                    "base": dict(CHAIN_SEQ, R=4.0),
+                    "axes": [{"name": "J", "values": [32, 64, 128]}],
+                },
+                0,
+                3,
+                3,
+            ),
+        ],
+        ids=["haraux", "continuum"],
+    )
+    def test_call_counts(self, tmp_path, monkeypatch, command, payload, plans, masks, qs):
+        plan_calls = self.counter(monkeypatch, bounds.plan_haraux)
+        mask_calls = self.counter(monkeypatch, exponents.band_mask)
+        q_calls = self.counter(monkeypatch, quadforms.q_matrix)
+        code, _, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        assert (len(plan_calls), len(mask_calls), len(q_calls)) == (plans, masks, qs)
 
 
 class TestRunConfig:

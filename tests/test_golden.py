@@ -7,7 +7,8 @@ and the exit code must equal the one recorded in `CASES`.  The configs are
 those of `tests/test_cli.py` and the README examples, plus edge cases of
 the report serializer: an unset field left out (`kernel_direct_R`), a set
 one kept (`string_gamma`), validation details, integer-keyed maps that
-sort as strings (`gaps_lead10`), and CSV forms of nested reports.
+sort as strings (`gaps_lead10`), CSV forms of nested reports, and the
+structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -62,6 +63,7 @@ CASES = {
     "gaps_lead10_csv": ("gaps", ("--format", "csv"), 0),
     "poisson_inverse_csv": ("poisson", ("--format", "csv"), 0),
     "haraux_chain_csv": ("haraux", ("--format", "csv"), 0),
+    "scan_continuum_j0": ("scan", (), 1),
 }
 
 
