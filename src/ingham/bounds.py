@@ -394,7 +394,8 @@ def extended_frame_constants(
     """Empirical c3, c4 for the augmented system on the extended grid.
 
     `plan` is `plan_haraux(seq, omega', J', grid.delta)`; a plan built for
-    another step or another active set is rejected.  The pencil runs over
+    another step, active set or sequence (its eps_k or gamma' differ) is
+    rejected.  The pencil runs over
     the active exponents plus omega', with the quadratic form Q extended by
     the scalar 1 for the new coefficient and the Gram taken over
     j = -(J+J') .. (J+J').  The explicit companion
@@ -410,12 +411,16 @@ def extended_frame_constants(
             "plan was built for a different delta or active set",
             details={"plan_delta": plan.delta, "plan_active": plan.active},
         )
+    omegas = [seq.omegas[k] for k in active]
+    eps = tuple(epsilon_k(w, plan.omega_prime, plan.J_prime, plan.delta) for w in omegas)
+    if (eps, min(abs(w - plan.omega_prime) for w in omegas)) != (plan.eps_k, plan.gamma_prime):
+        raise ValidationError("plan was built for a different sequence")
     if base.singular:
         raise ValidationError(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    omegas = np.array([seq.omegas[k] for k in active] + [plan.omega_prime], dtype=float)
+    omegas = np.array(omegas + [plan.omega_prime], dtype=float)
     dim = qm.shape[0] + 1
     q_ext = np.zeros((dim, dim), dtype=float)
     q_ext[:-1, :-1] = qm

@@ -16,8 +16,9 @@ right-hand side from the raw convolution; the value obtained from the
 support-pinned kernel is reported as a companion (the two differ for
 pair distances between gamma and 2 gamma).
 
-Energies accumulate with compensated summation (math.fsum) so identity
-checks at the 1e-9 level are not polluted by accumulation error.
+Energies and the left-hand side are summed exactly and rounded once
+(`_exact_sum`, the double math.fsum returns), so identity checks at the
+1e-9 level are not polluted by accumulation error.
 """
 
 from __future__ import annotations
@@ -151,10 +152,45 @@ def eval_sum(s, t):
     return values
 
 
+_EXACT_CHUNK = 1 << 15  # temporaries stay in cache; any size up to 2^26 is exact
+_EXACT_MIN_EXP = -1074  # below every exponent np.frexp returns
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array: the double math.fsum returns.
+
+    Each term is m 2^e with m 2^26 = q + r, q an integer of magnitude at
+    most 2^26 and r in [0, 1) a multiple of 2^-27.  Per chunk of
+    _EXACT_CHUNK terms, np.bincount adds q and r per exponent; every
+    partial sum is a multiple of its unit below 2^53, so the totals are
+    exact.  They are added as Python ints and rounded once by int/int
+    division.  Input with an inf or NaN goes to math.fsum.  One
+    difference: where fsum raises "intermediate overflow" although the
+    exact sum is finite, as for [1e308, 1e308, -1e308], this returns that
+    sum.
+    """
+    if not np.isfinite(a).all():
+        return math.fsum(a.tolist())
+    total = 0
+    for start in range(0, a.size, _EXACT_CHUNK):
+        f, e = np.frexp(a[start : start + _EXACT_CHUNK])
+        low = int(e.min())
+        e -= low
+        f *= 2.0**26
+        q = np.floor(f)
+        f -= q
+        hi = np.bincount(e, weights=q).tolist()
+        lo = (np.bincount(e, weights=f) * 2.0**27).tolist()
+        chunk = sum(((int(h) << 27) + int(r)) << b for b, (h, r) in enumerate(zip(hi, lo)) if h or r)
+        total += chunk << (low - _EXACT_MIN_EXP)
+    # total counts units of 2^(_EXACT_MIN_EXP - 53)
+    return total / (1 << (53 - _EXACT_MIN_EXP))
+
+
 def sampled_energy(s, grid: SamplingGrid) -> float:
-    """delta * sum_{j=-J..J} |x(t' + j delta)|^2, compensated accumulation."""
+    """delta * sum_{j=-J..J} |x(t' + j delta)|^2, summed exactly (`_exact_sum`)."""
     values = eval_sum(s, grid.times())
-    return grid.delta * math.fsum((np.abs(values) ** 2).tolist())
+    return grid.delta * _exact_sum(np.abs(values) ** 2)
 
 
 def continuous_gram(omegas: np.ndarray, R: float) -> np.ndarray:
@@ -236,7 +272,8 @@ def poisson_sides(
     below tail_tol.  With enforce_band the nonzero coefficients must
     satisfy the band condition |omega_k| <= pi/delta - gamma/2; the
     aliasing behaviour beyond the band can be probed by switching the
-    check off.
+    check off.  A plan whose grid arrays cannot be allocated is refused
+    with a ValidationError.
     """
     if isinstance(s, AugmentedExpSum):
         raise StructuralError("summation identity applies to plain sums only")
@@ -267,11 +304,17 @@ def poisson_sides(
 
     J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
     grid = SamplingGrid(delta, J)
-    # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored
-    half = g_transform(kernel, delta * np.arange(J + 1))
-    weights = np.concatenate((half[:0:-1], half))
-    values = eval_sum(s, grid)
-    lhs = delta * math.fsum((weights * np.abs(values) ** 2).tolist())
+    try:
+        # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored
+        half = g_transform(kernel, delta * np.arange(J + 1))
+        weights = np.concatenate((half[:0:-1], half))
+        values = eval_sum(s, grid)
+    except MemoryError:
+        raise ValidationError(
+            "tail plan needs more samples than memory allows",
+            details={"j_half_count": J, "tail_tol": tail_tol},
+        ) from None
+    lhs = delta * _exact_sum(weights * np.abs(values) ** 2)
 
     diffs = omegas[:, None] - omegas[None, :]
     raw = convolution_eval(kernel, diffs)

@@ -582,6 +582,16 @@ class TestExtendedConstants:
         with pytest.raises(ValidationError, match="plan was built for a different"):
             extended_frame_constants(CHAIN, self.grid(), plan())
 
+    def test_plan_of_other_sequence_rejected(self):
+        # same delta and active indices, but the last exponent sits 1e-9 from
+        # omega' = 4.7: plan_haraux refuses it, and CHAIN's plan must not pass
+        near = ExponentSequence(CHAIN.omegas[:-1] + (4.7 + 1e-9,), 0.3, 0.25)
+        grid = self.grid()
+        with pytest.raises(ValidationError, match="proximity condition"):
+            plan_haraux(near, 4.7, 25, grid.delta)
+        with pytest.raises(ValidationError, match="plan was built for a different sequence"):
+            extended_frame_constants(near, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
+
     def test_companion_formula_value(self):
         grid = self.grid()
         rep = extended_frame_constants(CHAIN, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))

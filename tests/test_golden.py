@@ -8,7 +8,8 @@ those of `tests/test_cli.py` and the README examples, plus edge cases of
 the report serializer: an unset field left out (`kernel_direct_R`), a set
 one kept (`string_gamma`), validation details, integer-keyed maps that
 sort as strings (`gaps_lead10`), CSV forms of nested reports, and the
-structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`).
+structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`),
+and a tail plan too long to allocate (`poisson_tail_too_long`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -64,6 +65,7 @@ CASES = {
     "poisson_inverse_csv": ("poisson", ("--format", "csv"), 0),
     "haraux_chain_csv": ("haraux", ("--format", "csv"), 0),
     "scan_continuum_j0": ("scan", (), 1),
+    "poisson_tail_too_long": ("poisson", (), 2),
 }
 
 

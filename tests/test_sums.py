@@ -24,6 +24,7 @@ from ingham import (
     sum_from_dict,
 )
 from ingham.cli import _grid_from, _sanitize
+from ingham.sums import _EXACT_CHUNK, _exact_sum
 
 
 def simple_sum(omegas=(-2.0, 0.5, 3.0), coeffs=(1.0, 2.0 - 1.0j, 0.5j), gamma=1.0):
@@ -149,6 +150,68 @@ class TestGridEval:
         slack = 2.0 * l1 * grid_eval_bound(seq.omegas, s.coeffs, grid) * grid.delta * np.sum(np.abs(weights))
         assert abs(rep.lhs - lhs_direct) <= slack
         assert abs(rep.lhs - rep.rhs) <= 1e-10 + 1e-9 * (1.0 + abs(rep.rhs))
+
+
+class TestExactSum:
+    """_exact_sum against math.fsum, which CPython rounds correctly."""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+    def test_matches_fsum(self, xs):
+        try:
+            expected = math.fsum(xs)
+        except OverflowError:
+            return  # fsum overflowed, maybe only in an intermediate partial
+        assert _exact_sum(np.array(xs, dtype=float)).hex() == expected.hex()
+
+    def test_longer_than_one_chunk(self, rng):
+        n = 3 * _EXACT_CHUNK + 12345
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        a[1::2] = -a[::2][: a[1::2].size] * (1.0 + 2.0**-40)  # near-cancelling pairs
+        a[-5:] = (5e-324, -1e-310, 3e300, -3e300, 1e-20)
+        assert _exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+    def test_exact_where_doubles_lose_it(self):
+        a = np.array([1.0, 1e-16, 1e-16, -1.0, 5e-324, 5e-324])
+        assert _exact_sum(a) == math.fsum(a.tolist()) != float(np.sum(a))
+        assert _exact_sum(np.array([])) == 0.0
+        assert _exact_sum(np.array([-0.0, -0.0])).hex() == math.fsum([-0.0, -0.0]).hex()
+
+    def test_infinities_go_to_fsum(self):
+        with pytest.raises(ValueError):
+            _exact_sum(np.array([math.inf, -math.inf]))
+        assert _exact_sum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
+
+    def test_overflow(self):
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array([1e308, 1e308]))
+        # fsum overflows in a partial sum; the exact sum is finite
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+    def test_poisson_lhs_is_the_fsum_of_its_terms(self):
+        # the long inverse-kernel case of the benchmark: n = 10, gamma 1.5
+        n, gamma = 10, 1.5
+        delta = 0.9 * 2.0 * math.pi / ((n - 1) * 2.8 * gamma + 2.0 * gamma)
+        seq = ExponentSequence(tuple(2.8 * gamma * (k - 4.5) for k in range(n)), gamma, gamma)
+        c = np.exp(0.7j * np.arange(n)) * np.linspace(1.0, 2.0, n)
+        s = ExpSum(seq, tuple(c / np.sum(np.abs(c))))
+        kernel = WindowKernel("inverse", gamma, 1.0, 1.0, R=1.5 * math.pi / gamma)
+        rep = poisson_sides(s, kernel, delta)
+        J = rep.j_half_count
+        assert J > 40000
+        half = g_transform(kernel, delta * np.arange(J + 1))
+        weights = np.concatenate((half[:0:-1], half))
+        values = eval_sum(s, SamplingGrid(delta, J))
+        assert rep.lhs == delta * math.fsum((weights * np.abs(values) ** 2).tolist())
+
+    def test_sampled_energy_is_the_fsum_of_its_terms(self):
+        s = simple_sum()
+        grid = SamplingGrid(0.31, 5000, t_shift=0.05)
+        values = eval_sum(s, grid.times())
+        assert sampled_energy(s, grid) == grid.delta * math.fsum((np.abs(values) ** 2).tolist())
 
 
 class TestEnergies:
