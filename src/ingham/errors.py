@@ -30,7 +30,7 @@ class ValidationError(ValueError):
 
 
 class CertificationError(ValidationError):
-    """A candidate kernel constant failed on the verification grid.
+    """A kernel inequality failed during certification.
 
-    Carries the name of the violated inequality and the grid point.
+    Carries the name of the violated inequality and the point.
     """

@@ -9,7 +9,8 @@ the report serializer: an unset field left out (`kernel_direct_R`), a set
 one kept (`string_gamma`), validation details, integer-keyed maps that
 sort as strings (`gaps_lead10`), CSV forms of nested reports, and the
 structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`),
-and a tail plan too long to allocate (`poisson_tail_too_long`).
+a tail plan too long to allocate (`poisson_tail_too_long`), and a kernel
+margin outside [0, 1) (`kernel_inverse_margin`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -66,6 +67,7 @@ CASES = {
     "haraux_chain_csv": ("haraux", ("--format", "csv"), 0),
     "scan_continuum_j0": ("scan", (), 1),
     "poisson_tail_too_long": ("poisson", (), 2),
+    "kernel_inverse_margin": ("kernel", (), 1),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from ingham import (
     convolution_eval,
     g_transform,
     h_transform,
+    kernels,
     periodize,
 )
 
@@ -57,6 +59,9 @@ class TestTransform:
             h_transform(0.0, 1.0)
         with pytest.raises(StructuralError):
             h_transform(-2.0, 1.0)
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(StructuralError):
+                h_transform(gamma, 1.0)
 
     def test_even(self, rng):
         for t in rng.uniform(0.0, 20.0, size=10):
@@ -200,6 +205,115 @@ class TestCertification:
     def test_unknown_variant(self):
         with pytest.raises(StructuralError):
             certify_constants("triangular", 1.0)
+
+    @pytest.mark.parametrize("variant,R", [("direct", None), ("inverse", 3.14159)])
+    @pytest.mark.parametrize("margin", [1.5, 1.0, -0.01, math.nan, math.inf, -math.inf])
+    def test_margin_outside_unit_interval_rejected(self, variant, R, margin):
+        with pytest.raises(StructuralError, match="margin"):
+            certify_constants(variant, 1.5, R=R, margin=margin)
+
+    @pytest.mark.parametrize("variant,R", [("direct", None), ("inverse", 3.14159)])
+    @pytest.mark.parametrize("grid_points", [10001.5, 10001.0, True, "10001", 10000])
+    def test_grid_points_not_integer_or_too_few_rejected(self, variant, R, grid_points):
+        with pytest.raises(StructuralError, match="grid points|grid_points"):
+            certify_constants(variant, 1.5, R=R, grid_points=grid_points)
+
+    def test_numpy_integer_grid_points_accepted(self):
+        k = certify_constants("inverse", 1.5, R=3.14159, grid_points=np.int64(10001))
+        assert k == certify_constants("inverse", 1.5, R=3.14159)
+
+
+def _hh_unit(y):
+    """(H*H) at unit gamma on [0, 2], in mpmath."""
+    return (2 - y) / 4 + (2 - y) * mp.cos(mp.pi * y) / 8 + 3 * mp.sin(mp.pi * y) / (8 * mp.pi)
+
+
+class TestSoundness:
+    """The closed-form constants against 50-digit mpmath values."""
+
+    def test_direct_alpha_bounds_ratio_near_zero(self):
+        # a grid maximum of the ratio misses its supremum, approached as x -> 0
+        k = certify_constants("direct", 1.0, margin=0.0)
+        with mp.workdps(50):
+            x = mp.mpf("1e-4")
+            ratio = (_hh_unit(0) - _hh_unit(x)) / x**2
+            assert k.alpha >= ratio
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.7, 1.0, 1.2])
+    def test_direct_alpha_is_limit_of_ratio(self, gamma):
+        with mp.workdps(60):
+            gm = mp.mpf(gamma)
+            x = mp.mpf("1e-15")
+            ratio = gm * (_hh_unit(0) - _hh_unit(x / gm)) / x**2
+            limit = mp.pi**2 / (8 * gm)
+            assert abs(ratio - limit) < mp.mpf("1e-25")
+            alpha = certify_constants("direct", gamma, margin=0.0).alpha
+            assert abs(alpha - limit) <= 4 * np.finfo(float).eps * limit
+
+    @pytest.mark.parametrize("gamma,R", [(0.5, 3.0 * math.pi), (1.0, 1.5 * math.pi), (2.0, 3.0)])
+    def test_peak_values(self, gamma, R):
+        with mp.workdps(50):
+            gm, rm = mp.mpf(gamma), mp.mpf(R)
+            # G(0) = integral H^2 (direct); the inverse kernel subtracts integral H'^2
+            hh = mp.quad(lambda u: mp.cos(mp.pi * u / (2 * gm)) ** 4, [-gm, 0, gm])
+            dd = mp.quad(
+                lambda u: (mp.pi / (2 * gm) * mp.sin(mp.pi * u / gm)) ** 2, [-gm, 0, gm]
+            )
+            assert abs(hh - 3 * gm / 4) < mp.mpf("1e-40")
+            inverse = rm**2 * hh - dd
+            assert abs(inverse - (3 * rm**2 * gm / 4 - mp.pi**2 / (4 * gm))) < mp.mpf("1e-38")
+            direct_k = WindowKernel("direct", gamma, 1.0, 1.0)
+            inverse_k = WindowKernel("inverse", gamma, 1.0, 1.0, R=R)
+            assert float(G_eval(direct_k, 0.0)) == pytest.approx(float(hh), rel=1e-15)
+            assert float(G_eval(inverse_k, 0.0)) == pytest.approx(float(inverse), rel=1e-14)
+
+    @given(st.floats(0.3, 3.0), st.sampled_from([0.0, 0.05]))
+    def test_direct_beta_below_g(self, gamma, margin):
+        k = certify_constants("direct", gamma, margin=margin)
+        ts = np.linspace(0.0, math.pi / (2.0 * gamma), 20001)
+        assert np.all(np.asarray(g_transform(k, ts)) >= k.beta * (1.0 - 4.0 * np.finfo(float).eps))
+
+    @given(st.floats(0.3, 3.0), st.floats(1.2, 4.0), st.sampled_from([0.0, 0.05]))
+    def test_inverse_g_bounded_and_nonpositive_beyond_R(self, gamma, c, margin):
+        R = c * math.pi / gamma
+        k = certify_constants("inverse", gamma, R=R, margin=margin)
+        ts = np.linspace(0.0, 3.0 * R + 50.0 / gamma, 40001)
+        gv = np.asarray(g_transform(k, ts))
+        assert np.all(gv <= k.beta * (1.0 + 4.0 * np.finfo(float).eps))
+        beyond = np.linspace(R, R + 50.0 / gamma, 20001)
+        assert np.all(np.asarray(g_transform(k, beyond)) <= 0.0)
+
+
+class TestCertificationWork:
+    """Certification evaluates g once (direct) or G on one grid (inverse)."""
+
+    @staticmethod
+    def point_counts(monkeypatch, name):
+        """Point counts of each call of kernels.<name>."""
+        original = getattr(kernels, name)
+        counts = []
+
+        def counting(kernel, x):
+            counts.append(int(np.size(x)))
+            return original(kernel, x)
+
+        monkeypatch.setattr(kernels, name, counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "variant, R, grid_points, g_points, x_points",
+        [
+            ("direct", None, 10001, [1], []),
+            ("direct", None, 30001, [1], []),
+            ("inverse", 3.14159, 10001, [], [10001]),
+            ("inverse", 3.14159, 30001, [], [30001]),
+        ],
+    )
+    def test_points_evaluated(self, monkeypatch, variant, R, grid_points, g_points, x_points):
+        g_counts = self.point_counts(monkeypatch, "g_transform")
+        x_counts = self.point_counts(monkeypatch, "convolution_eval")
+        certify_constants(variant, 1.5, R=R, grid_points=grid_points)
+        assert (g_counts, x_counts) == (g_points, x_points)
 
 
 class TestPeriodize:
