@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, count, finite, positive
 from .exponents import BandMask, ExponentSequence, band_mask
 from .quadforms import q_matrix
 from .sums import AugmentedExpSum, ExpSum, SamplingGrid, continuous_gram
@@ -255,10 +255,8 @@ def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) ->
 
     |sinc((w_k - w') J' delta)| * |((w_k - w') delta/2) / sin((w_k - w') delta/2)|.
     """
-    if int(J_prime) != J_prime or J_prime < 1:
-        raise StructuralError(f"J_prime must be a positive integer, got {J_prime}")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise StructuralError(f"delta must be positive, got {delta}")
+    J_prime = count(J_prime, "J_prime")
+    delta = positive(delta, "delta")
     u = float(omega_k) - float(omega_prime)
     if u == 0.0:
         raise ValidationError("omega_k equals omega_prime")
@@ -301,14 +299,12 @@ def plan_haraux(
     proximity condition |omega_k - omega'| < 2 c'/delta or when the
     contraction factor reaches 1.
     """
-    if int(J_prime) != J_prime or J_prime < 1:
-        raise StructuralError(f"J_prime must be a positive integer, got {J_prime}")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise StructuralError(f"delta must be positive, got {delta}")
+    J_prime = count(J_prime, "J_prime")
+    delta = positive(delta, "delta")
     active = band_mask(seq, delta).active_indices()
     if not active:
         raise ValidationError("no active indices under the band mask")
-    omega_prime = float(omega_prime)
+    omega_prime = finite(omega_prime, "omega_prime")
     omegas = [seq.omegas[k] for k in active]
     gamma_prime = min(abs(w - omega_prime) for w in omegas)
     if gamma_prime == 0.0:
@@ -338,7 +334,7 @@ def plan_haraux(
     else:
         lipschitz = math.inf
     return HarauxPlan(
-        J_prime=int(J_prime),
+        J_prime=J_prime,
         delta=delta,
         omega_prime=omega_prime,
         eps_k=eps,
@@ -481,7 +477,7 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     follow.  Rows flag changes of the active set (the band mask depends
     on delta).  Every J must be a positive integer.
     """
-    R = float(R)
+    R = positive(R, "R")
     if not R > math.pi / seq.gamma:
         raise ValidationError(
             "horizon too short: R must exceed pi/gamma",
@@ -490,9 +486,7 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     rows = []
     prev_active: tuple[int, ...] | None = None
     for J in J_list:
-        if int(J) != J or J < 1:
-            raise StructuralError(f"J must be a positive integer, got {J}")
-        J = int(J)
+        J = count(J, "J")
         delta = R / J
         report, active, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         omegas = np.array([seq.omegas[k] for k in active], dtype=float)

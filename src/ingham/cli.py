@@ -38,7 +38,7 @@ from .bounds import (
     frame_constants,
     plan_haraux,
 )
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, count, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .kernels import G_eval, WindowKernel, certify_constants, g_transform
 from .observability import (
@@ -71,10 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise StructuralError(f"unknown command {self.command!r}")
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise StructuralError(f"tol must be positive, got {self.tol}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise StructuralError(f"seed must be a nonnegative integer, got {self.seed}")
+        positive(self.tol, "tol")
+        count(self.seed, "seed", least=0)
         if self.fmt not in ("json", "csv"):
             raise StructuralError(f"format must be json or csv, got {self.fmt!r}")
 
@@ -82,7 +80,7 @@ class RunConfig:
 def _seq_from(data: dict) -> ExponentSequence:
     try:
         omegas = tuple(data["omegas"])
-        gamma = float(data["gamma"])
+        gamma = _real(data["gamma"], "gamma")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed sequence config: {exc}") from None
     gamma0 = _real(data.get("gamma0", gamma), "gamma0")
@@ -99,11 +97,13 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """float(value); a value float() rejects is malformed."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise StructuralError(f"{name} must be a number, got {value!r}") from None
+    """float(value): a bool, or a value float() rejects, is malformed."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise StructuralError(f"{name} must be a number, got {value!r}")
 
 
 def _flag(value, name: str) -> bool:
@@ -115,9 +115,8 @@ def _flag(value, name: str) -> bool:
 
 def _grid_from(data: dict) -> SamplingGrid:
     try:
-        return SamplingGrid(
-            float(data["delta"]), _integer(data["J"], "J"), float(data.get("t_shift", 0.0))
-        )
+        delta, J = _real(data["delta"], "delta"), _integer(data["J"], "J")
+        return SamplingGrid(delta, J, _real(data.get("t_shift", 0.0), "t_shift"))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed grid config: {exc}") from None
 
@@ -125,7 +124,7 @@ def _grid_from(data: dict) -> SamplingGrid:
 def _kernel_from(data: dict) -> WindowKernel:
     try:
         variant = data["variant"]
-        gamma = float(data["gamma"])
+        gamma = _real(data["gamma"], "gamma")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed kernel config: {exc}") from None
     r = data.get("R")
@@ -161,7 +160,7 @@ def _handle_poisson(data: dict, cfg: RunConfig):
     try:
         kernel_cfg = data["kernel"]
         sum_cfg = data["sum"]
-        delta = float(data["delta"])
+        delta = _real(data["delta"], "delta")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed poisson config: {exc}") from None
     kernel = _kernel_from(kernel_cfg)
@@ -191,7 +190,7 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     seq = _seq_from(data)
     grid = _grid_from(data)
     try:
-        omega_prime = float(data["omega_prime"])
+        omega_prime = _real(data["omega_prime"], "omega_prime")
         j_prime = _integer(data["J_prime"], "J_prime")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed haraux config: {exc}") from None
@@ -213,15 +212,11 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
         sys_cfg["gamma"] = _real(body["gamma"], "gamma")
     system = CoupledSystem.from_dict(sys_cfg)
     grid = _grid_from(body)
-    try:
-        epsilon = float(body.get("epsilon", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed epsilon: {exc}") from None
     report = verify_observability(
         system,
         grid,
-        epsilon,
-        body.get("trials", 100),
+        _real(body.get("epsilon", 0.5), "epsilon"),
+        _integer(body.get("trials", 100), "trials"),
         seed=cfg.seed,
         enforce_horizon=_flag(body.get("enforce_horizon", True), "enforce_horizon"),
     )

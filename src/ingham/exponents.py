@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, positive
 
 BOUNDARY_GAP_INFINITE = "missing-neighbor-gap-is-infinite"
 
@@ -50,11 +50,9 @@ class ExponentSequence:
             raise StructuralError("empty frequency sequence")
         if not all(math.isfinite(w) for w in omegas):
             raise StructuralError("non-finite frequency in sequence")
-        gamma = float(self.gamma)
-        gamma0 = float(self.gamma0)
-        if not (math.isfinite(gamma) and gamma > 0.0):
-            raise StructuralError(f"gamma must be positive and finite, got {gamma}")
-        if not (math.isfinite(gamma0) and 0.0 < gamma0 <= gamma):
+        gamma = positive(self.gamma, "gamma")
+        gamma0 = positive(self.gamma0, "gamma0")
+        if gamma0 > gamma:
             raise StructuralError(f"gamma0 must satisfy 0 < gamma0 <= gamma, got {gamma0}")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "gamma", gamma)
@@ -178,9 +176,7 @@ def classify(seq: ExponentSequence) -> GapClassification:
 
 def band_mask(seq: ExponentSequence, delta: float) -> BandMask:
     """Mark indices whose frequency fits the band |omega| <= pi/delta - gamma/2."""
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise StructuralError(f"delta must be positive and finite, got {delta}")
+    delta = positive(delta, "delta")
     threshold = math.pi / delta - seq.gamma / 2.0
     if threshold <= 0.0:
         raise ValidationError(

@@ -38,11 +38,11 @@ gives the arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificationError, StructuralError, ValidationError
+from .errors import CertificationError, StructuralError, ValidationError, count, positive
 
 VARIANT_DIRECT = "direct"
 VARIANT_INVERSE = "inverse"
@@ -97,8 +97,7 @@ def h_transform(gamma: float, t):
 
     Even in t, real valued, decays like |t|^-3.  Accepts scalars or arrays.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise StructuralError(f"gamma must be positive, got {gamma}")
+    gamma = positive(gamma, "gamma")
     u = np.abs(gamma * np.asarray(t, dtype=float))
     out = gamma * _phi(u)
     if np.ndim(t) == 0:
@@ -145,11 +144,9 @@ class WindowKernel:
     def __post_init__(self):
         if self.variant not in (VARIANT_DIRECT, VARIANT_INVERSE):
             raise StructuralError(f"unknown kernel variant {self.variant!r}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise StructuralError(f"gamma must be positive, got {self.gamma}")
+        object.__setattr__(self, "gamma", positive(self.gamma, "gamma"))
         if self.variant == VARIANT_INVERSE:
-            if self.R is None or not (self.R > 0.0 and math.isfinite(self.R)):
-                raise StructuralError("inverse kernel requires positive R")
+            object.__setattr__(self, "R", positive(self.R, "R"))
 
 
 def convolution_eval(kernel: WindowKernel, x):
@@ -225,9 +222,7 @@ def certify_constants(
     [0, 1), else StructuralError; a violated inequality raises
     CertificationError naming it and the point.
     """
-    if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)):
-        raise StructuralError(f"grid_points must be an integer, got {grid_points!r}")
-    if grid_points < 10001:
+    if count(grid_points, "grid_points") < 10001:
         raise StructuralError("certification requires at least 10001 grid points")
     if not 0.0 <= margin < 1.0:
         raise StructuralError(f"margin must lie in [0, 1), got {margin!r}")
@@ -237,8 +232,9 @@ def certify_constants(
     if variant == VARIANT_DIRECT:
         alpha = max(1.0, (1.0 + margin) * _PI2 / (8.0 * g))
         t_edge = math.pi / (2.0 * g)
-        beta = (1.0 - margin) * g_transform(probe, t_edge)
-        if not beta > 0.0:
+        with np.errstate(over="ignore"):  # g overflows for gamma beyond ~1.6e154: refused below
+            beta = (1.0 - margin) * g_transform(probe, t_edge)
+        if not 0.0 < beta < math.inf:
             raise CertificationError(
                 "inequality g(t) >= beta on [0, pi/(2 gamma)] violated",
                 details={"inequality": "g >= beta", "point": t_edge},
@@ -272,13 +268,8 @@ def certify_constants(
             )
         beta = (1.0 + margin) * float(probe.R**2 * g * g)
 
-    return WindowKernel(
-        variant=variant,
-        gamma=gamma,
-        alpha=float(alpha),
-        beta=float(beta),
-        R=R if variant == VARIANT_INVERSE else None,
-    )
+    r = probe.R if variant == VARIANT_INVERSE else None
+    return replace(probe, alpha=float(alpha), beta=float(beta), R=r)
 
 
 def periodize(kernel: WindowKernel, delta: float, x: float) -> float:
@@ -287,9 +278,7 @@ def periodize(kernel: WindowKernel, delta: float, x: float) -> float:
     Requires pi/delta >= gamma so the pinned support fits one period; then
     G_delta(x) = G(x) whenever |x| <= 2 pi/delta - gamma.
     """
-    delta = float(delta)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise StructuralError(f"delta must be positive, got {delta}")
+    delta = positive(delta, "delta")
     if math.pi / delta < kernel.gamma:
         raise ValidationError(
             "window exceeds period: pi/delta < gamma",

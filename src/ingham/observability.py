@@ -21,13 +21,12 @@ unshifted sin(m pi x/(1 - a)) would not vanish at both x = a and x = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bounds import _gram_from_omegas, hermitian_pencil_eig, pencil_singular
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, count, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, eval_sum
 
@@ -54,9 +53,7 @@ class Mode:
     minus: complex = 0.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
-            raise StructuralError(f"mode index must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", count(self.n, "mode index n"))
         object.__setattr__(self, "plus", complex(self.plus))
         object.__setattr__(self, "minus", complex(self.minus))
         if not (math.isfinite(abs(self.plus)) and math.isfinite(abs(self.minus))):
@@ -91,7 +88,7 @@ class CoupledSystem:
         if self.kind not in (STRING, BEAM):
             raise StructuralError(f"kind must be '{STRING}' or '{BEAM}', got {self.kind!r}")
         a = float(self.a)
-        if not (0.0 < a < 1.0) or not math.isfinite(a):
+        if not 0.0 < a < 1.0:
             raise StructuralError(f"junction point must lie in (0, 1), got {self.a}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "left", tuple(self.left))
@@ -101,10 +98,7 @@ class CoupledSystem:
             if len(set(idx)) != len(idx):
                 raise StructuralError("mode indices must be distinct per side")
         if self.gamma is not None:
-            g = float(self.gamma)
-            if not (g > 0.0 and math.isfinite(g)):
-                raise StructuralError(f"gamma must be positive, got {self.gamma}")
-            object.__setattr__(self, "gamma", g)
+            object.__setattr__(self, "gamma", positive(self.gamma, "gamma"))
 
     def side_length(self, side: str) -> float:
         return self.a if side == "left" else 1.0 - self.a
@@ -135,18 +129,19 @@ class CoupledSystem:
         """Parse a system config, the form `cli._sanitize` writes a system in.
 
         Modes are {"n", "plus": [re, im], "minus": [re, im]}; an absent
-        gamma stays None.
+        gamma stays None.  `a` and `n` are read by the CLI's JSON rules.
         """
+        from .cli import _integer, _real  # cli imports this module, so not at the top
 
         def modes(items):
             out = []
             for m in items:
                 (p_re, p_im), (m_re, m_im) = m["plus"], m["minus"]
-                out.append(Mode(m["n"], complex(p_re, p_im), complex(m_re, m_im)))
+                out.append(Mode(_integer(m["n"], "n"), complex(p_re, p_im), complex(m_re, m_im)))
             return tuple(out)
 
         try:
-            kind, a = data["kind"], float(data["a"])
+            kind, a = data["kind"], _real(data["a"], "a")
             left, right = modes(data.get("left", ())), modes(data.get("right", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed system config: {exc}") from None
@@ -164,7 +159,7 @@ class SobolevSpec:
             w = lam**self.s
         except OverflowError:
             w = math.inf
-        if not (w > 0.0 and math.isfinite(w)):
+        if not 0.0 < w < math.inf:
             raise ValidationError(f"Sobolev weight not positive finite at lambda={lam}")
         return w
 
@@ -199,8 +194,7 @@ def mode_caps(sys: CoupledSystem, delta: float) -> tuple[float, float]:
     with the band condition |omega| <= pi/delta - gamma/2 for the
     respective frequency rules.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise StructuralError(f"delta must be positive, got {delta}")
+    delta = positive(delta, "delta")
     a = sys.a
     if sys.kind == STRING:
         cap_left = a / delta - 0.25 * min(1.0, a / (1.0 - a))
@@ -478,11 +472,8 @@ def verify_observability(
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
     bound for every ratio.  With trials = 0 only the pencil route runs.
     """
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise StructuralError(f"epsilon must be positive, got {epsilon}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 0:
-        raise StructuralError(f"trials must be a nonnegative integer, got {trials!r}")
-    trials = int(trials)
+    epsilon = positive(epsilon, "epsilon")
+    trials = count(trials, "trials", least=0)
     check_caps(sys, grid.delta)
     horizon = grid.J * grid.delta
     threshold = _horizon_threshold(sys)

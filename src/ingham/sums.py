@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, count, finite, positive
 from .exponents import ExponentSequence, band_mask
 from .kernels import VARIANT_DIRECT, WindowKernel, convolution_eval, g_transform
 
@@ -92,14 +92,9 @@ class SamplingGrid:
     t_shift: float = 0.0
 
     def __post_init__(self):
-        delta = float(self.delta)
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise StructuralError(f"delta must be positive, got {delta}")
-        if int(self.J) != self.J or self.J < 1:
-            raise StructuralError(f"J must be a positive integer, got {self.J}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "J", int(self.J))
-        object.__setattr__(self, "t_shift", float(self.t_shift))
+        object.__setattr__(self, "delta", positive(self.delta, "delta"))
+        object.__setattr__(self, "J", count(self.J, "J"))
+        object.__setattr__(self, "t_shift", finite(self.t_shift, "t_shift"))
 
     def times(self) -> np.ndarray:
         return self.t_shift + self.delta * np.arange(-self.J, self.J + 1)
@@ -207,9 +202,7 @@ def continuous_gram(omegas: np.ndarray, R: float) -> np.ndarray:
 
 def continuous_energy(s, R: float) -> float:
     """Closed form of integral_{-R}^{R} |x(t)|^2 dt, by `continuous_gram`."""
-    R = float(R)
-    if not (math.isfinite(R) and R > 0.0):
-        raise StructuralError(f"R must be positive, got {R}")
+    R = positive(R, "R")
     omegas, coeffs = _components(s)
     return float((coeffs @ continuous_gram(omegas, R) @ coeffs.conj()).real)
 
@@ -279,11 +272,8 @@ def poisson_sides(
         raise StructuralError("summation identity applies to plain sums only")
     if not isinstance(s, ExpSum):
         raise StructuralError(f"not an exponential sum: {type(s).__name__}")
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise StructuralError(f"delta must be positive, got {delta}")
-    if not (math.isfinite(tail_tol) and tail_tol > 0.0):
-        raise StructuralError(f"tail_tol must be positive, got {tail_tol}")
+    delta = positive(delta, "delta")
+    tail_tol = positive(tail_tol, "tail_tol")
     if math.pi / delta < kernel.gamma:
         raise ValidationError(
             "window exceeds period: pi/delta < gamma",

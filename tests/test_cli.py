@@ -557,6 +557,41 @@ class TestMalformedNumbers:
         assert json.loads(as_str)["report"] == json.loads(as_num)["report"]
 
 
+class TestJsonNumberRules:
+    """A JSON boolean is not a number, and an integral float is an integer."""
+
+    FRAME = dict(CHAIN_SEQ, delta=0.25, J=16)
+    HARAUX = dict(CHAIN_SEQ, delta=0.2, J=20, omega_prime=4.7, J_prime=25)
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("frame", dict(FRAME, delta=True), "delta"),
+            ("frame", dict(FRAME, t_shift=True), "t_shift"),
+            ("frame", dict(FRAME, gamma=True), "gamma"),
+            ("kernel", {"variant": "direct", "gamma": True}, "gamma"),
+            ("poisson", dict(POISSON_CFG, delta=True), "delta"),
+            ("haraux", dict(HARAUX, omega_prime=True), "omega_prime"),
+            ("string", dict(STRING_CFG, epsilon=True), "epsilon"),
+            ("string", dict(STRING_CFG, a=True), "a"),
+        ],
+    )
+    def test_boolean_exit_1(self, tmp_path, command, payload, field):
+        code, text, _ = run_cli(tmp_path, command, payload)
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert f"{field} must be a number, got True" in error["message"]
+
+    def test_integral_float_trials_and_mode_index_run(self, tmp_path):
+        left = [dict(m, n=float(m["n"])) for m in STRING_CFG["left"]]
+        payload = dict(STRING_CFG, trials=float(STRING_CFG["trials"]), left=left)
+        code, as_float, _ = run_cli(tmp_path, "string", payload, out="a.json")
+        assert code == 0
+        _, as_int, _ = run_cli(tmp_path, "string", STRING_CFG, out="b.json")
+        assert json.loads(as_float)["report"] == json.loads(as_int)["report"]
+
+
 class TestConfigPrecedence:
     def test_env_input(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, CHAIN_SEQ)

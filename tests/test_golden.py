@@ -9,8 +9,9 @@ the report serializer: an unset field left out (`kernel_direct_R`), a set
 one kept (`string_gamma`), validation details, integer-keyed maps that
 sort as strings (`gaps_lead10`), CSV forms of nested reports, and the
 structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`),
-a tail plan too long to allocate (`poisson_tail_too_long`), and a kernel
-margin outside [0, 1) (`kernel_inverse_margin`).
+a tail plan too long to allocate (`poisson_tail_too_long`), a kernel
+margin outside [0, 1) (`kernel_inverse_margin`), and a direct kernel whose
+beta overflows (`kernel_direct_overflow`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -68,6 +69,7 @@ CASES = {
     "scan_continuum_j0": ("scan", (), 1),
     "poisson_tail_too_long": ("poisson", (), 2),
     "kernel_inverse_margin": ("kernel", (), 1),
+    "kernel_direct_overflow": ("kernel", (), 2),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -221,6 +222,19 @@ class TestCertification:
     def test_numpy_integer_grid_points_accepted(self):
         k = certify_constants("inverse", 1.5, R=3.14159, grid_points=np.int64(10001))
         assert k == certify_constants("inverse", 1.5, R=3.14159)
+
+    @pytest.mark.parametrize("gamma", [1e155, 1e200, 1e300])
+    def test_direct_beta_overflow_refused_without_warning(self, gamma):
+        # g(pi/(2 gamma)) = (8 gamma/(3 pi))^2 overflows; an infinite beta bounds nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError, match=r"g\(t\) >= beta") as err:
+                certify_constants("direct", gamma)
+        assert err.value.details == {"inequality": "g >= beta", "point": math.pi / (2.0 * gamma)}
+
+    def test_direct_beta_largest_finite_kept(self):
+        k = certify_constants("direct", 1e154)
+        assert 0.0 < k.beta < math.inf
 
 
 def _hh_unit(y):
