@@ -257,10 +257,10 @@ def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) ->
     """
     J_prime = count(J_prime, "J_prime")
     delta = positive(delta, "delta")
-    u = float(omega_k) - float(omega_prime)
+    u = finite(omega_k, "omega_k") - finite(omega_prime, "omega_prime")
     if u == 0.0:
         raise ValidationError("omega_k equals omega_prime")
-    half = u * delta / 2.0
+    half = finite(u * delta / 2.0, "half angle")  # the difference or its product can overflow
     if _resonant(half):
         raise ValidationError(
             "sampling resonance: (omega_k - omega') delta/2 at a multiple of pi",

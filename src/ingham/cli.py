@@ -45,10 +45,8 @@ from .observability import (
     BEAM,
     STRING,
     CoupledSystem,
-    observe,
     reconstruct,
     verify_observability,
-    with_amplitudes,
 )
 from .sums import SamplingGrid, poisson_sides, sum_from_dict
 
@@ -79,7 +77,7 @@ class RunConfig:
 
 def _seq_from(data: dict) -> ExponentSequence:
     try:
-        omegas = tuple(data["omegas"])
+        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
         gamma = _real(data["gamma"], "gamma")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed sequence config: {exc}") from None
@@ -221,12 +219,10 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
         enforce_horizon=_flag(body.get("enforce_horizon", True), "enforce_horizon"),
     )
     out = dict(_sanitize(report), grid=grid, system=system)
-    rng = np.random.default_rng(cfg.seed)
-    trial = with_amplitudes(system, rng)
-    trace = observe(trial, grid)
+    # the round trip reconstructs the witness, trial 0 of default_rng(cfg.seed)
+    trial, trace = report._witness
     rec = reconstruct(trace, trial)
-    truth = [m for m in trial.left + trial.right]
-    found = [m for m in rec.left + rec.right]
+    truth, found = trial.left + trial.right, rec.left + rec.right
     scale = max(max(abs(m.plus), abs(m.minus)) for m in truth)
     err = max(
         max(abs(t.plus - f.plus), abs(t.minus - f.minus)) for t, f in zip(truth, found)

@@ -11,8 +11,8 @@ different exit codes:
 
 Each kind of number has one rule, and a value that breaks it raises
 StructuralError naming the argument: `positive` (delta, gamma, R, epsilon,
-tolerances) takes a real, not a bool, in (0, inf); `finite` (t', omega')
-the same without the sign; `count` (J, J', mode indices, grid_points) a
+tolerances) takes a real, not a bool, in (0, inf); `finite` (frequencies,
+t', omega', margin) the same without the sign; `count` (J, J', mode indices, grid_points) a
 Python or numpy integer, not a bool, of at least 1 (0 for seeds and
 trials).  JSON configs are read first by `cli._real`, a number or numeric
 string but no boolean, and `cli._integer`, which also takes 16.0.

@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import StructuralError, ValidationError, positive
+from .errors import StructuralError, ValidationError, finite, positive
 
 BOUNDARY_GAP_INFINITE = "missing-neighbor-gap-is-infinite"
 
@@ -43,13 +43,11 @@ class ExponentSequence:
 
     def __post_init__(self):
         try:
-            omegas = tuple(float(w) for w in self.omegas)
-        except (TypeError, ValueError) as exc:
+            omegas = tuple(finite(w, "frequency") for w in self.omegas)
+        except TypeError as exc:
             raise StructuralError(f"frequencies must be real numbers: {exc}") from None
         if len(omegas) == 0:
             raise StructuralError("empty frequency sequence")
-        if not all(math.isfinite(w) for w in omegas):
-            raise StructuralError("non-finite frequency in sequence")
         gamma = positive(self.gamma, "gamma")
         gamma0 = positive(self.gamma0, "gamma0")
         if gamma0 > gamma:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificationError, StructuralError, ValidationError, count, positive
+from .errors import CertificationError, StructuralError, ValidationError, count, finite, positive
 
 VARIANT_DIRECT = "direct"
 VARIANT_INVERSE = "inverse"
@@ -224,7 +224,7 @@ def certify_constants(
     """
     if count(grid_points, "grid_points") < 10001:
         raise StructuralError("certification requires at least 10001 grid points")
-    if not 0.0 <= margin < 1.0:
+    if not 0.0 <= (margin := finite(margin, "margin")) < 1.0:
         raise StructuralError(f"margin must lie in [0, 1), got {margin!r}")
     probe = WindowKernel(variant=variant, gamma=gamma, alpha=1.0, beta=1.0, R=R)
     g = probe.gamma

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +124,18 @@ class CoupledSystem:
         if side == "left":
             return (n * math.pi / self.a) * (-1.0) ** n
         return -(n * math.pi / (1.0 - self.a))
+
+    @cached_property
+    def _layout(self) -> tuple[ExponentSequence, tuple[ExponentTag, ...], np.ndarray, np.ndarray]:
+        """(seq, tags) of `assemble_exponents(self)`, then cols and weights:
+        exponent k carries weights[k] * amps[cols[k]] in the derivative jump,
+        where amps flattens the (plus, minus) pairs of the modes in _modes
+        order.  Computed once per system and shared by every caller."""
+        seq, tags = assemble_exponents(self)
+        slot = {(side, m.n): k for k, (side, m) in enumerate(_modes(self))}
+        cols = np.array([2 * slot[tag.side, tag.n] + (tag.sign < 0) for tag in tags])
+        weights = np.array([self.jump_weight(tag.side, tag.n) for tag in tags])
+        return seq, tags, cols, weights
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoupledSystem":
@@ -273,14 +286,8 @@ def assemble_exponents(sys: CoupledSystem) -> tuple[ExponentSequence, tuple[Expo
 
 def trace_jump_sum(sys: CoupledSystem) -> ExpSum:
     """The derivative jump at the junction as an exponential sum in time."""
-    seq, tags = assemble_exponents(sys)
-    by_side = {"left": {m.n: m for m in sys.left}, "right": {m.n: m for m in sys.right}}
-    coeffs = []
-    for tag in tags:
-        mode = by_side[tag.side][tag.n]
-        amp = mode.plus if tag.sign > 0 else mode.minus
-        coeffs.append(sys.jump_weight(tag.side, tag.n) * amp)
-    return ExpSum(seq, tuple(coeffs))
+    seq, _, cols, weights = sys._layout
+    return ExpSum(seq, tuple(weights * _amplitudes(sys).reshape(-1)[cols]))
 
 
 def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
@@ -294,6 +301,18 @@ def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
 def _modes(sys: CoupledSystem) -> list[tuple[str, Mode]]:
     """(side, mode) pairs, left modes then right modes: the order of every per-mode array."""
     return [("left", m) for m in sys.left] + [("right", m) for m in sys.right]
+
+
+def _amplitudes(sys: CoupledSystem) -> np.ndarray:
+    """(modes, 2) array of (plus, minus) per mode, in _modes order."""
+    return np.array([(m.plus, m.minus) for _, m in _modes(sys)], dtype=complex).reshape(-1, 2)
+
+
+def _with_pairs(sys: CoupledSystem, pairs) -> CoupledSystem:
+    """Same mode layout with the (plus, minus) rows of pairs, in _modes order."""
+    modes = [Mode(m.n, complex(p), complex(q)) for (_, m), (p, q) in zip(_modes(sys), pairs)]
+    cut = len(sys.left)
+    return CoupledSystem(sys.kind, sys.a, tuple(modes[:cut]), tuple(modes[cut:]), sys.gamma)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -328,10 +347,8 @@ def sobolev_norm(sys: CoupledSystem, spec: SobolevSpec, which: str) -> float:
     (plus-minus); each contributes (side/2) * lambda^s * |coef|^2 with
     lambda the spatial eigenvalue (n pi / side)^2.
     """
-    modes = _modes(sys)
-    plus = np.array([m.plus for _, m in modes], dtype=complex)
-    minus = np.array([m.minus for _, m in modes], dtype=complex)
-    coef_sq = _coef_sq(sys, plus, minus, which)
+    amps = _amplitudes(sys)
+    coef_sq = _coef_sq(sys, amps[:, 0], amps[:, 1], which)
     return math.fsum(_sobolev_factors(sys, spec) * coef_sq)
 
 
@@ -373,16 +390,14 @@ def _unit_disc(rng: np.random.Generator, trials: int, modes: int) -> np.ndarray:
 
 def with_amplitudes(sys: CoupledSystem, rng: np.random.Generator) -> CoupledSystem:
     """Same mode layout with fresh amplitudes drawn uniformly from the unit disc."""
-    modes = _modes(sys)
-    amps = _unit_disc(rng, 1, len(modes))[0]
-    drawn = [Mode(m.n, complex(p), complex(q)) for (_, m), (p, q) in zip(modes, amps)]
-    cut = len(sys.left)
-    return CoupledSystem(sys.kind, sys.a, tuple(drawn[:cut]), tuple(drawn[cut:]), sys.gamma)
+    return _with_pairs(sys, _unit_disc(rng, 1, len(_modes(sys)))[0])
 
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Empirical and pencil-certified observability constants."""
+    """Empirical and pencil-certified observability constants.
+
+    verify_observability sets `_witness`, (trial 0, its trace), beside the fields."""
 
     kind: str
     epsilon: float
@@ -402,12 +417,7 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _trial_ratios(
-    sys: CoupledSystem,
-    gram: np.ndarray,
-    tags: tuple[ExponentTag, ...],
-    epsilon: float,
-    trials: int,
-    seed: int,
+    sys: CoupledSystem, gram: np.ndarray, epsilon: float, trials: int, seed: int
 ) -> list[float]:
     """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
 
@@ -418,33 +428,19 @@ def _trial_ratios(
     the merged exponents (c^H S c would be the energy of the time-reversed
     samples).  Both agree with the time-domain fsum path to rounding.
     """
-    modes = _modes(sys)
+    _, _, cols, weights = sys._layout
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
     f0, f1 = _sobolev_factors(sys, spec0), _sobolev_factors(sys, spec1)
-    # exponent k carries jump_weight * (plus or minus) of its tagged mode, as in trace_jump_sum
-    slot = {(side, m.n): 2 * k for k, (side, m) in enumerate(modes)}
-    cols = [slot[(tag.side, tag.n)] + (0 if tag.sign > 0 else 1) for tag in tags]
-    weights = np.array([sys.jump_weight(tag.side, tag.n) for tag in tags], dtype=float)
     rng = np.random.default_rng(seed)
     ratios = []
     for start in range(0, trials, _TRIAL_CHUNK):
-        amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(modes))
+        amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(f0))
         plus, minus = amps[..., 0], amps[..., 1]
         num = f0 * _coef_sq(sys, plus, minus, "u0") + f1 * _coef_sq(sys, plus, minus, "u1")
         coeffs = weights * amps.reshape(len(amps), -1)[:, cols]
         den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram.T).real
         ratios += [_ratio(n, d) for n, d in zip(num.sum(axis=1).tolist(), den.tolist())]
     return ratios
-
-
-def _check_witness(
-    sys: CoupledSystem, grid: SamplingGrid, epsilon: float, seed: int, ratio: float
-) -> None:
-    """Recompute trial 0 through the public per-system path and compare."""
-    trial = with_amplitudes(sys, np.random.default_rng(seed))
-    again = _ratio(initial_data_energy(trial, epsilon), observe(trial, grid).energy())
-    if again != ratio and not abs(again - ratio) <= _WITNESS_RTOL * abs(ratio):
-        raise StructuralError(f"trial 0 ratio {ratio!r} differs from its recomputation {again!r}")
 
 
 def verify_observability(
@@ -463,14 +459,16 @@ def verify_observability(
     come from default_rng(seed) _TRIAL_CHUNK trials at a time, and each
     sampled energy is a quadratic form in the pencil's Gram.  Caps,
     horizon and the merged exponents are checked once, since trials
-    change only the amplitudes.  As a witness, trial 0 is recomputed in
-    the time domain through with_amplitudes, initial_data_energy and
-    observe; a relative disagreement above _WITNESS_RTOL raises
-    StructuralError.
+    change only the amplitudes.  As a witness, trial 0 is drawn through
+    with_amplitudes and observed, and its ratio recomputed in the time
+    domain; a relative disagreement above _WITNESS_RTOL raises
+    StructuralError.  The CLI's round trip reconstructs this same trial 0
+    from its trace (the report's `_witness`).
     Independently, the pencil of the sampled Gram against the diagonal of
     Sobolev weights over squared jump weights certifies finiteness: its
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
-    bound for every ratio.  With trials = 0 only the pencil route runs.
+    bound for every ratio.  With trials = 0 only the pencil route runs,
+    and trial 0 is drawn and observed but not compared.
     """
     epsilon = positive(epsilon, "epsilon")
     trials = count(trials, "trials", least=0)
@@ -483,13 +481,12 @@ def verify_observability(
             "time horizon too short for the observability estimate",
             details={"J_delta": horizon, "required_above": threshold},
         )
-    seq, tags = assemble_exponents(sys)
+    seq, tags, _, weights = sys._layout
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
     nu = []
-    for tag in tags:
+    for tag, w in zip(tags, weights):
         lam = sys.spatial_eigenvalue(tag.side, tag.n)
         omega = sys.mode_frequency(tag.side, tag.n)
-        w = sys.jump_weight(tag.side, tag.n)
         length = sys.side_length(tag.side)
         # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
@@ -500,9 +497,13 @@ def verify_observability(
     min_eig = float(pencil[0])
     singular = pencil_singular(pencil)
     c_pencil = math.inf if singular else 1.0 / min_eig
-    ratios = _trial_ratios(sys, gram, tags, epsilon, trials, seed)
+    ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
+    trial = with_amplitudes(sys, np.random.default_rng(seed))
+    trace = observe(trial, grid)
     if ratios:
-        _check_witness(sys, grid, epsilon, seed, ratios[0])
+        again = _ratio(initial_data_energy(trial, epsilon), trace.energy())
+        if again != ratios[0] and not abs(again - ratios[0]) <= _WITNESS_RTOL * abs(ratios[0]):
+            raise StructuralError(f"trial 0 ratio {ratios[0]!r} differs from its recomputation {again!r}")
         c_emp = max(ratios)
         med = float(np.median(ratios))
     else:
@@ -513,7 +514,7 @@ def verify_observability(
         f"pencil min_eig={min_eig:.6g}",
         f"exponents={len(seq)} samples={2 * grid.J + 1}",
     )
-    return ObservabilityReport(
+    report = ObservabilityReport(
         kind=sys.kind,
         epsilon=epsilon,
         trials=trials,
@@ -526,6 +527,8 @@ def verify_observability(
         exponent_count=len(seq),
         diagnostics=diagnostics,
     )
+    object.__setattr__(report, "_witness", (trial, trace))
+    return report
 
 
 @dataclass(frozen=True)
@@ -551,7 +554,7 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     (including fewer samples than exponents) is an error: the recovered
     values would be arbitrary along the null space.
     """
-    seq, tags = assemble_exponents(sys)
+    seq, _, cols, weights = sys._layout
     times = np.asarray(trace.grid.times())
     design = np.exp(1j * times[:, None] * np.asarray(seq.omegas)[None, :])
     if design.shape[0] < design.shape[1]:
@@ -569,20 +572,14 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     fit = design @ coeffs
     scale = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(fit - y)) / (scale if scale > 0.0 else 1.0)
-    plus: dict[tuple[str, int], complex] = {}
-    minus: dict[tuple[str, int], complex] = {}
-    for c, tag in zip(coeffs, tags):
-        amp = complex(c) / sys.jump_weight(tag.side, tag.n)
-        (plus if tag.sign > 0 else minus)[(tag.side, tag.n)] = amp
-    def collect(side, modes):
-        return tuple(
-            Mode(m.n, plus.get((side, m.n), 0.0), minus.get((side, m.n), 0.0))
-            for m in modes
-        )
-
+    # real and imaginary parts divided apart: complex / float as Python divides it
+    amps = np.empty(coeffs.shape, dtype=complex)
+    amps.real[cols] = coeffs.real / weights
+    amps.imag[cols] = coeffs.imag / weights
+    found = _with_pairs(sys, amps.reshape(-1, 2))
     return ReconstructionResult(
-        left=collect("left", sys.left),
-        right=collect("right", sys.right),
+        left=found.left,
+        right=found.right,
         residual=residual,
         coeffs=tuple(complex(c) for c in coeffs),
         min_singular_value=float(svals[-1]),

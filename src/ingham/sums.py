@@ -65,9 +65,9 @@ class AugmentedExpSum:
     gamma_prime: float = field(init=False)
 
     def __post_init__(self):
-        omega_prime = float(self.omega_prime)
+        omega_prime = finite(self.omega_prime, "omega_prime")
         x_prime = complex(self.x_prime)
-        if not math.isfinite(omega_prime) or not cmath.isfinite(x_prime):
+        if not cmath.isfinite(x_prime):
             raise StructuralError("non-finite augmented component")
         gp = min(abs(w - omega_prime) for w in self.base.seq.omegas)
         if gp == 0.0:
@@ -319,11 +319,14 @@ def sum_from_dict(data: dict, gamma: float, gamma0: float | None = None):
 
     The config carries no gap parameters, so gamma (and
     optionally gamma0) are supplied by the caller, typically from the
-    kernel descriptor of the surrounding config.
+    kernel descriptor of the surrounding config.  Frequencies are read by
+    `cli._real`, and the parts of each coefficient by `errors.finite`.
     """
+    from .cli import _real  # cli imports this module, so not at the top
+
     try:
-        omegas = tuple(data["omegas"])
-        coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
+        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
+        coeffs = tuple(complex(finite(re, "coeffs"), finite(im, "coeffs")) for re, im in data["coeffs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed sum config: {exc}") from None
     seq = ExponentSequence(omegas, gamma, gamma0 if gamma0 is not None else gamma)
@@ -331,7 +334,9 @@ def sum_from_dict(data: dict, gamma: float, gamma0: float | None = None):
     if "omega_prime" in data:
         try:
             re, im = data["x_prime"]
+            x_prime = complex(finite(re, "x_prime"), finite(im, "x_prime"))
+            omega_prime = _real(data["omega_prime"], "omega_prime")
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed augmented sum config: {exc}") from None
-        return AugmentedExpSum(base, data["omega_prime"], complex(re, im))
+        return AugmentedExpSum(base, omega_prime, x_prime)
     return base

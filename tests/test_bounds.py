@@ -382,6 +382,20 @@ class TestEpsilonK:
         with pytest.raises(StructuralError):
             epsilon_k(1.0, 0.0, 3, -0.1)
 
+    @pytest.mark.parametrize(
+        "omega_k, omega_prime, delta, name",
+        [
+            (math.inf, 0.0, 0.1, "omega_k"),
+            (math.nan, 0.0, 0.1, "omega_k"),
+            (1.0, -math.inf, 0.1, "omega_prime"),
+            (1e308, -1e308, 0.1, "half angle"),  # the difference overflows
+            (1e10, 0.0, 1e300, "half angle"),  # its product with delta overflows
+        ],
+    )
+    def test_non_finite_angle_is_structural(self, omega_k, omega_prime, delta, name):
+        with pytest.raises(StructuralError, match=f"{name} must be a finite real"):
+            epsilon_k(omega_k, omega_prime, 2, delta)
+
 
 class TestSincCrossing:
     def test_against_root_finder(self):

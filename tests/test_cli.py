@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import env_with_package
-from ingham import StructuralError, bounds, exponents, quadforms
+from ingham import StructuralError, bounds, exponents, observability, quadforms
 from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
 A_IRR = math.sqrt(2.0) / 2.0
@@ -574,6 +574,9 @@ class TestJsonNumberRules:
             ("haraux", dict(HARAUX, omega_prime=True), "omega_prime"),
             ("string", dict(STRING_CFG, epsilon=True), "epsilon"),
             ("string", dict(STRING_CFG, a=True), "a"),
+            ("frame", dict(FRAME, omegas=[True, 3.0, 6.0]), "omegas"),
+            ("gaps", dict(CHAIN_SEQ, omegas=[0.0, True]), "omegas"),
+            ("poisson", dict(POISSON_CFG, sum=dict(POISSON_CFG["sum"], omegas=[-2.0, True, 3.0])), "omegas"),
         ],
     )
     def test_boolean_exit_1(self, tmp_path, command, payload, field):
@@ -582,6 +585,28 @@ class TestJsonNumberRules:
         error = json.loads(text)["error"]
         assert error["type"] == "structural"
         assert f"{field} must be a number, got True" in error["message"]
+
+    def test_boolean_coefficient_exit_1(self, tmp_path):
+        coeffs = [[True, False], [0.0, -1.0], [0.5, 0.0]]
+        code, text, _ = run_cli(tmp_path, "poisson", dict(POISSON_CFG, sum=dict(POISSON_CFG["sum"], coeffs=coeffs)))
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert "coeffs must be a finite real, got True" in error["message"]
+
+    @pytest.mark.parametrize(
+        "command, payload, quoted",
+        [
+            ("frame", FRAME, dict(FRAME, omegas=["0.0", "0.5", "3.0", "3.4", "6.0"])),
+            ("gaps", CHAIN_SEQ, dict(CHAIN_SEQ, omegas=["0.0", "0.5", "3.0", "3.4", "6.0"])),
+            ("poisson", POISSON_CFG, dict(POISSON_CFG, sum=dict(POISSON_CFG["sum"], omegas=["-2.0", "0.5", "3.0"]))),
+        ],
+    )
+    def test_numeric_string_frequencies_run(self, tmp_path, command, payload, quoted):
+        code, as_text, _ = run_cli(tmp_path, command, quoted, out="a.json")
+        assert code == 0
+        _, as_number, _ = run_cli(tmp_path, command, payload, out="b.json")
+        assert json.loads(as_text)["report"] == json.loads(as_number)["report"]
 
     def test_integral_float_trials_and_mode_index_run(self, tmp_path):
         left = [dict(m, n=float(m["n"])) for m in STRING_CFG["left"]]
@@ -766,6 +791,24 @@ class TestPencilAssemblyOnce:
         code, _, _ = run_cli(tmp_path, command, payload)
         assert code == 0
         assert (len(plan_calls), len(mask_calls), len(q_calls)) == (plans, masks, qs)
+
+
+class TestJunctionOnce:
+    """A string or beam case assembles its exponents once per system (the
+    system and its trial 0) and draws and observes trial 0 once: the round
+    trip reconstructs the witness that verify_observability checked."""
+
+    @pytest.mark.parametrize("command, payload", [("string", STRING_CFG), ("beam", BEAM_CFG)])
+    def test_call_counts(self, tmp_path, monkeypatch, command, payload):
+        counter = TestPencilAssemblyOnce.counter
+        drawn = counter(monkeypatch, observability.with_amplitudes)
+        observed = counter(monkeypatch, observability.observe)
+        assembled = counter(monkeypatch, observability.assemble_exponents)
+        code, text, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        assert json.loads(text)["report"]["roundtrip"]["amplitude_error"] < 1e-12
+        assert (len(drawn), len(observed)) == (1, 1)
+        assert len(assembled) <= 2
 
 
 class TestRunConfig:

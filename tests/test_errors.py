@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ingham import (
+    AugmentedExpSum,
     CoupledSystem,
     ExponentSequence,
     ExpSum,
@@ -32,6 +33,7 @@ from ingham import (
     periodize,
     plan_haraux,
     poisson_sides,
+    sum_from_dict,
     verify_observability,
 )
 from ingham.cli import RunConfig
@@ -75,6 +77,14 @@ SITES = [
     ("omega_prime", "finite", lambda v: plan_haraux(SEQ, v, 4, 0.2)),
     ("R", "positive", lambda v: continuum_limit_scan(SEQ, v, [8])),
     ("J", "count", lambda v: continuum_limit_scan(SEQ, 4.0, [v])),
+    ("frequency", "finite", lambda v: ExponentSequence((v, 3.0), 1.0, 1.0)),
+    ("omega_k", "finite", lambda v: epsilon_k(v, 2.0, 4, 0.1)),
+    ("omega_prime", "finite", lambda v: epsilon_k(1.0, v, 4, 0.1)),
+    ("omega_prime", "finite", lambda v: AugmentedExpSum(SUM, v, 1.0)),
+    ("margin", "finite", lambda v: certify_constants("direct", 1.5, margin=v)),
+    ("coeffs", "finite", lambda v: sum_from_dict({"omegas": [0.0], "coeffs": [[1.0, v]]}, 1.0)),
+    ("x_prime", "finite", lambda v: sum_from_dict(
+        {"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0, "x_prime": [v, 0.0]}, 1.0)),
 ]
 
 BAD = (True, math.inf, math.nan, "x", 0, -1, 2.5)

@@ -11,7 +11,10 @@ sort as strings (`gaps_lead10`), CSV forms of nested reports, and the
 structural envelope of a continuum scan at J = 0 (`scan_continuum_j0`),
 a tail plan too long to allocate (`poisson_tail_too_long`), a kernel
 margin outside [0, 1) (`kernel_inverse_margin`), and a direct kernel whose
-beta overflows (`kernel_direct_overflow`).
+beta overflows (`kernel_direct_overflow`).  Three pin the observability
+round trip: it is reported at zero trials (`string_trials0`), in CSV
+(`beam_csv`), and refused with fewer samples than exponents
+(`string_rank_deficient`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -70,6 +73,9 @@ CASES = {
     "poisson_tail_too_long": ("poisson", (), 2),
     "kernel_inverse_margin": ("kernel", (), 1),
     "kernel_direct_overflow": ("kernel", (), 2),
+    "string_trials0": ("string", (), 0),
+    "beam_csv": ("beam", ("--format", "csv"), 0),
+    "string_rank_deficient": ("string", (), 2),
 }
 
 

@@ -208,7 +208,7 @@ class TestCertification:
             certify_constants("triangular", 1.0)
 
     @pytest.mark.parametrize("variant,R", [("direct", None), ("inverse", 3.14159)])
-    @pytest.mark.parametrize("margin", [1.5, 1.0, -0.01, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("margin", [1.5, 1.0, -0.01, math.nan, math.inf, -math.inf, "x", True])
     def test_margin_outside_unit_interval_rejected(self, variant, R, margin):
         with pytest.raises(StructuralError, match="margin"):
             certify_constants(variant, 1.5, R=R, margin=margin)

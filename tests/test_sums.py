@@ -370,6 +370,16 @@ class TestSerialization:
         assert back.x_prime == 0.25 - 0.75j
         assert back.base.seq.gamma0 == 0.8
 
+    def test_numbers_read_by_the_json_rules(self):
+        # frequencies as cli._real reads them, coefficient parts as errors.finite
+        cfg = {"omegas": ["0.0"], "coeffs": [[1.0, 0.0]], "omega_prime": "2.5", "x_prime": [1.0, 0.0]}
+        back = sum_from_dict(cfg, gamma=1.0)
+        assert (back.base.seq.omegas, back.omega_prime) == ((0.0,), 2.5)
+        for key, value in [("omegas", [True]), ("omega_prime", True), ("coeffs", [[True, False]]),
+                           ("coeffs", [["1", "0"]]), ("x_prime", [1.0, True])]:
+            with pytest.raises(StructuralError, match=key):
+                sum_from_dict(dict(cfg, **{key: value}), gamma=1.0)
+
     def test_malformed(self):
         with pytest.raises(StructuralError):
             sum_from_dict({"omegas": [0.0]}, gamma=1.0)
