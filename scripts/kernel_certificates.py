@@ -14,18 +14,17 @@ from ingham import CertificationError, certify_constants, convolution_eval, g_tr
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--gammas", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    ap.add_argument("--grid-points", type=int, default=10001)
     args = ap.parse_args()
 
     print(f"{'variant':<8} {'gamma':>6} {'R':>8} {'alpha':>12} {'beta':>12} {'G(0)':>12} {'g(0)':>12}")
     for gamma in args.gammas:
-        k = certify_constants("direct", gamma, grid_points=args.grid_points)
+        k = certify_constants("direct", gamma)
         print(
             f"{'direct':<8} {gamma:>6.2f} {'-':>8} {k.alpha:>12.6f} {k.beta:>12.6f} "
             f"{float(convolution_eval(k, 0.0)):>12.6f} {float(g_transform(k, 0.0)):>12.6f}"
         )
         big_r = 1.5 * math.pi / gamma
-        k = certify_constants("inverse", gamma, R=big_r, grid_points=args.grid_points)
+        k = certify_constants("inverse", gamma, R=big_r)
         print(
             f"{'inverse':<8} {gamma:>6.2f} {big_r:>8.4f} {k.alpha:>12.6f} {k.beta:>12.6f} "
             f"{float(convolution_eval(k, 0.0)):>12.6f} {float(g_transform(k, 0.0)):>12.6f}"

@@ -250,6 +250,12 @@ def _resonant(half: float) -> bool:
     return m != 0 and abs(half - m * math.pi) < RESONANCE_WINDOW
 
 
+def _filter_angle(u: float, J_prime: int, delta: float) -> float:
+    """u J' delta; (u delta) J' where u J' overflows, refused if that overflows too."""
+    x = u * J_prime * delta
+    return finite(u * delta * J_prime, "sinc argument") if math.isinf(x) else x
+
+
 def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) -> float:
     """Contraction factor of the averaging filter at one frequency.
 
@@ -266,7 +272,7 @@ def epsilon_k(omega_k: float, omega_prime: float, J_prime: int, delta: float) ->
             "sampling resonance: (omega_k - omega') delta/2 at a multiple of pi",
             details={"omega_k": omega_k, "half_angle": half},
         )
-    return abs(_sinc(u * J_prime * delta)) * abs(half / math.sin(half))
+    return abs(_sinc(_filter_angle(u, J_prime, delta))) * abs(half / math.sin(half))
 
 
 def _sinc_crossing(eps_prime: float) -> float:
@@ -312,7 +318,7 @@ def plan_haraux(
             "omega_prime coincides with an active exponent",
             details={"omega_prime": omega_prime},
         )
-    eps_prime = max(abs(_sinc((w - omega_prime) * J_prime * delta)) for w in omegas)
+    eps_prime = max(abs(_sinc(_filter_angle(w - omega_prime, J_prime, delta))) for w in omegas)
     c_prime = _sinc_crossing(eps_prime)
     bound = 2.0 * c_prime / delta
     violating = [k for k, w in zip(active, omegas) if not (abs(w - omega_prime) < bound)]

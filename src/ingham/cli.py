@@ -130,7 +130,6 @@ def _kernel_from(data: dict) -> WindowKernel:
         variant,
         gamma,
         R=None if r is None else _real(r, "R"),
-        grid_points=_integer(data.get("grid_points", 10001), "grid_points"),
         margin=_real(data.get("margin", 0.05), "margin"),
     )
 

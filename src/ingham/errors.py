@@ -12,14 +12,17 @@ different exit codes:
 Each kind of number has one rule, and a value that breaks it raises
 StructuralError naming the argument: `positive` (delta, gamma, R, epsilon,
 tolerances) takes a real, not a bool, in (0, inf); `finite` (frequencies,
-t', omega', margin) the same without the sign; `count` (J, J', mode indices, grid_points) a
-Python or numpy integer, not a bool, of at least 1 (0 for seeds and
-trials).  JSON configs are read first by `cli._real`, a number or numeric
-string but no boolean, and `cli._integer`, which also takes 16.0.
+t', omega', margin, [re, im] parts in configs) the same without the sign;
+`finite_complex` (amplitudes, coefficients, x') a number with finite parts;
+`count` (J, J', mode indices) a Python or numpy integer, not a bool, of at
+least 1 (0 for seeds and trials).  JSON configs are read first by
+`cli._real`, a number or numeric string but no boolean, and
+`cli._integer`, which also takes 16.0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 
@@ -49,13 +52,25 @@ class CertificationError(ValidationError):
 
 def finite(value, name: str) -> float:
     """value as a finite float: a bool, a non-real or a real past the double range is malformed."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # the built-in types come first, so that isinstance rarely consults the ABC
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
         try:
             if math.isfinite(x := float(value)):
                 return x
         except OverflowError:
             pass
     raise StructuralError(f"{name} must be a finite real, got {value}")
+
+
+def finite_complex(value, name: str) -> complex:
+    """value as a complex with finite parts: a bool or a non-number is malformed."""
+    if isinstance(value, (complex, float, int, numbers.Complex)) and not isinstance(value, bool):
+        try:
+            if cmath.isfinite(z := complex(value)):
+                return z
+        except OverflowError:
+            pass
+    raise StructuralError(f"{name} must be a finite complex, got {value}")
 
 
 def positive(value, name: str) -> float:

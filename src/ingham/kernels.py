@@ -30,9 +30,8 @@ pinned support; `convolution_eval` exposes the raw value.  The summation
 identity in the sums module is exact for the raw convolution only, so
 both conventions are kept and exercised.
 
-`certify_constants` proves every constant in closed form except the
-inverse alpha, a minimum taken on one grid of [0, gamma]; its docstring
-gives the arguments.
+`certify_constants` proves every constant in closed form and rounds it
+outward; its docstring gives the arguments.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificationError, StructuralError, ValidationError, count, finite, positive
+from .errors import CertificationError, StructuralError, ValidationError, finite, positive
 
 VARIANT_DIRECT = "direct"
 VARIANT_INVERSE = "inverse"
@@ -130,8 +129,7 @@ class WindowKernel:
     Inverse variant invariants:
       G(0) - G(x) >= alpha x^2 for |x| <= gamma; G(x) = 0 for |x| >= gamma;
       G(0) > 0; g(t) <= 0 for |t| >= R; g <= beta everywhere; alpha <= G(0).
-    `certify_constants` proves all of them in closed form, except the
-    inverse alpha bound, which it checks on the nodes of one grid.
+    `certify_constants` proves all of them in closed form.
     R belongs to the inverse variant; a certified direct kernel stores None.
     """
 
@@ -187,86 +185,108 @@ def g_transform(kernel: WindowKernel, t):
     return out
 
 
+def _outward(value: float, scale: float, roundings: int, toward: float) -> float:
+    """value moved toward +-inf past the error of a formula with k roundings.
+
+    k roundings (math.pi one, C pow two) on each path from the exact inputs
+    err by at most k u scale/(1 - k u), u = 2^-53, scale being the formula
+    with subtractions made additions (Higham, 2002, 3.1-3.3); the step 2 k u
+    scale covers it, and nextafter its own rounding or 2^-1075 if subnormal.
+    Infinities stay.
+    """
+    if math.isinf(value):
+        return value
+    return math.nextafter(value + math.copysign(roundings * 2.0**-52 * scale, toward), toward)
+
+
 def certify_constants(
     variant: str,
     gamma: float,
     R: float | None = None,
-    grid_points: int = 10001,
     margin: float = 0.05,
 ) -> WindowKernel:
-    """Certify alpha and beta, proving what has a proof and gridding the rest.
+    """Certify alpha and beta in closed form, each rounded outward.
 
     H is even, nonnegative and supported on [-gamma, gamma], so
     h(t) = integral H(x) cos(t x) dx and |h(t)| <= h(0) = gamma.
 
-    Direct kernel, all proved:
+    Direct kernel:
       * g = h^2 >= 0, and 0 <= G(0) - G(x) because G = H*H and
         G(0) - G(x) = (1/2 pi) integral g(t) (1 - cos t x) dt.
       * 1 - cos u <= u^2/2 and g >= 0 give G(0) - G(x) <= -G''(0) x^2/2
         = pi^2 x^2 / (8 gamma), with equality as x -> 0, so
         alpha = max(1, (1 + margin) pi^2 / (8 gamma)).
       * For 0 <= t <= pi/(2 gamma), |t x| <= pi/2 on the support, so h is
-        positive and decreasing there: beta = (1 - margin) g(pi/(2 gamma)).
-    Inverse kernel:
-      * Proved: g = (R^2 - t^2) h^2 <= R^2 gamma^2, so
-        beta = (1 + margin) R^2 gamma^2; and g <= 0 for |t| >= R.
-      * Checked on the value: G(0) = (3/4) R^2 gamma - pi^2/(4 gamma) > 0.
-      * Gridded: alpha = min((1 - margin) m, G(0)), where m is the minimum
-        of (G(0) - G(x))/x^2 over `grid_points` nodes of [0, gamma], each of
-        which must have G(0) - G(x) > 0.  This is the one grid left, and it
-        is not padded between nodes.
+        positive and decreasing there: beta = (1 - margin) g(pi/(2 gamma)),
+        and g(pi/(2 gamma)) = (8 gamma / (3 pi))^2.
+    Inverse kernel, c = R^2 gamma^2:
+      * g = (R^2 - t^2) h^2 <= c, so beta = (1 + margin) c; and g <= 0 for
+        |t| >= R.
+      * G(0) = (3c - pi^2)/(4 gamma), read from `convolution_eval`, must be
+        positive.
+      * With y = x/gamma, the unit convolutions hh = H*H and dd = H'*H' of
+        `_unit_convolutions`, A = (hh(0) - hh(y))/y^2 and
+        B = (dd(0) - dd(y))/y^2, the raw kernel has
+        gamma^3 (G(0) - G(x))/x^2 = c A + B.  (A, B) tends to
+        (A0, B0) = (pi^2/8, -pi^4/8) as y -> 0 and is (A1, B1) =
+        (5/8, -3 pi^2/8) at y = 1.  On (0, 1), A >= A1, B >= B0 and
+        (B1 - B0)(A - A1) + (A0 - A1)(B - B1) >= 0 (proved by interval
+        arithmetic in tests/test_kernels.py, TestInverseAlphaProof), so
+        (A, B) lies in a convex region with corners (A0, B0) and (A1, B1),
+        and for every c > 0, c A + B is least at one of them.  So
+        alpha = min((1 - margin) min(pi^2 (c - pi^2), 5c - 3 pi^2)/(8 gamma^3), G(0)).
+        The pinned G(gamma) = 0 lies below the raw one, so the bound holds
+        on all of [0, gamma].
 
-    The margin also absorbs the rounding of the floating-point evaluation:
-    at margin 0 the proved constants are the closed forms to a few ulps.
-    `grid_points` must be an integer >= 10001 and `margin` must lie in
-    [0, 1), else StructuralError; a violated inequality raises
-    CertificationError naming it and the point.
+    `_outward` counts the roundings of each closed form: direct alpha up
+    (3), beta down (4); inverse beta up (2), alpha down (7 per limit, 5 for
+    G(0)).  So every constant bounds its exact value even at margin 0.
+    `margin` must be a finite real in [0, 1), else StructuralError.  A
+    violated inequality raises CertificationError naming it: direct beta
+    outside the double range; G(0) > 0; or G(0) - G(x) >= alpha x^2, when
+    R gamma <= pi (or within the rounding step above it), reported with the
+    ratio at x = gamma/10^4, next to the infimum at x -> 0.
     """
-    if count(grid_points, "grid_points") < 10001:
-        raise StructuralError("certification requires at least 10001 grid points")
     if not 0.0 <= (margin := finite(margin, "margin")) < 1.0:
         raise StructuralError(f"margin must lie in [0, 1), got {margin!r}")
     probe = WindowKernel(variant=variant, gamma=gamma, alpha=1.0, beta=1.0, R=R)
     g = probe.gamma
 
     if variant == VARIANT_DIRECT:
-        alpha = max(1.0, (1.0 + margin) * _PI2 / (8.0 * g))
-        t_edge = math.pi / (2.0 * g)
-        with np.errstate(over="ignore"):  # g overflows for gamma beyond ~1.6e154: refused below
-            beta = (1.0 - margin) * g_transform(probe, t_edge)
+        sup, b = _PI2 / (8.0 * g), 8.0 * g / (3.0 * math.pi)
+        alpha = max(1.0, (1.0 + margin) * _outward(sup, sup, 3, math.inf))
+        beta = (1.0 - margin) * _outward(b * b, b * b, 4, -math.inf)
         if not 0.0 < beta < math.inf:
             raise CertificationError(
                 "inequality g(t) >= beta on [0, pi/(2 gamma)] violated",
-                details={"inequality": "g >= beta", "point": t_edge},
+                details={"inequality": "g >= beta", "point": math.pi / (2.0 * g)},
             )
 
     else:
-        xs = np.linspace(0.0, g, grid_points)
-        vals = G_eval(probe, xs)
-        g_zero = float(vals[0])
+        g_zero = float(convolution_eval(probe, 0.0))
         if not g_zero > 0.0:
             raise CertificationError(
                 f"inequality G(0) > 0 violated: G(0) = {g_zero:.6g}",
                 details={"inequality": "G(0) > 0", "point": 0.0, "value": g_zero},
             )
-        diffs = g_zero - vals
-        ratios = diffs[1:] / xs[1:] ** 2
-        k = int(np.argmin(ratios))
-        raw = float(ratios[k])
-        if not raw > 0.0:
+        c = probe.R * g * (probe.R * g)
+
+        def per_cube(v):  # v / (8 gamma^3), in stages so that gamma^3 cannot underflow
+            return v / (8.0 * g) / g / g
+
+        # the limits at x -> 0 and x -> gamma, each per_cube(a - b) with scale per_cube(a + b)
+        ends = ((_PI2 * c, _PI2 * _PI2), (5.0 * c, 3.0 * _PI2))
+        raw = min(_outward(per_cube(a - b), per_cube(a + b), 7, -math.inf) for a, b in ends)
+        cap = _outward(g_zero, (0.75 * c + _PI2 / 4.0) / g, 5, -math.inf)
+        alpha = min((1.0 - margin) * raw, cap)
+        if not 0.0 < alpha < math.inf:
+            x = g / 10000.0
+            ratio = (g_zero - float(convolution_eval(probe, x))) / (x * x)
             raise CertificationError(
                 "inequality G(0) - G(x) >= alpha x^2 on [0, gamma] violated",
-                details={"inequality": "G(0)-G(x) >= alpha x^2", "point": float(xs[k + 1]), "value": raw},
+                details={"inequality": "G(0)-G(x) >= alpha x^2", "point": x, "value": ratio},
             )
-        alpha = min((1.0 - margin) * raw, g_zero)
-        bad = np.flatnonzero(diffs[1:] <= 0.0)
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise CertificationError(
-                "inequality G(0) - G(x) > 0 violated",
-                details={"inequality": "G(0)-G(x) > 0", "point": float(xs[k])},
-            )
-        beta = (1.0 + margin) * float(probe.R**2 * g * g)
+        beta = (1.0 + margin) * _outward(c, c, 2, math.inf)
 
     r = probe.R if variant == VARIANT_INVERSE else None
     return replace(probe, alpha=float(alpha), beta=float(beta), R=r)

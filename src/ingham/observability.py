@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import _gram_from_omegas, hermitian_pencil_eig, pencil_singular
-from .errors import StructuralError, ValidationError, count, positive
+from .errors import StructuralError, ValidationError, count, finite, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, eval_sum
 
@@ -55,10 +55,8 @@ class Mode:
 
     def __post_init__(self):
         object.__setattr__(self, "n", count(self.n, "mode index n"))
-        object.__setattr__(self, "plus", complex(self.plus))
-        object.__setattr__(self, "minus", complex(self.minus))
-        if not (math.isfinite(abs(self.plus)) and math.isfinite(abs(self.minus))):
-            raise StructuralError("mode amplitudes must be finite")
+        object.__setattr__(self, "plus", finite_complex(self.plus, "plus"))
+        object.__setattr__(self, "minus", finite_complex(self.minus, "minus"))
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,8 @@ class CoupledSystem:
         """Parse a system config, the form `cli._sanitize` writes a system in.
 
         Modes are {"n", "plus": [re, im], "minus": [re, im]}; an absent
-        gamma stays None.  `a` and `n` are read by the CLI's JSON rules.
+        gamma stays None.  `a` and `n` are read by the CLI's JSON rules,
+        and each amplitude part by `errors.finite`.
         """
         from .cli import _integer, _real  # cli imports this module, so not at the top
 
@@ -150,7 +149,9 @@ class CoupledSystem:
             out = []
             for m in items:
                 (p_re, p_im), (m_re, m_im) = m["plus"], m["minus"]
-                out.append(Mode(_integer(m["n"], "n"), complex(p_re, p_im), complex(m_re, m_im)))
+                plus = complex(finite(p_re, "plus"), finite(p_im, "plus"))
+                minus = complex(finite(m_re, "minus"), finite(m_im, "minus"))
+                out.append(Mode(_integer(m["n"], "n"), plus, minus))
             return tuple(out)
 
         try:

@@ -23,13 +23,12 @@ Energies and the left-hand side are summed exactly and rounded once
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError, ValidationError, count, finite, positive
+from .errors import StructuralError, ValidationError, count, finite, finite_complex, positive
 from .exponents import ExponentSequence, band_mask
 from .kernels import VARIANT_DIRECT, WindowKernel, convolution_eval, g_transform
 
@@ -42,13 +41,11 @@ class ExpSum:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
+        coeffs = tuple(finite_complex(c, "coeffs") for c in self.coeffs)
         if len(coeffs) != len(self.seq):
             raise StructuralError(
                 f"coefficient count {len(coeffs)} does not match sequence length {len(self.seq)}"
             )
-        if not all(cmath.isfinite(c) for c in coeffs):
-            raise StructuralError("non-finite coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
     def eval(self, t):
@@ -66,9 +63,7 @@ class AugmentedExpSum:
 
     def __post_init__(self):
         omega_prime = finite(self.omega_prime, "omega_prime")
-        x_prime = complex(self.x_prime)
-        if not cmath.isfinite(x_prime):
-            raise StructuralError("non-finite augmented component")
+        x_prime = finite_complex(self.x_prime, "x_prime")
         gp = min(abs(w - omega_prime) for w in self.base.seq.omegas)
         if gp == 0.0:
             raise ValidationError(

@@ -1,9 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -396,6 +397,26 @@ class TestEpsilonK:
         with pytest.raises(StructuralError, match=f"{name} must be a finite real"):
             epsilon_k(omega_k, omega_prime, 2, delta)
 
+    @pytest.mark.parametrize(
+        "omega_k, J_prime, delta, rel",
+        [
+            (1.7e308, 2, 1e-308, 1e-14),
+            # sin near 1e10 turns the argument's rounding (1e-16 relative) into 1e-6
+            (1e300, 10**10, 1e-300, 1e-5),
+        ],
+    )
+    def test_overflowing_intermediate_product(self, omega_k, J_prime, delta, rel):
+        # omega_k J' overflows, but the half angle and the sinc argument are finite
+        with mp.workdps(40):
+            x = mp.mpf(omega_k) * J_prime * mp.mpf(delta)
+            half = mp.mpf(omega_k) * mp.mpf(delta) / 2
+            expect = abs(mp.sin(x) / x) * abs(half / mp.sin(half))
+        assert epsilon_k(omega_k, 0.0, J_prime, delta) == pytest.approx(float(expect), rel=rel)
+
+    def test_overflowing_sinc_argument_is_structural(self):
+        with pytest.raises(StructuralError, match="sinc argument must be a finite real, got inf"):
+            epsilon_k(1e300, 0.0, 10**11, 1e-2)
+
 
 class TestSincCrossing:
     def test_against_root_finder(self):
@@ -605,6 +626,22 @@ class TestExtendedConstants:
             plan_haraux(near, 4.7, 25, grid.delta)
         with pytest.raises(ValidationError, match="plan was built for a different sequence"):
             extended_frame_constants(near, grid, plan_haraux(CHAIN, 4.7, 25, grid.delta))
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_c4_formula_bounds_c_upper(self, seed):
+        # omega' halfway along a random gap, J' long enough to resolve it
+        rng = np.random.default_rng(seed)
+        seq = block_sequence(rng, nmax=8)
+        grid = admissible_grid(seq, rng)
+        i = int(rng.integers(0, len(seq) - 1))
+        omega_prime = 0.5 * (seq.omegas[i] + seq.omegas[i + 1])
+        gap_prime = min(abs(w - omega_prime) for w in seq.omegas)
+        j_prime = int(math.ceil(2.0 * math.pi / (gap_prime * grid.delta)))
+        try:
+            ext = extended_frame_constants(seq, grid, plan_haraux(seq, omega_prime, j_prime, grid.delta))
+        except ValidationError:
+            assume(False)  # wide spans can violate the proximity condition
+        assert ext.c_upper <= ext.companions["c4_formula"]
 
     def test_companion_formula_value(self):
         grid = self.grid()

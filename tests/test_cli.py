@@ -137,21 +137,26 @@ class TestKernelCommand:
         code, _, _ = run_cli(tmp_path, "kernel", {"variant": "boxcar", "gamma": 1.0})
         assert code == 1
 
-    @pytest.mark.parametrize("grid_points", [10001.9, True, "10001"])
-    def test_malformed_grid_points_exit_1(self, tmp_path, grid_points):
-        payload = {"variant": "direct", "gamma": 1.0, "grid_points": grid_points}
-        code, text, _ = run_cli(tmp_path, "kernel", payload)
-        assert code == 1
-        error = json.loads(text)["error"]
-        assert error["type"] == "structural"
-        assert "grid_points" in error["message"]
-
     def test_integral_float_grid_points_runs(self, tmp_path):
+        # the key is ignored: 10001 and 10001.0 give the report of a config without it
         payload = {"variant": "direct", "gamma": 1.0}
-        code, as_int, _ = run_cli(tmp_path, "kernel", dict(payload, grid_points=10001), out="a.json")
+        reports = []
+        for k, extra in enumerate([{"grid_points": 10001}, {"grid_points": 10001.0}, {}]):
+            code, text, _ = run_cli(tmp_path, "kernel", dict(payload, **extra), out=f"{k}.json")
+            assert code == 0
+            reports.append(json.loads(text)["report"])
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize(
+        "payload", [{"variant": "direct", "gamma": 1.0}, {"variant": "inverse", "gamma": 1.0, "R": 4.7}]
+    )
+    @pytest.mark.parametrize("grid_points", [10001.9, True, "10001"])
+    def test_grid_points_key_ignored(self, tmp_path, payload, grid_points):
+        # certification uses no grid; like any key the command does not read, it is ignored
+        code, text, _ = run_cli(tmp_path, "kernel", dict(payload, grid_points=grid_points), out="a.json")
         assert code == 0
-        _, as_float, _ = run_cli(tmp_path, "kernel", dict(payload, grid_points=10001.0), out="b.json")
-        assert json.loads(as_int)["report"] == json.loads(as_float)["report"]
+        _, plain, _ = run_cli(tmp_path, "kernel", payload, out="b.json")
+        assert json.loads(text)["report"] == json.loads(plain)["report"]
 
 
 class TestPoissonCommand:
@@ -593,6 +598,17 @@ class TestJsonNumberRules:
         error = json.loads(text)["error"]
         assert error["type"] == "structural"
         assert "coeffs must be a finite real, got True" in error["message"]
+
+    @pytest.mark.parametrize("side, part", [("plus", 0), ("plus", 1), ("minus", 0), ("minus", 1)])
+    def test_boolean_amplitude_exit_1(self, tmp_path, side, part):
+        mode = dict(STRING_CFG["left"][0])
+        mode[side] = [True, False] if part == 0 else [0.0, True]
+        payload = dict(STRING_CFG, left=[mode] + STRING_CFG["left"][1:])
+        code, text, _ = run_cli(tmp_path, "string", payload)
+        assert code == 1
+        error = json.loads(text)["error"]
+        assert error["type"] == "structural"
+        assert f"{side} must be a finite real, got True" in error["message"]
 
     @pytest.mark.parametrize(
         "command, payload, quoted",

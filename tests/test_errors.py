@@ -1,12 +1,14 @@
 """The number rules of `ingham.errors` and every entry point that uses them.
 
-Each argument below is a positive real (`positive`), a finite real
-(`finite`) or an integer count of at least 1 or 0 (`count`).  A value
+Each argument below is a positive real (`positive`), a finite real or
+complex number (`finite`, `finite_complex`) or an integer count of at
+least 1 or 0 (`count`).  A value
 outside its rule must raise StructuralError naming the argument, never
 a bare ValueError, OverflowError or TypeError, and never be coerced
 (True to 1, 2.5 to 2).
 """
 
+import cmath
 import math
 import numbers
 
@@ -37,7 +39,7 @@ from ingham import (
     verify_observability,
 )
 from ingham.cli import RunConfig
-from ingham.errors import StructuralError, count, finite, positive
+from ingham.errors import StructuralError, count, finite, finite_complex, positive
 
 SEQ = ExponentSequence((0.0, 3.0, 6.0), 1.0, 1.0)
 SUM = ExpSum(ExponentSequence((0.0,), 1.0, 1.0), (1.0,))
@@ -46,6 +48,13 @@ STRING_SYS = CoupledSystem(
     "string", math.sqrt(2.0) / 2.0, left=(Mode(1, 1.0, 1.0),), right=(Mode(1, 1.0, 1.0),)
 )
 STRING_GRID = SamplingGrid(0.2, 8)
+
+
+def _system_with(**amplitudes):
+    """A string system config whose left mode has the given [re, im] amplitudes."""
+    mode = {"n": 1, "plus": [1.0, 0.0], "minus": [1.0, 0.0]}
+    return {"kind": "string", "a": 0.5, "left": [dict(mode, **amplitudes)], "right": [mode]}
+
 
 # (argument, rule, call taking the value); rule is "positive", "finite", "count" or "count0"
 SITES = [
@@ -60,7 +69,7 @@ SITES = [
     ("gamma", "positive", lambda v: h_transform(v, 1.0)),
     ("gamma", "positive", lambda v: WindowKernel("direct", v, 1.0, 1.0)),
     ("R", "positive", lambda v: WindowKernel("inverse", 1.0, 1.0, 1.0, R=v)),
-    ("grid_points", "count", lambda v: certify_constants("direct", 1.5, grid_points=v)),
+    ("plus", "finite", lambda v: Mode(1, v)),
     ("delta", "positive", lambda v: periodize(KERNEL, v, 0.0)),
     ("gamma", "positive", lambda v: ExponentSequence((0.0,), v, 0.5)),
     ("gamma0", "positive", lambda v: ExponentSequence((0.0,), 3.0, v)),
@@ -85,6 +94,12 @@ SITES = [
     ("coeffs", "finite", lambda v: sum_from_dict({"omegas": [0.0], "coeffs": [[1.0, v]]}, 1.0)),
     ("x_prime", "finite", lambda v: sum_from_dict(
         {"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0, "x_prime": [v, 0.0]}, 1.0)),
+    ("minus", "finite", lambda v: Mode(1, 0.0, v)),
+    ("coeffs", "finite", lambda v: ExpSum(ExponentSequence((0.0,), 1.0, 1.0), (v,))),
+    ("x_prime", "finite", lambda v: AugmentedExpSum(SUM, 2.0, v)),
+    ("plus", "finite", lambda v: CoupledSystem.from_dict(_system_with(plus=[v, 0.0]))),
+    ("plus", "finite", lambda v: CoupledSystem.from_dict(_system_with(plus=[0.0, v]))),
+    ("minus", "finite", lambda v: CoupledSystem.from_dict(_system_with(minus=[v, 0.0]))),
 ]
 
 BAD = (True, math.inf, math.nan, "x", 0, -1, 2.5)
@@ -152,6 +167,21 @@ def test_finite_accepts_exactly_its_domain(value):
     else:
         with pytest.raises(StructuralError, match="v must be a finite real"):
             finite(value, "v")
+
+
+@given(VALUES)
+def test_finite_complex_accepts_exactly_its_domain(value):
+    if isinstance(value, complex):
+        inside = cmath.isfinite(value)
+    else:
+        r = _real(value)
+        inside = r is not None and -_DOUBLE_LIMIT < r < _DOUBLE_LIMIT
+    if inside:
+        z = finite_complex(value, "v")
+        assert type(z) is complex and z == complex(value)
+    else:
+        with pytest.raises(StructuralError, match="v must be a finite complex"):
+            finite_complex(value, "v")
 
 
 @given(VALUES, st.sampled_from([0, 1]))

@@ -14,7 +14,10 @@ margin outside [0, 1) (`kernel_inverse_margin`), and a direct kernel whose
 beta overflows (`kernel_direct_overflow`).  Three pin the observability
 round trip: it is reported at zero trials (`string_trials0`), in CSV
 (`beam_csv`), and refused with fewer samples than exponents
-(`string_rank_deficient`).
+(`string_rank_deficient`).  Three pin the inverse kernel's alpha: on
+the branch x -> gamma (`kernel_inverse`), on the branch x -> 0
+(`kernel_inverse_x0_branch`), and refused at R gamma <= pi
+(`kernel_inverse_pinch`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -76,6 +79,9 @@ CASES = {
     "string_trials0": ("string", (), 0),
     "beam_csv": ("beam", ("--format", "csv"), 0),
     "string_rank_deficient": ("string", (), 2),
+    "kernel_inverse": ("kernel", (), 0),
+    "kernel_inverse_x0_branch": ("kernel", (), 0),
+    "kernel_inverse_pinch": ("kernel", (), 2),
 }
 
 
