@@ -21,6 +21,7 @@ from ingham import (
     kernels,
     periodize,
 )
+from ingham.cli import _kernel_from
 
 
 def window(x, gamma):
@@ -524,16 +525,23 @@ class TestCertificationWork:
         return counts
 
     @pytest.mark.parametrize(
-        "variant, R, g_points, x_points",
+        "variant, R, grid_points, g_points, x_points",
         [
-            ("direct", None, [], []),
-            ("inverse", 3.14159, [], [1]),
+            ("direct", None, 10001, [], []),
+            ("direct", None, 30001, [], []),
+            ("inverse", 3.14159, 10001, [], [1]),
+            ("inverse", 3.14159, 30001, [], [1]),
         ],
     )
-    def test_points_evaluated(self, monkeypatch, variant, R, g_points, x_points):
+    def test_points_evaluated(self, monkeypatch, variant, R, grid_points, g_points, x_points):
+        # a kernel config that still names the old grid size is certified with the same work
         g_counts = self.point_counts(monkeypatch, "g_transform")
         x_counts = self.point_counts(monkeypatch, "convolution_eval")
         certify_constants(variant, 1.5, R=R)
+        assert (g_counts, x_counts) == (g_points, x_points)
+        g_counts.clear()
+        x_counts.clear()
+        _kernel_from({"variant": variant, "gamma": 1.5, "R": R, "grid_points": grid_points})
         assert (g_counts, x_counts) == (g_points, x_points)
 
 
