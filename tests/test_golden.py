@@ -17,7 +17,9 @@ round trip: it is reported at zero trials (`string_trials0`), in CSV
 (`string_rank_deficient`).  Three pin the inverse kernel's alpha: on
 the branch x -> gamma (`kernel_inverse`), on the branch x -> 0
 (`kernel_inverse_x0_branch`), and refused at R gamma <= pi
-(`kernel_inverse_pinch`).
+(`kernel_inverse_pinch`).  Three pin the scan rows of the haraux task
+(`scan_haraux`, `scan_haraux_csv`) and the `;` join of the gaps task's
+A2 leads in CSV (`scan_gaps_csv`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -82,6 +84,9 @@ CASES = {
     "kernel_inverse": ("kernel", (), 0),
     "kernel_inverse_x0_branch": ("kernel", (), 0),
     "kernel_inverse_pinch": ("kernel", (), 2),
+    "scan_haraux": ("scan", (), 0),
+    "scan_haraux_csv": ("scan", ("--format", "csv"), 0),
+    "scan_gaps_csv": ("scan", ("--format", "csv"), 0),
 }
 
 
