@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one reader of JSON configs.
 
 Each subcommand reads a JSON config, dispatches to the library, and
 writes a report envelope:
@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -38,19 +39,11 @@ from .bounds import (
     frame_constants,
     plan_haraux,
 )
-from .errors import StructuralError, ValidationError, count, positive
+from .errors import StructuralError, ValidationError, count, finite, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .kernels import G_eval, WindowKernel, certify_constants, g_transform
-from .observability import (
-    BEAM,
-    STRING,
-    CoupledSystem,
-    reconstruct,
-    verify_observability,
-)
-from .sums import SamplingGrid, poisson_sides, sum_from_dict
-
-COMMANDS = ("gaps", "kernel", "poisson", "frame", "haraux", "string", "beam", "scan")
+from .observability import BEAM, STRING, CoupledSystem, Mode, reconstruct, verify_observability
+from .sums import AugmentedExpSum, ExpSum, SamplingGrid, poisson_sides
 
 _DEFAULT_TOL = 1e-9
 _DEFAULT_SEED = 0
@@ -67,22 +60,12 @@ class RunConfig:
     fmt: str = _DEFAULT_FORMAT
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMAND_TABLE:
             raise StructuralError(f"unknown command {self.command!r}")
         positive(self.tol, "tol")
         count(self.seed, "seed", least=0)
         if self.fmt not in ("json", "csv"):
             raise StructuralError(f"format must be json or csv, got {self.fmt!r}")
-
-
-def _seq_from(data: dict) -> ExponentSequence:
-    try:
-        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
-        gamma = _real(data["gamma"], "gamma")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed sequence config: {exc}") from None
-    gamma0 = _real(data.get("gamma0", gamma), "gamma0")
-    return ExponentSequence(omegas, gamma, gamma0)
 
 
 def _integer(value, name: str) -> int:
@@ -111,20 +94,43 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-def _grid_from(data: dict) -> SamplingGrid:
+def _complex(value, name: str) -> complex:
+    """[re, im] as a complex, each part read by `errors.finite`."""
+    re, im = value
+    return complex(finite(re, name), finite(im, name))
+
+
+@contextmanager
+def _reading(part: str):
+    """The rule for reading a config part: a missing key, a wrong JSON type
+    or a value Python rejects is malformed, and raises StructuralError
+    naming the part.  The package's own errors pass unchanged, so that each
+    keeps its message and exit code."""
     try:
+        yield
+    except (StructuralError, ValidationError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"malformed {part} config: {exc}") from None
+
+
+def _seq_from(data: dict) -> ExponentSequence:
+    with _reading("sequence"):
+        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
+        gamma = _real(data["gamma"], "gamma")
+    gamma0 = _real(data.get("gamma0", gamma), "gamma0")
+    return ExponentSequence(omegas, gamma, gamma0)
+
+
+def _grid_from(data: dict) -> SamplingGrid:
+    with _reading("grid"):
         delta, J = _real(data["delta"], "delta"), _integer(data["J"], "J")
         return SamplingGrid(delta, J, _real(data.get("t_shift", 0.0), "t_shift"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed grid config: {exc}") from None
 
 
 def _kernel_from(data: dict) -> WindowKernel:
-    try:
-        variant = data["variant"]
-        gamma = _real(data["gamma"], "gamma")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed kernel config: {exc}") from None
+    with _reading("kernel"):
+        variant, gamma = data["variant"], _real(data["gamma"], "gamma")
     r = data.get("R")
     return certify_constants(
         variant,
@@ -132,6 +138,46 @@ def _kernel_from(data: dict) -> WindowKernel:
         R=None if r is None else _real(r, "R"),
         margin=_real(data.get("margin", 0.05), "margin"),
     )
+
+
+def _sum_from(data: dict, gamma: float, gamma0: float | None = None) -> ExpSum | AugmentedExpSum:
+    """A plain sum, or an augmented one when the config has omega_prime.
+
+    A sum config carries no gap parameters, so gamma (and optionally
+    gamma0) come from the caller, typically from the kernel of the
+    surrounding config.
+    """
+    with _reading("sum"):
+        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
+        coeffs = tuple(_complex(c, "coeffs") for c in data["coeffs"])
+    base = ExpSum(ExponentSequence(omegas, gamma, gamma if gamma0 is None else gamma0), coeffs)
+    if "omega_prime" not in data:
+        return base
+    with _reading("augmented sum"):
+        x_prime = _complex(data["x_prime"], "x_prime")
+        omega_prime = _real(data["omega_prime"], "omega_prime")
+    return AugmentedExpSum(base, omega_prime, x_prime)
+
+
+def _system_from(data: dict) -> CoupledSystem:
+    """A system from its config, the form `_sanitize` writes a system in.
+
+    Modes are {"n", "plus": [re, im], "minus": [re, im]}; an absent or
+    null gamma stays None.
+    """
+    gamma = data.get("gamma")
+    gamma = None if gamma is None else _real(gamma, "gamma")
+
+    def modes(side):
+        return tuple(
+            Mode(_integer(m["n"], "n"), _complex(m["plus"], "plus"), _complex(m["minus"], "minus"))
+            for m in data.get(side, ())
+        )
+
+    with _reading("system"):
+        kind, a = data["kind"], _real(data["a"], "a")
+        left, right = modes("left"), modes("right")
+    return CoupledSystem(kind=kind, a=a, left=left, right=right, gamma=gamma)
 
 
 def _handle_gaps(data: dict, cfg: RunConfig):
@@ -154,15 +200,11 @@ def _handle_kernel(data: dict, cfg: RunConfig):
 
 
 def _handle_poisson(data: dict, cfg: RunConfig):
-    try:
-        kernel_cfg = data["kernel"]
-        sum_cfg = data["sum"]
-        delta = _real(data["delta"], "delta")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed poisson config: {exc}") from None
+    with _reading("poisson"):
+        kernel_cfg, sum_cfg, delta = data["kernel"], data["sum"], _real(data["delta"], "delta")
     kernel = _kernel_from(kernel_cfg)
     gamma0 = data.get("gamma0")
-    s = sum_from_dict(sum_cfg, kernel.gamma, None if gamma0 is None else _real(gamma0, "gamma0"))
+    s = _sum_from(sum_cfg, kernel.gamma, None if gamma0 is None else _real(gamma0, "gamma0"))
     report = poisson_sides(
         s,
         kernel,
@@ -186,11 +228,9 @@ def _handle_frame(data: dict, cfg: RunConfig):
 def _handle_haraux(data: dict, cfg: RunConfig):
     seq = _seq_from(data)
     grid = _grid_from(data)
-    try:
+    with _reading("haraux"):
         omega_prime = _real(data["omega_prime"], "omega_prime")
         j_prime = _integer(data["J_prime"], "J_prime")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed haraux config: {exc}") from None
     plan = plan_haraux(seq, omega_prime, j_prime, grid.delta)
     extended = extended_frame_constants(seq, grid, plan)
     report = {"plan": plan, "extended": extended, "grid": grid}
@@ -199,23 +239,16 @@ def _handle_haraux(data: dict, cfg: RunConfig):
     return report, None
 
 
-def _observability_report(kind: str, data: dict, cfg: RunConfig):
-    body = dict(data)
-    body["kind"] = kind
-    body.setdefault("left", [])
-    body.setdefault("right", [])
-    sys_cfg = {k: body[k] for k in ("kind", "a", "left", "right") if k in body}
-    if body.get("gamma") is not None:
-        sys_cfg["gamma"] = _real(body["gamma"], "gamma")
-    system = CoupledSystem.from_dict(sys_cfg)
-    grid = _grid_from(body)
+def _handle_junction(kind: str, data: dict, cfg: RunConfig):
+    system = _system_from(dict(data, kind=kind))
+    grid = _grid_from(data)
     report = verify_observability(
         system,
         grid,
-        _real(body.get("epsilon", 0.5), "epsilon"),
-        _integer(body.get("trials", 100), "trials"),
+        _real(data.get("epsilon", 0.5), "epsilon"),
+        _integer(data.get("trials", 100), "trials"),
         seed=cfg.seed,
-        enforce_horizon=_flag(body.get("enforce_horizon", True), "enforce_horizon"),
+        enforce_horizon=_flag(data.get("enforce_horizon", True), "enforce_horizon"),
     )
     out = dict(_sanitize(report), grid=grid, system=system)
     # the round trip reconstructs the witness, trial 0 of default_rng(cfg.seed)
@@ -234,80 +267,58 @@ def _observability_report(kind: str, data: dict, cfg: RunConfig):
     return out, None
 
 
-def _handle_string(data: dict, cfg: RunConfig):
-    return _observability_report(STRING, data, cfg)
-
-
-def _handle_beam(data: dict, cfg: RunConfig):
-    return _observability_report(BEAM, data, cfg)
-
-
-_SCAN_AXES = {
-    "frame": ("delta", "J", "gamma0", "t_shift"),
-    "gaps": ("gamma0", "gamma"),
-    "haraux": ("delta", "J", "J_prime", "omega_prime"),
-    "continuum": ("J",),
+# scan task -> (sweepable axes, {row column: path into the sanitized report
+# of the command of the same name, each step a key or a function}); the
+# continuum task has no command, and its rows are continuum_limit_scan's
+_SCAN_TASKS = {
+    "frame": (
+        ("delta", "J", "gamma0", "t_shift"),
+        {c: (c,) for c in ("c_lower", "c_upper", "min_eig", "max_eig", "pencil_dim", "singular")},
+    ),
+    "gaps": (
+        ("gamma0", "gamma"),
+        {
+            "n_a1": ("classification", "a1", len),
+            "n_a2": ("classification", "a2_leads", len),
+            "a2_leads": ("classification", "a2_leads", lambda leads: ";".join(map(str, leads))),
+        },
+    ),
+    "haraux": (
+        ("delta", "J", "J_prime", "omega_prime"),
+        {
+            **{c: ("plan", c) for c in ("eps_sup", "c_prime", "lipschitz_L")},
+            "c3": ("extended", "c_lower"),
+            "c4": ("extended", "c_upper"),
+            "c4_formula": ("extended", "companions", "c4_formula"),
+            "singular": ("extended", "singular"),
+        },
+    ),
+    "continuum": (("J",), None),
 }
 
 
-def _scan_rows(task: str, base: dict, combo: dict, cfg: RunConfig) -> dict:
-    merged = dict(base)
-    merged.update(combo)
-    report = _sanitize(_HANDLERS[task](merged, cfg)[0])
-    if task == "frame":
-        return {
-            **combo,
-            "c_lower": report["c_lower"],
-            "c_upper": report["c_upper"],
-            "min_eig": report["min_eig"],
-            "max_eig": report["max_eig"],
-            "pencil_dim": report["pencil_dim"],
-            "singular": report["singular"],
-        }
-    if task == "gaps":
-        cls = report["classification"]
-        return {
-            **combo,
-            "n_a1": len(cls["a1"]),
-            "n_a2": len(cls["a2_leads"]),
-            "a2_leads": ";".join(str(k) for k in cls["a2_leads"]),
-        }
-    if task == "haraux":
-        plan = report["plan"]
-        ext = report["extended"]
-        return {
-            **combo,
-            "eps_sup": plan["eps_sup"],
-            "c_prime": plan["c_prime"],
-            "lipschitz_L": plan["lipschitz_L"],
-            "c3": ext["c_lower"],
-            "c4": ext["c_upper"],
-            "c4_formula": ext["companions"]["c4_formula"],
-            "singular": ext["singular"],
-        }
-    raise StructuralError(f"unknown scan task {task!r}")
+def _at(report, path):
+    for step in path:
+        report = step(report) if callable(step) else report[step]
+    return report
 
 
 def _handle_scan(data: dict, cfg: RunConfig):
-    try:
-        task = data["task"]
-        base = dict(data.get("base", {}))
-        axes = data.get("axes", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed scan config: {exc}") from None
-    if task not in _SCAN_AXES:
+    with _reading("scan"):
+        task, base, axes = data["task"], dict(data.get("base", {})), data.get("axes", [])
+    if not isinstance(task, str) or task not in _SCAN_TASKS:
         raise StructuralError(f"unknown scan task {task!r}")
+    sweepable, paths = _SCAN_TASKS[task]
     if not (isinstance(axes, list) and all(isinstance(axis, dict) for axis in axes)):
         raise StructuralError(f"scan axes must be a list of objects, got {axes!r}")
     if len(axes) > 2:
         raise ValidationError("at most two sweep axes are supported")
     for axis in axes:
-        name = axis.get("name")
-        values = axis.get("values")
-        if name not in _SCAN_AXES[task]:
+        name, values = axis.get("name"), axis.get("values")
+        if name not in sweepable:
             raise ValidationError(
                 f"axis {name!r} not sweepable for task {task!r}",
-                details={"allowed": list(_SCAN_AXES[task])},
+                details={"allowed": list(sweepable)},
             )
         if values is not None and not isinstance(values, list):
             raise StructuralError(f"axis {name!r} values must be a list, got {values!r}")
@@ -315,6 +326,8 @@ def _handle_scan(data: dict, cfg: RunConfig):
             raise ValidationError(f"axis {name!r} has no values")
         if not all(math.isfinite(_real(v, name)) for v in values):
             raise ValidationError(f"axis {name!r} has non-finite values")
+    if len(axes) == 2 and axes[0]["name"] == axes[1]["name"]:
+        raise ValidationError(f"axis {axes[0]['name']!r} is given twice")
     if task == "continuum":
         seq = _seq_from(base)
         j_values = axes[0]["values"] if axes else base.get("J_list", [])
@@ -328,24 +341,26 @@ def _handle_scan(data: dict, cfg: RunConfig):
         combos = [{}]
         for axis in axes:
             combos = [dict(c, **{axis["name"]: v}) for c in combos for v in axis["values"]]
-        rows = [_scan_rows(task, base, combo, cfg) for combo in combos]
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+        handler = _COMMAND_TABLE[task][1]
+        rows = []
+        for combo in combos:
+            report = _sanitize(handler({**base, **combo}, cfg)[0])
+            rows.append({**combo, **{col: _at(report, path) for col, path in paths.items()}})
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     return {"task": task, "columns": columns, "rows": rows}, None
 
 
-_HANDLERS = {
-    "gaps": _handle_gaps,
-    "kernel": _handle_kernel,
-    "poisson": _handle_poisson,
-    "frame": _handle_frame,
-    "haraux": _handle_haraux,
-    "string": _handle_string,
-    "beam": _handle_beam,
-    "scan": _handle_scan,
+# command -> (help, handler); a handler maps the config object and the run
+# settings to (report, validation note or None)
+_COMMAND_TABLE = {
+    "gaps": ("validate and classify an exponent sequence", _handle_gaps),
+    "kernel": ("certify window-kernel constants", _handle_kernel),
+    "poisson": ("evaluate both sides of the summation identity", _handle_poisson),
+    "frame": ("empirical frame constants from the sampled pencil", _handle_frame),
+    "haraux": ("plan a one-frequency augmentation and its extended constants", _handle_haraux),
+    "string": ("coupled-string observability and reconstruction", partial(_handle_junction, STRING)),
+    "beam": ("coupled-beam observability and reconstruction", partial(_handle_junction, BEAM)),
+    "scan": ("sweep one or two parameters into a table", _handle_scan),
 }
 
 
@@ -429,6 +444,24 @@ def _emit(cfg: RunConfig, envelope: dict) -> None:
         sys.stdout.write(body)
 
 
+def _load(path: str, envelope: dict) -> dict:
+    """The config at path, which must be a JSON object; records its digest in envelope."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise StructuralError(f"cannot read input: {exc}") from None
+    envelope["input_digest"] = hashlib.sha256(raw).hexdigest()
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8, -16 or -32
+        raise StructuralError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise StructuralError(f"config must be a JSON object, got {kind.get(type(data), 'a number')}")
+    return data
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one command, write the report, return the exit code."""
     envelope: dict = {
@@ -436,41 +469,22 @@ def run(cfg: RunConfig) -> int:
         "command": cfg.command,
         "seed": cfg.seed,
     }
+    code = 0
     try:
-        with open(cfg.input_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        envelope["error"] = {"type": "structural", "message": f"cannot read input: {exc}"}
-        _emit(cfg, envelope)
-        return 1
-    envelope["input_digest"] = hashlib.sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        envelope["error"] = {"type": "structural", "message": f"invalid JSON: {exc}"}
-        _emit(cfg, envelope)
-        return 1
-    try:
-        report, validation_note = _HANDLERS[cfg.command](data, cfg)
+        data = _load(cfg.input_path, envelope)
+        envelope["report"], validation_note = _COMMAND_TABLE[cfg.command][1](data, cfg)
+        if validation_note is not None:
+            envelope["error"], code = {"type": "validation", "message": validation_note}, 2
     except ValidationError as exc:
-        envelope["error"] = {
+        envelope["error"], code = {
             "type": "validation",
             "message": str(exc.args[0]) if exc.args else "validation error",
             "details": _sanitize(getattr(exc, "details", {})),
-        }
-        _emit(cfg, envelope)
-        return 2
+        }, 2
     except StructuralError as exc:
-        envelope["error"] = {"type": "structural", "message": str(exc)}
-        _emit(cfg, envelope)
-        return 1
-    envelope["report"] = report
-    if validation_note is not None:
-        envelope["error"] = {"type": "validation", "message": validation_note}
-        _emit(cfg, envelope)
-        return 2
+        envelope["error"], code = {"type": "structural", "message": str(exc)}, 1
     _emit(cfg, envelope)
-    return 0
+    return code
 
 
 def _env(name: str, fallback):
@@ -485,16 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ingham {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gaps", "validate and classify an exponent sequence"),
-        ("kernel", "certify window-kernel constants"),
-        ("poisson", "evaluate both sides of the summation identity"),
-        ("frame", "empirical frame constants from the sampled pencil"),
-        ("haraux", "plan a one-frequency augmentation and its extended constants"),
-        ("string", "coupled-string observability and reconstruction"),
-        ("beam", "coupled-beam observability and reconstruction"),
-        ("scan", "sweep one or two parameters into a table"),
-    ):
+    for name, (help_text, _) in _COMMAND_TABLE.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", default=None, help="JSON config path")
         p.add_argument("--output", default=None, help="report path (default stdout)")
@@ -525,7 +530,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-@functools.cache
+@cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser `main` uses: built on first use, then kept for the process.
 

@@ -157,7 +157,7 @@ def convolution_eval(kernel: WindowKernel, x):
     if kernel.variant == VARIANT_DIRECT:
         out = g * hh
     else:
-        out = kernel.R**2 * g * hh + dd / g
+        out = kernel.R * kernel.R * g * hh + dd / g
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -179,7 +179,8 @@ def g_transform(kernel: WindowKernel, t):
         out = np.asarray(h) ** 2
     else:
         ta = np.asarray(t, dtype=float)
-        out = (kernel.R**2 - ta * ta) * np.asarray(h) ** 2
+        # R * R, which rounds as t * t does at t = R (C pow may not): g(R) is 0
+        out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -243,7 +244,8 @@ def certify_constants(
     G(0)).  So every constant bounds its exact value even at margin 0.
     `margin` must be a finite real in [0, 1), else StructuralError.  A
     violated inequality raises CertificationError naming it: direct beta
-    outside the double range; G(0) > 0; or G(0) - G(x) >= alpha x^2, when
+    outside the double range; inverse g <= beta when R^2 or (R gamma)^2
+    overflows; G(0) > 0; or G(0) - G(x) >= alpha x^2, when
     R gamma <= pi (or within the rounding step above it), reported with the
     ratio at x = gamma/10^4, next to the infimum at x -> 0.
     """
@@ -263,13 +265,18 @@ def certify_constants(
             )
 
     else:
+        c = probe.R * g * (probe.R * g)
+        if math.isinf(c) or math.isinf(probe.R * probe.R):
+            raise CertificationError(
+                "inequality g <= beta violated: R^2 or (R gamma)^2 overflows",
+                details={"inequality": "g <= beta", "point": 0.0, "value": math.inf},
+            )
         g_zero = float(convolution_eval(probe, 0.0))
         if not g_zero > 0.0:
             raise CertificationError(
                 f"inequality G(0) > 0 violated: G(0) = {g_zero:.6g}",
                 details={"inequality": "G(0) > 0", "point": 0.0, "value": g_zero},
             )
-        c = probe.R * g * (probe.R * g)
 
         def per_cube(v):  # v / (8 gamma^3), in stages so that gamma^3 cannot underflow
             return v / (8.0 * g) / g / g

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import _gram_from_omegas, hermitian_pencil_eig, pencil_singular
-from .errors import StructuralError, ValidationError, count, finite, finite_complex, positive
+from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, eval_sum
 
@@ -134,32 +134,6 @@ class CoupledSystem:
         cols = np.array([2 * slot[tag.side, tag.n] + (tag.sign < 0) for tag in tags])
         weights = np.array([self.jump_weight(tag.side, tag.n) for tag in tags])
         return seq, tags, cols, weights
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoupledSystem":
-        """Parse a system config, the form `cli._sanitize` writes a system in.
-
-        Modes are {"n", "plus": [re, im], "minus": [re, im]}; an absent
-        gamma stays None.  `a` and `n` are read by the CLI's JSON rules,
-        and each amplitude part by `errors.finite`.
-        """
-        from .cli import _integer, _real  # cli imports this module, so not at the top
-
-        def modes(items):
-            out = []
-            for m in items:
-                (p_re, p_im), (m_re, m_im) = m["plus"], m["minus"]
-                plus = complex(finite(p_re, "plus"), finite(p_im, "plus"))
-                minus = complex(finite(m_re, "minus"), finite(m_im, "minus"))
-                out.append(Mode(_integer(m["n"], "n"), plus, minus))
-            return tuple(out)
-
-        try:
-            kind, a = data["kind"], _real(data["a"], "a")
-            left, right = modes(data.get("left", ())), modes(data.get("right", ()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"malformed system config: {exc}") from None
-        return cls(kind=kind, a=a, left=left, right=right, gamma=data.get("gamma"))
 
 
 @dataclass(frozen=True)

@@ -308,30 +308,3 @@ def poisson_sides(
     rhs_pinned = 2.0 * math.pi * float((coeffs @ pinned @ coeffs.conj()).real)
     return PoissonReport(lhs, rhs, bound, rhs_pinned, J)
 
-
-def sum_from_dict(data: dict, gamma: float, gamma0: float | None = None):
-    """Build a plain or augmented sum from its JSON config.
-
-    The config carries no gap parameters, so gamma (and
-    optionally gamma0) are supplied by the caller, typically from the
-    kernel descriptor of the surrounding config.  Frequencies are read by
-    `cli._real`, and the parts of each coefficient by `errors.finite`.
-    """
-    from .cli import _real  # cli imports this module, so not at the top
-
-    try:
-        omegas = tuple(_real(w, "omegas") for w in data["omegas"])
-        coeffs = tuple(complex(finite(re, "coeffs"), finite(im, "coeffs")) for re, im in data["coeffs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed sum config: {exc}") from None
-    seq = ExponentSequence(omegas, gamma, gamma0 if gamma0 is not None else gamma)
-    base = ExpSum(seq, coeffs)
-    if "omega_prime" in data:
-        try:
-            re, im = data["x_prime"]
-            x_prime = complex(finite(re, "x_prime"), finite(im, "x_prime"))
-            omega_prime = _real(data["omega_prime"], "omega_prime")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"malformed augmented sum config: {exc}") from None
-        return AugmentedExpSum(base, omega_prime, x_prime)
-    return base

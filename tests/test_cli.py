@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import env_with_package
+import ingham
 from ingham import StructuralError, bounds, exponents, observability, quadforms
 from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
 
@@ -110,6 +112,27 @@ class TestEnvelope:
         code = main(["gaps", "--input", str(bad), "--output", str(out)])
         assert code == 1
         assert "invalid JSON" in json.loads(out.read_text())["error"]["message"]
+
+    def test_non_utf_json_exit_1(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"omegas": [0.0], "gamma": 1.0}\xff')
+        out = tmp_path / "o.json"
+        assert main(["gaps", "--input", str(bad), "--output", str(out)]) == 1
+        assert "invalid JSON" in json.loads(out.read_text())["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command", ["gaps", "kernel", "poisson", "frame", "haraux", "string", "beam", "scan"]
+    )
+    @pytest.mark.parametrize(
+        "config", [[1, 2], 5, None, "abc"], ids=["array", "number", "null", "string"]
+    )
+    def test_config_not_an_object_exit_1(self, tmp_path, command, config):
+        code, text, _ = run_cli(tmp_path, command, config)
+        assert code == 1
+        env = json.loads(text)
+        assert env["error"]["type"] == "structural"
+        assert "must be a JSON object" in env["error"]["message"]
+        assert "report" not in env
 
     def test_no_input_anywhere(self, monkeypatch, capsys):
         monkeypatch.delenv("INGHAM_INPUT", raising=False)
@@ -435,6 +458,30 @@ class TestScanCommand:
     def test_unknown_task_exit_1(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "scan", {"task": "mystery", "axes": []})
         assert code == 1
+
+    @pytest.mark.parametrize("task", [["frame"], {"name": "frame"}, 5])
+    def test_task_not_a_string_exit_1(self, tmp_path, task):
+        code, text, _ = run_cli(tmp_path, "scan", {"task": task, "axes": []})
+        assert code == 1
+        assert "unknown scan task" in json.loads(text)["error"]["message"]
+
+    def test_duplicate_axis_names_exit_2(self, tmp_path):
+        payload = self.frame_payload(
+            [{"name": "delta", "values": [0.2, 0.25]}, {"name": "delta", "values": [0.3]}]
+        )
+        code, text, _ = run_cli(tmp_path, "scan", payload)
+        assert code == 2
+        env = json.loads(text)
+        assert env["error"]["type"] == "validation"
+        assert "'delta' is given twice" in env["error"]["message"]
+        assert "report" not in env
+
+    def test_duplicate_continuum_axis_exit_2(self, tmp_path):
+        payload = self.continuum_payload([32])
+        payload["axes"].append({"name": "J", "values": [64]})
+        code, text, _ = run_cli(tmp_path, "scan", payload)
+        assert code == 2
+        assert "'J' is given twice" in json.loads(text)["error"]["message"]
 
     def test_no_axes_single_row(self, tmp_path):
         payload = self.frame_payload([])
@@ -883,6 +930,32 @@ class TestSanitize:
         assert _sanitize(CoupledSystem(STRING, 0.3, gamma=2.0))["gamma"] == 2.0
         # a None outside a dataclass field is data, not an unset field
         assert _sanitize({"x": None, "y": [None]}) == {"x": None, "y": [None]}
+
+
+def _imports_cli(tree: ast.AST) -> bool:
+    """Whether a module imports ingham.cli, at the top or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "ingham.cli" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            package = node.level > 0 and not node.module or node.module == "ingham"
+            if node.module in ("cli", "ingham.cli") or package and any(
+                alias.name == "cli" for alias in node.names
+            ):
+                return True
+    return False
+
+
+def test_only_cli_reads_configs():
+    # cli.py is the one reader of JSON configs; a library module importing it back is a cycle
+    package = Path(ingham.__file__).resolve().parent
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "cli.py" and _imports_cli(ast.parse(path.read_text(), str(path)))
+    ]
+    assert importers == []
 
 
 def _pyproject_script(name: str) -> tuple[str, str]:

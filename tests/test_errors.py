@@ -35,10 +35,9 @@ from ingham import (
     periodize,
     plan_haraux,
     poisson_sides,
-    sum_from_dict,
     verify_observability,
 )
-from ingham.cli import RunConfig
+from ingham.cli import RunConfig, _sum_from, _system_from
 from ingham.errors import StructuralError, count, finite, finite_complex, positive
 
 SEQ = ExponentSequence((0.0, 3.0, 6.0), 1.0, 1.0)
@@ -91,15 +90,15 @@ SITES = [
     ("omega_prime", "finite", lambda v: epsilon_k(1.0, v, 4, 0.1)),
     ("omega_prime", "finite", lambda v: AugmentedExpSum(SUM, v, 1.0)),
     ("margin", "finite", lambda v: certify_constants("direct", 1.5, margin=v)),
-    ("coeffs", "finite", lambda v: sum_from_dict({"omegas": [0.0], "coeffs": [[1.0, v]]}, 1.0)),
-    ("x_prime", "finite", lambda v: sum_from_dict(
+    ("coeffs", "finite", lambda v: _sum_from({"omegas": [0.0], "coeffs": [[1.0, v]]}, 1.0)),
+    ("x_prime", "finite", lambda v: _sum_from(
         {"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0, "x_prime": [v, 0.0]}, 1.0)),
     ("minus", "finite", lambda v: Mode(1, 0.0, v)),
     ("coeffs", "finite", lambda v: ExpSum(ExponentSequence((0.0,), 1.0, 1.0), (v,))),
     ("x_prime", "finite", lambda v: AugmentedExpSum(SUM, 2.0, v)),
-    ("plus", "finite", lambda v: CoupledSystem.from_dict(_system_with(plus=[v, 0.0]))),
-    ("plus", "finite", lambda v: CoupledSystem.from_dict(_system_with(plus=[0.0, v]))),
-    ("minus", "finite", lambda v: CoupledSystem.from_dict(_system_with(minus=[v, 0.0]))),
+    ("plus", "finite", lambda v: _system_from(_system_with(plus=[v, 0.0]))),
+    ("plus", "finite", lambda v: _system_from(_system_with(plus=[0.0, v]))),
+    ("minus", "finite", lambda v: _system_from(_system_with(minus=[v, 0.0]))),
 ]
 
 BAD = (True, math.inf, math.nan, "x", 0, -1, 2.5)

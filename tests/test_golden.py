@@ -17,7 +17,8 @@ round trip: it is reported at zero trials (`string_trials0`), in CSV
 (`string_rank_deficient`).  Three pin the inverse kernel's alpha: on
 the branch x -> gamma (`kernel_inverse`), on the branch x -> 0
 (`kernel_inverse_x0_branch`), and refused at R gamma <= pi
-(`kernel_inverse_pinch`).  Three pin the scan rows of the haraux task
+(`kernel_inverse_pinch`); one pins its refusal when R^2 or (R gamma)^2
+overflows (`kernel_inverse_overflow`).  Three pin the scan rows of the haraux task
 (`scan_haraux`, `scan_haraux_csv`) and the `;` join of the gaps task's
 A2 leads in CSV (`scan_gaps_csv`).
 
@@ -87,6 +88,7 @@ CASES = {
     "scan_haraux": ("scan", (), 0),
     "scan_haraux_csv": ("scan", ("--format", "csv"), 0),
     "scan_gaps_csv": ("scan", ("--format", "csv"), 0),
+    "kernel_inverse_overflow": ("kernel", (), 2),
 }
 
 

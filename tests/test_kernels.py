@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -251,6 +251,22 @@ class TestCertification:
                 certify_constants("direct", gamma)
         assert err.value.details == {"inequality": "g >= beta", "point": math.pi / (2.0 * gamma)}
 
+    @pytest.mark.parametrize(
+        "gamma,R", [(1.0, 1e160), (1e10, 1e150), (1e-160, 1e160)], ids=["both", "R-gamma", "R"]
+    )
+    def test_inverse_overflow_refused_without_warning(self, gamma, R):
+        # an infinite R^2 or (R gamma)^2 makes G(0), beta and g infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError, match=r"R\^2 or \(R gamma\)\^2 overflows") as err:
+                certify_constants("inverse", gamma, R=R)
+        assert err.value.details == {"inequality": "g <= beta", "point": 0.0, "value": math.inf}
+
+    def test_inverse_large_finite_kept(self):
+        k = certify_constants("inverse", 1.0, R=1e150)
+        assert 0.0 < k.alpha < k.beta < math.inf
+        assert 0.0 < g_transform(k, 0.0) <= k.beta
+
     def test_direct_beta_largest_finite_kept(self):
         k = certify_constants("direct", 1e154)
         assert 0.0 < k.beta < math.inf
@@ -307,6 +323,8 @@ class TestSoundness:
         assert np.all(np.asarray(g_transform(k, ts)) >= k.beta * (1.0 - 4.0 * np.finfo(float).eps))
 
     @given(st.floats(0.3, 3.0), st.floats(1.2, 4.0), st.sampled_from([0.0, 0.05]))
+    # R**2 (C pow) rounds above R * R here, which once left g(R) = +9.2e-21
+    @example(gamma=2.5636029328462024, c=3.0218638909965154, margin=0.0)
     def test_inverse_g_bounded_and_nonpositive_beyond_R(self, gamma, c, margin):
         R = c * math.pi / gamma
         k = certify_constants("inverse", gamma, R=R, margin=margin)

@@ -28,7 +28,7 @@ from ingham import (
     verify_observability,
     with_amplitudes,
 )
-from ingham.cli import _sanitize
+from ingham.cli import _sanitize, _system_from
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -106,10 +106,10 @@ class TestConstruction:
     def test_serialization_roundtrip(self, rng):
         sys = full_string(A_IRR, 0.2, rng)
         assert sys.gamma is None and "gamma" not in _sanitize(sys)
-        back = CoupledSystem.from_dict(_sanitize(sys))
+        back = _system_from(_sanitize(sys))
         assert back == sys
         beam = full_beam(A_IRR, 8.0, 0.015, rng)
-        assert CoupledSystem.from_dict(_sanitize(beam)) == beam
+        assert _system_from(_sanitize(beam)) == beam
 
 
 class TestModeCaps:

@@ -21,9 +21,8 @@ from ingham import (
     g_transform,
     poisson_sides,
     sampled_energy,
-    sum_from_dict,
 )
-from ingham.cli import _grid_from, _sanitize
+from ingham.cli import _grid_from, _sanitize, _sum_from
 from ingham.sums import _EXACT_CHUNK, _exact_sum
 
 
@@ -352,7 +351,7 @@ class TestSerialization:
     def test_plain_roundtrip(self):
         s = simple_sum()
         cfg = {"omegas": [-2.0, 0.5, 3.0], "coeffs": [[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]]}
-        back = sum_from_dict(cfg, gamma=1.0)
+        back = _sum_from(cfg, gamma=1.0)
         assert isinstance(back, ExpSum)
         assert back.seq.omegas == s.seq.omegas
         assert back.coeffs == s.coeffs
@@ -364,7 +363,7 @@ class TestSerialization:
             "omega_prime": 6.5,
             "x_prime": [0.25, -0.75],
         }
-        back = sum_from_dict(cfg, gamma=1.0, gamma0=0.8)
+        back = _sum_from(cfg, gamma=1.0, gamma0=0.8)
         assert isinstance(back, AugmentedExpSum)
         assert back.omega_prime == 6.5
         assert back.x_prime == 0.25 - 0.75j
@@ -373,15 +372,15 @@ class TestSerialization:
     def test_numbers_read_by_the_json_rules(self):
         # frequencies as cli._real reads them, coefficient parts as errors.finite
         cfg = {"omegas": ["0.0"], "coeffs": [[1.0, 0.0]], "omega_prime": "2.5", "x_prime": [1.0, 0.0]}
-        back = sum_from_dict(cfg, gamma=1.0)
+        back = _sum_from(cfg, gamma=1.0)
         assert (back.base.seq.omegas, back.omega_prime) == ((0.0,), 2.5)
         for key, value in [("omegas", [True]), ("omega_prime", True), ("coeffs", [[True, False]]),
                            ("coeffs", [["1", "0"]]), ("x_prime", [1.0, True])]:
             with pytest.raises(StructuralError, match=key):
-                sum_from_dict(dict(cfg, **{key: value}), gamma=1.0)
+                _sum_from(dict(cfg, **{key: value}), gamma=1.0)
 
     def test_malformed(self):
         with pytest.raises(StructuralError):
-            sum_from_dict({"omegas": [0.0]}, gamma=1.0)
+            _sum_from({"omegas": [0.0]}, gamma=1.0)
         with pytest.raises(StructuralError):
-            sum_from_dict({"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0}, gamma=1.0)
+            _sum_from({"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0}, gamma=1.0)
