@@ -15,6 +15,10 @@ gate ||S v - lambda Q v|| <= 1e-9 ||S||.  The congruence already gives up
 the relative accuracy a Jacobi solver would offer, so LAPACK loses
 nothing, and the pencil dimension is limited only by memory.
 
+One step, `_sampled_pencil`, builds the Gram, solves and applies the singular
+rule for `frame_constants`, `extended_frame_constants`, `continuum_limit_scan`
+and `observability.verify_observability`.
+
 The augmentation machinery follows the averaging filter
 
     y(t) = x(t) - (1/(2J')) sum_{n=-J'}^{J'-1} e^{-i omega' n delta} x(t + n delta),
@@ -182,13 +186,32 @@ def hermitian_pencil_eig(
     return vals
 
 
-def pencil_singular(vals: np.ndarray) -> bool:
-    """Singular rule on ascending pencil eigenvalues: min <= SINGULAR_RTOL * max(max, 0)."""
-    return float(vals[0]) <= SINGULAR_RTOL * max(float(vals[-1]), 0.0)
+def _pencil_extremes(s: np.ndarray, q: np.ndarray) -> tuple[float, float, bool]:
+    """(min_eig, max_eig, singular) of the pencil S v = lambda Q v, where
+    singular means min_eig <= SINGULAR_RTOL * max(max_eig, 0)."""
+    vals = hermitian_pencil_eig(s, q)
+    min_eig, max_eig = float(vals[0]), float(vals[-1])
+    return min_eig, max_eig, min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
+
+
+def _sampled_pencil(omegas: np.ndarray, q: np.ndarray, grid: SamplingGrid):
+    """(min_eig, max_eig, singular, S) of the sampled Gram S of omegas on grid against Q."""
+    s = _gram_from_omegas(omegas, grid)
+    return (*_pencil_extremes(s, q), s)
+
+
+def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
+    """Report of a `_sampled_pencil` result; a singular pencil has c_lower = 0."""
+    min_eig, max_eig, singular, s = pencil
+    return FrameBoundReport(
+        c_lower=0.0 if singular else min_eig, c_upper=max_eig, pencil_dim=len(s),
+        min_eig=min_eig, max_eig=max_eig, singular=singular,
+        diagnostics=diagnostics, companions=companions or {},
+    )
 
 
 def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
-    """(report of `frame_constants`, its active indices, its Q matrix)."""
+    """(report of `frame_constants`, its active indices and their omegas, its Q matrix)."""
     cls = seq.classification
     mask = band_mask(seq, grid.delta)
     active = mask.active_indices()
@@ -208,30 +231,16 @@ def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
                     details={"lead": k, "gap": d},
                 )
     qm = q_matrix(seq, mask).matrix
-    s = sampled_gram(seq, grid, mask)
-    vals = hermitian_pencil_eig(s, qm)
-    min_eig = float(vals[0])
-    max_eig = float(vals[-1])
-    singular = pencil_singular(vals)
+    omegas = np.array([seq.omegas[k] for k in active], dtype=float)
+    pencil = _sampled_pencil(omegas, qm, grid)
     horizon = grid.J * grid.delta
     diagnostics = (
         f"band mask: {len(active)} of {len(seq)} admissible",
         f"samples 2J+1={2 * grid.J + 1} vs active exponents={len(active)}",
-        (
-            f"J*delta={horizon:.6g} exceeds pi/gamma={math.pi / seq.gamma:.6g}"
-            if horizon > math.pi / seq.gamma
-            else f"J*delta={horizon:.6g} below pi/gamma={math.pi / seq.gamma:.6g}"
-        ),
+        f"J*delta={horizon:.6g} {'exceeds' if horizon > math.pi / seq.gamma else 'below'}"
+        f" pi/gamma={math.pi / seq.gamma:.6g}",
     )
-    return FrameBoundReport(
-        c_lower=0.0 if singular else min_eig,
-        c_upper=max_eig,
-        pencil_dim=len(active),
-        min_eig=min_eig,
-        max_eig=max_eig,
-        singular=singular,
-        diagnostics=diagnostics,
-    ), active, qm
+    return _frame_report(pencil, diagnostics), active, omegas, qm
 
 
 def frame_constants(seq: ExponentSequence, grid: SamplingGrid) -> FrameBoundReport:
@@ -407,13 +416,12 @@ def extended_frame_constants(
     from the covering argument is reported alongside; the empirical c4 is
     sharper by construction.
     """
-    base, active, qm = _frame_pencil(seq, grid)
+    base, active, omegas, qm = _frame_pencil(seq, grid)
     if (plan.delta, plan.active) != (grid.delta, active):
         raise ValidationError(
             "plan was built for a different delta or active set",
             details={"plan_delta": plan.delta, "plan_active": plan.active},
         )
-    omegas = [seq.omegas[k] for k in active]
     eps = tuple(epsilon_k(w, plan.omega_prime, plan.J_prime, plan.delta) for w in omegas)
     if (eps, min(abs(w - plan.omega_prime) for w in omegas)) != (plan.eps_k, plan.gamma_prime):
         raise ValidationError("plan was built for a different sequence")
@@ -422,17 +430,10 @@ def extended_frame_constants(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    omegas = np.array(omegas + [plan.omega_prime], dtype=float)
-    dim = qm.shape[0] + 1
-    q_ext = np.zeros((dim, dim), dtype=float)
-    q_ext[:-1, :-1] = qm
+    q_ext = np.pad(qm, (0, 1))
     q_ext[-1, -1] = 1.0
     grid_ext = SamplingGrid(grid.delta, grid.J + plan.J_prime, grid.t_shift)
-    s_ext = _gram_from_omegas(omegas, grid_ext)
-    vals = hermitian_pencil_eig(s_ext, q_ext)
-    min_eig = float(vals[0])
-    max_eig = float(vals[-1])
-    singular = pencil_singular(vals)
+    pencil = _sampled_pencil(np.append(omegas, plan.omega_prime), q_ext, grid_ext)
     j, jp = grid.J, plan.J_prime
     c4_formula = (
         (1.0 + (2 * j + 2 * jp + 1) / (2 * j + 1))
@@ -443,20 +444,8 @@ def extended_frame_constants(
         f"extended grid half-count J+J'={grid_ext.J}",
         f"eps_sup={plan.eps_sup:.6g}",
     )
-    return FrameBoundReport(
-        c_lower=0.0 if singular else min_eig,
-        c_upper=max_eig,
-        pencil_dim=dim,
-        min_eig=min_eig,
-        max_eig=max_eig,
-        singular=singular,
-        diagnostics=diagnostics,
-        companions={
-            "c4_formula": c4_formula,
-            "c1_base": base.c_lower,
-            "c2_base": base.c_upper,
-        },
-    )
+    companions = {"c4_formula": c4_formula, "c1_base": base.c_lower, "c2_base": base.c_upper}
+    return _frame_report(pencil, diagnostics, companions)
 
 
 @dataclass(frozen=True)
@@ -494,10 +483,8 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     for J in J_list:
         J = count(J, "J")
         delta = R / J
-        report, active, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
-        omegas = np.array([seq.omegas[k] for k in active], dtype=float)
-        cvals = hermitian_pencil_eig(continuous_gram(omegas, R), qm)
-        c1c, c2c = float(cvals[0]), float(cvals[-1])
+        report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
+        c1c, c2c, _ = _pencil_extremes(continuous_gram(omegas, R), qm)
         if report.singular or c1c <= 0.0:
             rel = math.inf
         else:

@@ -114,6 +114,14 @@ def _reading(part: str):
         raise StructuralError(f"malformed {part} config: {exc}") from None
 
 
+def _object(data, name: str) -> dict:
+    """data, which must be a JSON object: an array of pairs or any other value is malformed."""
+    if not isinstance(data, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise StructuralError(f"{name} must be a JSON object, got {kind.get(type(data), 'a number')}")
+    return data
+
+
 def _seq_from(data: dict) -> ExponentSequence:
     with _reading("sequence"):
         omegas = tuple(_real(w, "omegas") for w in data["omegas"])
@@ -305,7 +313,7 @@ def _at(report, path):
 
 def _handle_scan(data: dict, cfg: RunConfig):
     with _reading("scan"):
-        task, base, axes = data["task"], dict(data.get("base", {})), data.get("axes", [])
+        task, base, axes = data["task"], _object(data.get("base", {}), "base"), data.get("axes", [])
     if not isinstance(task, str) or task not in _SCAN_TASKS:
         raise StructuralError(f"unknown scan task {task!r}")
     sweepable, paths = _SCAN_TASKS[task]
@@ -456,10 +464,7 @@ def _load(path: str, envelope: dict) -> dict:
         data = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8, -16 or -32
         raise StructuralError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
-        raise StructuralError(f"config must be a JSON object, got {kind.get(type(data), 'a number')}")
-    return data
+    return _object(data, "config")
 
 
 def run(cfg: RunConfig) -> int:

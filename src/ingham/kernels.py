@@ -51,6 +51,8 @@ VARIANT_INVERSE = "inverse"
 # precision inside this window; a 4-term Taylor expansion keeps full
 # accuracy (next omitted term is O(1e-32) relative).
 _SING_WINDOW = 1e-4
+# above this u, pi^2 - u^2 rounds to -u^2 and u^3 overflows from 5.6e102: divide by u thrice
+_STAGED_FROM = 1e100
 
 _PI2 = math.pi**2
 _PI4 = math.pi**4
@@ -77,9 +79,14 @@ def _phi(u):
     """pi^2 sin(u)/(u (pi^2 - u^2)) for u >= 0, series-filled near 0 and pi."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
+    capped = np.minimum(u, _STAGED_FROM)
     # the closed form divides 0/0 at u = 0 and u = pi; the series overwrite those
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(_PI2 * np.sin(u), u * (_PI2 - u * u), out=out)
+        top = _PI2 * np.sin(u)
+        np.divide(top, capped * (_PI2 - capped * capped), out=out)
+    far = u > _STAGED_FROM
+    if far.any():
+        out[far] = -top[far] / u[far] / u[far] / u[far]
     near0 = u < _SING_WINDOW
     if near0.any():
         u2 = u[near0] * u[near0]

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import _gram_from_omegas, hermitian_pencil_eig, pencil_singular
+from .bounds import _sampled_pencil
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, eval_sum
@@ -442,8 +442,11 @@ def verify_observability(
     Independently, the pencil of the sampled Gram against the diagonal of
     Sobolev weights over squared jump weights certifies finiteness: its
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
-    bound for every ratio.  With trials = 0 only the pencil route runs,
-    and trial 0 is drawn and observed but not compared.
+    bound for every ratio.  The pencil is `bounds._sampled_pencil`, the one
+    step that `frame_constants`, `extended_frame_constants` and
+    `continuum_limit_scan` also take; the trials reuse its Gram.  With
+    trials = 0 only the pencil route runs, and trial 0 is drawn and
+    observed but not compared.
     """
     epsilon = positive(epsilon, "epsilon")
     trials = count(trials, "trials", least=0)
@@ -467,10 +470,7 @@ def verify_observability(
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
         # per +- branch of each mode
         nu.append(0.5 * length * (lam**spec0.s + lam**spec1.s * omega * omega) / (w * w))
-    gram = _gram_from_omegas(np.array(seq.omegas), grid)
-    pencil = hermitian_pencil_eig(gram, np.diag(nu).astype(complex))
-    min_eig = float(pencil[0])
-    singular = pencil_singular(pencil)
+    min_eig, _, singular, gram = _sampled_pencil(seq.omegas, np.diag(nu), grid)
     c_pencil = math.inf if singular else 1.0 / min_eig
     ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import admissible_grid, block_sequence, random_coeffs, uniform_disc
+import ingham
 from ingham import (
     AugmentedExpSum,
     ExponentSequence,
@@ -690,3 +693,39 @@ class TestContinuumScan:
         seq = ExponentSequence((0.0,), 1.0, 1.0)
         with pytest.raises(ValidationError):
             continuum_limit_scan(seq, 3.0, [8])
+
+
+_PENCIL_NAMES = ("_gram_from_omegas", "hermitian_pencil_eig")
+
+
+def _pencil_uses(path: Path) -> set[tuple[str, str]]:
+    """(module:function, name) for each call or import of a _PENCIL_NAMES name in a module."""
+    uses = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.name}:{node.name}"
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _PENCIL_NAMES:
+                uses.add((where, name))
+        elif isinstance(node, ast.ImportFrom):
+            uses.update((f"{path.name}:import", a.name) for a in node.names if a.name in _PENCIL_NAMES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), f"{path.name}:<module>")
+    return uses
+
+
+def test_one_sampled_pencil_step():
+    # every sampled pencil is bounds._sampled_pencil, or its (S, Q) form for the continuum
+    package = Path(ingham.__file__).resolve().parent
+    uses = set().union(*(_pencil_uses(path) for path in package.glob("*.py")))
+    assert uses == {
+        ("__init__.py:import", "hermitian_pencil_eig"),
+        ("bounds.py:_pencil_extremes", "hermitian_pencil_eig"),
+        ("bounds.py:_sampled_pencil", "_gram_from_omegas"),
+        ("bounds.py:sampled_gram", "_gram_from_omegas"),
+    }
+    assert not [path.name for path in package.glob("*.py") if "pencil_singular" in path.read_text()]

@@ -535,8 +535,10 @@ class TestScanCommand:
             },
             {"task": "continuum", "base": dict(CHAIN_SEQ, R=4.0, J_list=32)},
             {"task": "frame", "base": "ab"},
+            {"task": "gaps", "base": [["omegas", [0.0, 3.0]], ["gamma", 1.0]]},
         ],
-        ids=["axis-not-object", "axes-object", "values-not-list", "J_list-not-list", "base-string"],
+        ids=["axis-not-object", "axes-object", "values-not-list", "J_list-not-list", "base-string",
+             "base-pairs"],
     )
     def test_malformed_shape_exit_1(self, tmp_path, payload):
         code, text, _ = run_cli(tmp_path, "scan", payload)
@@ -544,6 +546,15 @@ class TestScanCommand:
         env = json.loads(text)
         assert env["error"]["type"] == "structural"
         assert "report" not in env
+
+    @pytest.mark.parametrize(
+        "base, kind", [("ab", "a string"), ([["gamma", 1.0]], "an array")], ids=["string", "pairs"]
+    )
+    def test_base_must_be_object(self, tmp_path, base, kind):
+        # the rule of a top-level config: a list of pairs is not an object
+        code, text, _ = run_cli(tmp_path, "scan", {"task": "gaps", "base": base})
+        assert code == 1
+        assert json.loads(text)["error"]["message"] == f"base must be a JSON object, got {kind}"
 
     def test_gaps_scan(self, tmp_path):
         payload = {

@@ -69,6 +69,25 @@ class TestTransform:
         for t in rng.uniform(0.0, 20.0, size=10):
             assert h_transform(1.2, t) == h_transform(1.2, -t)
 
+    @pytest.mark.parametrize("t", [1e100, 2e100, 6e102, 1e150, -1e300])
+    def test_huge_argument_against_mpmath(self, t):
+        # u (pi^2 - u^2) overflows above u ~ 5.6e102: no warning, and the true value, not 0
+        got = h_transform(1.0, t)
+        with mp.workdps(50):
+            u = abs(mp.mpf(t))
+            ref = mp.pi**2 * mp.sin(u) / (u * (mp.pi**2 - u * u))
+            assert abs(got - ref) <= 1e-15 * abs(ref) + mp.mpf(2.0**-1074)
+
+    @pytest.mark.parametrize("t", [1e150, 2e150])
+    def test_inverse_g_at_huge_R(self, t):
+        # R^2 is a double but u (pi^2 - u^2) is not: g within the least subnormal of the truth
+        k = certify_constants("inverse", 1.0, R=1e150)
+        got = g_transform(k, t)
+        with mp.workdps(50):
+            u = mp.mpf(t)
+            h = mp.pi**2 * mp.sin(u) / (u * (mp.pi**2 - u * u))
+            assert abs(got - (mp.mpf(k.R) ** 2 - u * u) * h * h) <= mp.mpf(2.0**-1074)
+
     @given(st.floats(0.2, 3.0), st.floats(-200.0, 200.0))
     def test_tail_bound(self, gamma, t):
         if gamma * abs(t) >= 2.0 * math.pi:

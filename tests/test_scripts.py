@@ -17,8 +17,9 @@ def test_scripts_found():
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
 def test_script_runs(script):
+    # the suite's own warning filter (pyproject.toml): a numpy overflow fails the script
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         capture_output=True,
         text=True,
         timeout=120,
