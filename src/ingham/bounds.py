@@ -49,8 +49,6 @@ from .sums import AugmentedExpSum, ExpSum, SamplingGrid, continuous_gram
 
 # min_eig at or below this fraction of max_eig marks the pencil singular
 SINGULAR_RTOL = 1e-10
-# pair gaps below this make the Q matrix numerically singular
-PAIR_GAP_FLOOR = 1e-12
 # absolute distance to a nonzero multiple of pi that counts as resonance
 RESONANCE_WINDOW = 1e-10
 
@@ -212,7 +210,7 @@ def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
 
 def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
     """(report of `frame_constants`, its active indices and their omegas, its Q matrix)."""
-    cls = seq.classification
+    seq.classification  # first, so that a gap violation outranks the band refusals
     mask = band_mask(seq, grid.delta)
     active = mask.active_indices()
     if not active:
@@ -220,16 +218,6 @@ def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
             "no band-admissible exponents for this sampling step",
             details={"delta": grid.delta, "threshold": mask.threshold},
         )
-    active_set = set(active)
-    for k in cls.a2_leads:
-        p = cls.partners[k]
-        if k in active_set and p in active_set:
-            d = seq.omegas[p] - seq.omegas[k]
-            if d < PAIR_GAP_FLOOR:
-                raise ValidationError(
-                    "QMatrix numerically singular: pair gap below 1e-12",
-                    details={"lead": k, "gap": d},
-                )
     qm = q_matrix(seq, mask).matrix
     omegas = np.array([seq.omegas[k] for k in active], dtype=float)
     pencil = _sampled_pencil(omegas, qm, grid)

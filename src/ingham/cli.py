@@ -414,29 +414,27 @@ def _csv_cell(value) -> str:
 
 
 def _to_csv(report: dict) -> str:
+    """A scan's rows as a table; any other report flattened to one row of dotted keys."""
+    if "rows" in report and "columns" in report:
+        columns, rows = report["columns"], report["rows"]
+    else:
+        flat: dict[str, object] = {}
+
+        def walk(prefix: str, node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(f"{prefix}.{k}" if prefix else str(k), v)
+            elif isinstance(node, list):
+                flat[prefix] = ";".join("..." if isinstance(v, (dict, list)) else _csv_cell(v) for v in node)
+            else:
+                flat[prefix] = node
+
+        walk("", _sanitize(report))
+        columns, rows = sorted(flat), [flat]
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-    if "rows" in report and "columns" in report:
-        columns = report["columns"]
-        writer.writerow(columns)
-        for row in report["rows"]:
-            writer.writerow(_csv_cell(row.get(c, "")) for c in columns)
-        return buf.getvalue()
-    flat: dict[str, object] = {}
-
-    def walk(prefix: str, node):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(node, (list, tuple)):
-            flat[prefix] = ";".join(_csv_cell(_sanitize(v)) if not isinstance(v, (dict, list, tuple)) else "..." for v in node)
-        else:
-            flat[prefix] = node
-
-    walk("", _sanitize(report))
-    keys = sorted(flat)
-    writer.writerow(keys)
-    writer.writerow(_csv_cell(flat[k]) for k in keys)
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in rows)
     return buf.getvalue()
 
 

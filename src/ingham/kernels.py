@@ -98,6 +98,11 @@ def _phi(u):
     return out
 
 
+def _shaped(out, x):
+    """out as a float for a scalar argument x, else the array."""
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def h_transform(gamma: float, t):
     """Transform of the base window: integral of H(x) exp(-i t x) dx.
 
@@ -106,9 +111,7 @@ def h_transform(gamma: float, t):
     gamma = positive(gamma, "gamma")
     u = np.abs(gamma * np.asarray(t, dtype=float))
     out = gamma * _phi(u)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _shaped(out, t)
 
 
 def _unit_convolutions(y):
@@ -165,18 +168,14 @@ def convolution_eval(kernel: WindowKernel, x):
         out = g * hh
     else:
         out = kernel.R * kernel.R * g * hh + dd / g
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _shaped(out, x)
 
 
 def G_eval(kernel: WindowKernel, x):
     """Kernel value with the pinned support: exactly 0 for |x| >= gamma."""
     xa = np.asarray(x, dtype=float)
     out = np.where(np.abs(xa) >= kernel.gamma, 0.0, convolution_eval(kernel, xa))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _shaped(out, x)
 
 
 def g_transform(kernel: WindowKernel, t):
@@ -188,9 +187,7 @@ def g_transform(kernel: WindowKernel, t):
         ta = np.asarray(t, dtype=float)
         # R * R, which rounds as t * t does at t = R (C pow may not): g(R) is 0
         out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _shaped(out, t)
 
 
 def _outward(value: float, scale: float, roundings: int, toward: float) -> float:
@@ -306,6 +303,15 @@ def certify_constants(
     return replace(probe, alpha=float(alpha), beta=float(beta), R=r)
 
 
+def _within_period(kernel: WindowKernel, delta: float) -> None:
+    """Refuse a step whose half period pi/delta is shorter than the pinned support gamma."""
+    if math.pi / delta < kernel.gamma:
+        raise ValidationError(
+            "window exceeds period: pi/delta < gamma",
+            details={"delta": delta, "gamma": kernel.gamma},
+        )
+
+
 def periodize(kernel: WindowKernel, delta: float, x: float) -> float:
     """2 pi/delta periodic extension of G, as a finite sum of shifted copies.
 
@@ -313,11 +319,7 @@ def periodize(kernel: WindowKernel, delta: float, x: float) -> float:
     G_delta(x) = G(x) whenever |x| <= 2 pi/delta - gamma.
     """
     delta = positive(delta, "delta")
-    if math.pi / delta < kernel.gamma:
-        raise ValidationError(
-            "window exceeds period: pi/delta < gamma",
-            details={"delta": delta, "gamma": kernel.gamma},
-        )
+    _within_period(kernel, delta)
     period = 2.0 * math.pi / delta
     x = float(x)
     m_lo = math.ceil((-kernel.gamma - x) / period)

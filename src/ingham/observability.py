@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import _sampled_pencil
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
-from .sums import ExpSum, SamplingGrid, eval_sum
+from .sums import ExpSum, SamplingGrid, _phasors, eval_sum
 
 STRING = "string"
 BEAM = "beam"
@@ -469,7 +469,7 @@ def verify_observability(
         # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
         # per +- branch of each mode
-        nu.append(0.5 * length * (lam**spec0.s + lam**spec1.s * omega * omega) / (w * w))
+        nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
     min_eig, _, singular, gram = _sampled_pencil(seq.omegas, np.diag(nu), grid)
     c_pencil = math.inf if singular else 1.0 / min_eig
     ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
@@ -530,8 +530,7 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     values would be arbitrary along the null space.
     """
     seq, _, cols, weights = sys._layout
-    times = np.asarray(trace.grid.times())
-    design = np.exp(1j * times[:, None] * np.asarray(seq.omegas)[None, :])
+    design = _phasors(trace.grid.times(), seq.omegas)
     if design.shape[0] < design.shape[1]:
         raise ValidationError(
             "rank-deficient reconstruction: fewer samples than exponents",

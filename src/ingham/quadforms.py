@@ -22,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, ValidationError
 from .exponents import BandMask, ExponentSequence
 from .sums import AugmentedExpSum
+
+# pair gaps below this make the 1 + d^2 block numerically singular
+PAIR_GAP_FLOOR = 1e-12
 
 
 def q_form(seq: ExponentSequence, coeffs) -> float:
@@ -67,7 +70,8 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
     """Assemble the block matrix of Q over the active (band-admissible) indices.
 
     A pair with only one active member contributes the diagonal entry
-    1 + d^2 (the principal submatrix of the full block).
+    1 + d^2 (the principal submatrix of the full block).  A pair with both
+    members active and d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
     """
     cls = seq.classification
     if mask is None:
@@ -85,6 +89,11 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
         if k in pos and p in pos:
+            if d < PAIR_GAP_FLOOR:
+                raise ValidationError(
+                    "QMatrix numerically singular: pair gap below 1e-12",
+                    details={"lead": k, "gap": d},
+                )
             i, j = pos[k], pos[p]
             m[i, i] = 1.0 + d * d
             m[j, j] = 1.0 + d * d

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError, count, finite, finite_complex, positive
 from .exponents import ExponentSequence, band_mask
-from .kernels import VARIANT_DIRECT, WindowKernel, convolution_eval, g_transform
+from .kernels import VARIANT_DIRECT, WindowKernel, _within_period, convolution_eval, g_transform
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,11 @@ def _components(s) -> tuple[np.ndarray, np.ndarray]:
     return omegas, coeffs
 
 
+def _phasors(rows, cols) -> np.ndarray:
+    """exp(i r c) for every r in rows and c in cols, the one place grid phasors are formed."""
+    return np.exp(1j * np.multiply.outer(rows, cols))
+
+
 def _grid_values(omegas: np.ndarray, coeffs: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     """Values at grid.times() by block phasors.
 
@@ -121,8 +126,8 @@ def _grid_values(omegas: np.ndarray, coeffs: np.ndarray, grid: SamplingGrid) -> 
     q = -(-m // b)
     anchors = grid.t_shift + grid.delta * (b * np.arange(q) - grid.J)
     steps = grid.delta * np.arange(b)
-    outer = np.exp(1j * np.multiply.outer(anchors, omegas)) * coeffs
-    inner = np.exp(1j * np.multiply.outer(omegas, steps))
+    outer = _phasors(anchors, omegas) * coeffs
+    inner = _phasors(omegas, steps)
     return (outer @ inner).ravel()[:m]
 
 
@@ -136,10 +141,8 @@ def eval_sum(s, t):
     if isinstance(t, SamplingGrid):
         return _grid_values(omegas, coeffs, t)
     ta = np.asarray(t, dtype=float)
-    values = np.exp(1j * np.multiply.outer(ta, omegas)) @ coeffs
-    if np.ndim(t) == 0:
-        return complex(values)
-    return values
+    values = _phasors(ta, omegas) @ coeffs
+    return complex(values) if np.ndim(t) == 0 else values
 
 
 _EXACT_CHUNK = 1 << 15  # temporaries stay in cache; any size up to 2^26 is exact
@@ -233,18 +236,12 @@ def _tail_plan(kernel: WindowKernel, coeff_l1: float, delta: float, tail_tol: fl
     c6 = (16.0 / 9.0) * math.pi**4 / g**4
     a2 = coeff_l1**2
     if kernel.variant == VARIANT_DIRECT:
-        t_min = 2.0 * math.pi / g
-        t_needed = (2.0 * a2 * c6 / (5.0 * tail_tol)) ** 0.2
-        T = max(t_min, t_needed)
-        J = max(1, math.ceil(T / delta))
-        bound = 2.0 * a2 * c6 / (5.0 * (J * delta) ** 5)
+        p, t_min = 5, 2.0 * math.pi / g
     else:
-        t_min = max(2.0 * math.pi / g, kernel.R)
-        t_needed = (2.0 * a2 * c6 / (3.0 * tail_tol)) ** (1.0 / 3.0)
-        T = max(t_min, t_needed)
-        J = max(1, math.ceil(T / delta))
-        bound = 2.0 * a2 * c6 / (3.0 * (J * delta) ** 3)
-    return J, bound
+        p, t_min = 3, max(2.0 * math.pi / g, kernel.R)
+    T = max(t_min, (2.0 * a2 * c6 / (p * tail_tol)) ** (1.0 / p))
+    J = max(1, math.ceil(T / delta))
+    return J, 2.0 * a2 * c6 / (p * (J * delta) ** p)
 
 
 def poisson_sides(
@@ -269,11 +266,7 @@ def poisson_sides(
         raise StructuralError(f"not an exponential sum: {type(s).__name__}")
     delta = positive(delta, "delta")
     tail_tol = positive(tail_tol, "tail_tol")
-    if math.pi / delta < kernel.gamma:
-        raise ValidationError(
-            "window exceeds period: pi/delta < gamma",
-            details={"delta": delta, "gamma": kernel.gamma},
-        )
+    _within_period(kernel, delta)
     mask = band_mask(s.seq, delta)
     offenders = [k for k, c in enumerate(s.coeffs) if abs(c) > 0.0 and not mask.admissible[k]]
     if enforce_band and offenders:

@@ -729,3 +729,41 @@ def test_one_sampled_pencil_step():
         ("bounds.py:sampled_gram", "_gram_from_omegas"),
     }
     assert not [path.name for path in package.glob("*.py") if "pencil_singular" in path.read_text()]
+
+
+def _functions_with(path: Path, match) -> set[str]:
+    """Names of the functions of a module (or "<module>") holding a node that match accepts."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def _is_np_exp(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "exp" and getattr(node.value, "id", None) == "np"
+
+
+def _is_pow_of_s(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.right, "attr", None) == "s"
+
+
+def test_each_numerical_rule_stated_once():
+    modules = {path.name: path for path in Path(ingham.__file__).resolve().parent.glob("*.py")}
+    texts = {name: path.read_text() for name, path in modules.items()}
+    # the period refusal lives in kernels, the pair-gap floor beside the Q block it guards
+    periods = {name: text.count("window exceeds period") for name, text in texts.items()}
+    assert {name: n for name, n in periods.items() if n} == {"kernels.py": 1}
+    assert sorted(name for name, text in texts.items() if "PAIR_GAP_FLOOR" in text) == ["quadforms.py"]
+    # every grid phasor is formed by sums._phasors
+    exps = {name: where for name, path in modules.items() if (where := _functions_with(path, _is_np_exp))}
+    assert exps == {"sums.py": {"_phasors"}}
+    # a Sobolev exponent is applied only by SobolevSpec.weight
+    assert _functions_with(modules["observability.py"], _is_pow_of_s) == {"weight"}

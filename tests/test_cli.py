@@ -318,6 +318,13 @@ class TestObservabilityCommands:
         assert rep["roundtrip"]["amplitude_error"] < 1e-8
         assert rep["c_empirical"] <= rep["c_pencil"] * (1 + 1e-9)
 
+    def test_underflowing_sobolev_weight_refused_by_name(self, tmp_path):
+        # lambda^(-1e300) underflows to 0: the pencil's weights go through SobolevSpec.weight
+        code, text, _ = run_cli(tmp_path, "string", dict(STRING_CFG, epsilon=1e300))
+        assert code == 2
+        error = json.loads(text)["error"]
+        assert error["message"].startswith("Sobolev weight not positive finite at lambda=")
+
     def test_beam_roundtrip(self, tmp_path):
         code, text, _ = run_cli(tmp_path, "beam", BEAM_CFG)
         assert code == 0

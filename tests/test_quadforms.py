@@ -9,6 +9,7 @@ from ingham import (
     ExponentSequence,
     ExpSum,
     StructuralError,
+    ValidationError,
     band_mask,
     q_form,
     q_matrix,
@@ -112,3 +113,17 @@ class TestMatrixForm:
         mask = band_mask(other, 0.5)
         with pytest.raises(StructuralError):
             q_matrix(CHAIN, mask)
+
+    def test_pair_gap_floor_refused_by_name(self):
+        # two pairs below the floor: the first lead in classification order is named
+        seq = ExponentSequence((-3.5, -0.5, -0.5 + 1e-13, 2.8, 2.8 + 1e-14), 1.3, 0.9)
+        with pytest.raises(ValidationError, match="QMatrix numerically singular: pair gap below 1e-12") as err:
+            q_matrix(seq)
+        lead = next(iter(seq.classification.a2_leads))
+        assert err.value.details == {"lead": lead, "gap": seq.omegas[lead + 1] - seq.omegas[lead]}
+
+    def test_pair_gap_floor_needs_both_members_active(self):
+        # a pair below the floor outside the band leaves no block to guard
+        seq = ExponentSequence((-0.5, 3.0, 9.0, 9.0 + 1e-13), 1.3, 0.9)
+        qm = q_matrix(seq, band_mask(seq, delta=0.5))  # threshold pi/0.5 - 0.65 = 5.63
+        assert qm.active == (0, 1) and np.array_equal(qm.matrix, np.eye(2))
