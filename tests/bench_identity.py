@@ -1,0 +1,104 @@
+"""Check that two source trees give the same CLI output on every benchmark case.
+
+Usage, from the root of the repository:
+
+    python3 tests/bench_identity.py --parent DIR [--seeds 101,102,103]
+
+DIR is another checkout of the repository, for example the parent commit
+unpacked with `git archive`.  Every case that `perfbench/workloads.py` of
+this tree generates for the three workloads and the given seeds is written
+as a config once.  Then one subprocess per tree imports that tree's `src/`
+alone and runs each case through its `ingham.cli.main`, with the argv the
+benchmark uses.  A case differs when its exit code or the bytes it writes
+to stdout differ; a call that raises is recorded by its exception type and
+message.  The tool prints one line per differing case and a summary, and
+exits 1 if any case differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs in a fresh interpreter: argv is the tree's src/, the case list and the result file
+_WORKER = r"""
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+src, cases_path, out_path = sys.argv[1:]
+sys.path.insert(0, src)
+import ingham.cli
+if Path(ingham.cli.__file__).resolve().parent != Path(src, "ingham").resolve():
+    sys.exit(f"imported ingham from {ingham.cli.__file__}, not from {src}")
+results = {}
+for case_id, argv in json.loads(Path(cases_path).read_text()):
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = ingham.cli.main(argv)
+        text = buf.getvalue()
+    except (Exception, SystemExit) as exc:
+        code, text = None, f"{type(exc).__name__}: {exc}"
+    results[case_id] = [code, hashlib.sha256(text.encode()).hexdigest()]
+Path(out_path).write_text(json.dumps(results))
+"""
+
+
+def _cases(seeds, workdir: Path) -> list[tuple[str, list[str]]]:
+    """(case id, CLI argv) of every case of every workload and seed, configs written to workdir."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, generate
+
+    cases = []
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for i, case in enumerate(generate(workload, seed)):
+                path = workdir / f"{seed}-{workload}-{i:04d}.json"
+                path.write_bytes(case.config_bytes())
+                argv = [case.command, "--input", str(path), "--seed", str(case.cli_seed)]
+                cases.append((f"{seed}/{workload}/{i} {case.case_id}", argv))
+    return cases
+
+
+def _start(tree: Path, cases_path: Path, out_path: Path) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, "-c", _WORKER, str(tree / "src"), str(cases_path), str(out_path)]
+    return subprocess.Popen(argv, env=env, cwd=tree)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
+    parser.add_argument("--seeds", default="101,102,103", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    for name, tree in trees.items():
+        if not (tree / "src" / "ingham" / "__init__.py").is_file():
+            parser.error(f"no ingham source tree under {tree} ({name})")
+    with tempfile.TemporaryDirectory(prefix="bench-identity-") as tmp:
+        workdir = Path(tmp)
+        cases = _cases(seeds, workdir)
+        (workdir / "cases.json").write_text(json.dumps(cases))
+        procs = {name: _start(tree, workdir / "cases.json", workdir / f"{name}.json")
+                 for name, tree in trees.items()}
+        if any([proc.wait() != 0 for proc in procs.values()]):
+            print("error: a worker failed", file=sys.stderr)
+            return 2
+        parent, change = (json.loads((workdir / f"{name}.json").read_text()) for name in trees)
+    differ = [case_id for case_id, _ in cases if parent[case_id] != change[case_id]]
+    for case_id in differ:
+        print(f"DIFFERS {case_id}: exit {parent[case_id][0]} -> {change[case_id][0]}")
+    print(f"{len(differ)} of {len(cases)} cases differ (seeds {args.seeds})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
