@@ -152,7 +152,8 @@ def hermitian_pencil_eig(
     Q must be positive definite (checked via Cholesky).  Residuals
     ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
-    StructuralError.
+    StructuralError, and so does an ||S|| past the double range, against
+    which every residual would pass.
     """
     s = np.asarray(s, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -171,10 +172,13 @@ def hermitian_pencil_eig(
     except np.linalg.LinAlgError:
         raise StructuralError("pencil eigensolver did not converge") from None
     vecs = np.linalg.solve(chol.conj().T, u)
-    s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
+    with np.errstate(over="ignore"):  # an overflowing ||S|| is refused by name below
+        s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
+    if not math.isfinite(s_norm):
+        raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
     resid = s @ vecs - q @ vecs * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
-    # written so that a NaN residual (NaN or inf on the diagonal of S) fails
+    # written so that a NaN residual fails
     if not worst <= _RESIDUAL_RTOL * max(s_norm, 1e-300):
         raise StructuralError(
             f"pencil residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * ||S||"
@@ -423,6 +427,8 @@ def extended_frame_constants(
     grid_ext = SamplingGrid(grid.delta, grid.J + plan.J_prime, grid.t_shift)
     pencil = _sampled_pencil(np.append(omegas, plan.omega_prime), q_ext, grid_ext)
     j, jp = grid.J, plan.J_prime
+    # (jp delta)^2 cannot overflow: the pencil above refuses an ||S|| past the double
+    # range, and delta (2j + 2jp + 1), a diagonal entry of S, exceeds 2 jp delta
     c4_formula = (
         (1.0 + (2 * j + 2 * jp + 1) / (2 * j + 1))
         * max(4.0 * base.c_upper, 12.0 * j * grid.delta)

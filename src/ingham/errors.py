@@ -15,7 +15,7 @@ tolerances) takes a real, not a bool, in (0, inf); `finite` (frequencies,
 t', omega', margin, [re, im] parts in configs) the same without the sign;
 `finite_complex` (amplitudes, coefficients, x') a number with finite parts;
 `count` (J, J', mode indices) a Python or numpy integer, not a bool, of at
-least 1 (0 for seeds and trials).  JSON configs are read first by
+least 1 (0 for seeds and trials) and at most 2^53.  JSON configs are read first by
 `cli._real`, a number or numeric string but no boolean, and
 `cli._integer`, which also takes 16.0.
 """
@@ -25,6 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+
+# the largest count up to which every integer is a double: J delta, 2J + 1 and J' delta stay exact
+_COUNT_MOST = 2**53
 
 
 class StructuralError(ValueError):
@@ -84,8 +87,10 @@ def positive(value, name: str) -> float:
 
 
 def count(value, name: str, least: int = 1) -> int:
-    """value as an int of at least `least` (0 or 1): only integer types qualify."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "nonnegative" if least == 0 else "positive"
-        raise StructuralError(f"{name} must be a {kind} integer, got {value}")
-    return int(value)
+    """value as an int in [least, 2^53], least 0 or 1: only integer types qualify."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and least <= value <= _COUNT_MOST:
+        return int(value)
+    kind = "nonnegative" if least == 0 else "positive"
+    most = " at most 2^53" if integral and value > _COUNT_MOST else ""
+    raise StructuralError(f"{name} must be a {kind} integer{most}, got {value}")

@@ -230,18 +230,22 @@ def _tail_plan(kernel: WindowKernel, coeff_l1: float, delta: float, tail_tol: fl
     From |h(t)| <= (4/3) pi^2 / (gamma^2 t^3) for |t| >= 2 pi/gamma:
       direct  |g| <= C6 / t^6,          tail(T) <= 2 A^2 C6 / (5 T^5)
       inverse |g| <= C6 / t^4 beyond R, tail(T) <= 2 A^2 C6 / (3 T^3)
-    with C6 = (16/9) pi^4 / gamma^4 and A the coefficient l1 norm.
+    with C6 = (16/9) pi^4 / gamma^4 and A the coefficient l1 norm.  A plan
+    past the double range (A^2, C6, T/delta or (J delta)^p) has J = inf.
     """
     g = kernel.gamma
-    c6 = (16.0 / 9.0) * math.pi**4 / g**4
-    a2 = coeff_l1**2
     if kernel.variant == VARIANT_DIRECT:
         p, t_min = 5, 2.0 * math.pi / g
     else:
         p, t_min = 3, max(2.0 * math.pi / g, kernel.R)
-    T = max(t_min, (2.0 * a2 * c6 / (p * tail_tol)) ** (1.0 / p))
-    J = max(1, math.ceil(T / delta))
-    return J, 2.0 * a2 * c6 / (p * (J * delta) ** p)
+    try:
+        c6 = (16.0 / 9.0) * math.pi**4 / g**4
+        a2 = coeff_l1**2
+        T = max(t_min, (2.0 * a2 * c6 / (p * tail_tol)) ** (1.0 / p))
+        J = max(1, math.ceil(T / delta))
+        return J, 2.0 * a2 * c6 / (p * (J * delta) ** p)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf, 0.0
 
 
 def poisson_sides(
@@ -257,8 +261,9 @@ def poisson_sides(
     below tail_tol.  With enforce_band the nonzero coefficients must
     satisfy the band condition |omega_k| <= pi/delta - gamma/2; the
     aliasing behaviour beyond the band can be probed by switching the
-    check off.  A plan whose grid arrays cannot be allocated is refused
-    with a ValidationError.
+    check off.  A plan whose J the count rule refuses (above 2^53) or
+    whose grid arrays cannot be allocated is refused with a
+    ValidationError.
     """
     if isinstance(s, AugmentedExpSum):
         raise StructuralError("summation identity applies to plain sums only")
@@ -281,13 +286,13 @@ def poisson_sides(
         return PoissonReport(0.0, 0.0, 0.0, 0.0, 0)
 
     J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
-    grid = SamplingGrid(delta, J)
     try:
+        grid = SamplingGrid(delta, J)  # refuses a J above 2^53 before any allocation
         # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored
         half = g_transform(kernel, delta * np.arange(J + 1))
         weights = np.concatenate((half[:0:-1], half))
         values = eval_sum(s, grid)
-    except MemoryError:
+    except (StructuralError, MemoryError):
         raise ValidationError(
             "tail plan needs more samples than memory allows",
             details={"j_half_count": J, "tail_tol": tail_tol},

@@ -125,6 +125,13 @@ class TestPencil:
         with pytest.raises(StructuralError):
             hermitian_pencil_eig(s, np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_s_norm_refused(self, scale):
+        # finite entries whose ||S|| overflows: 1e-9 ||S|| = inf would pass any residual
+        s = scale * np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+        with pytest.raises(StructuralError, match=r"pencil residual gate undefined: \|\|S\|\| = inf"):
+            hermitian_pencil_eig(s, np.eye(2))
+
     def test_dimension_above_200(self, rng):
         # 250 active exponents: the pencil dimension has no cap of its own
         seq = block_sequence(rng, nmin=250, nmax=250)
@@ -656,6 +663,18 @@ class TestExtendedConstants:
             * (1.0 + (jp * d) ** 2)
         )
         assert rep.companions["c4_formula"] == pytest.approx(expect, rel=1e-15)
+
+    def test_overflowing_c4_formula_never_reached(self):
+        # (J' delta)^2 overflows only where the extended Gram's diagonal delta (2J + 2J' + 1)
+        # does, so the pencil refuses its ||S|| before c4_formula is formed
+        seq = ExponentSequence((0.0,), 1e-300, 1e-300)
+        plan = plan_haraux(seq, 1e-155, 10**5, 1e150)  # J' delta = 1e155
+        with pytest.raises(StructuralError, match=r"\|\|S\|\| = inf"):
+            extended_frame_constants(seq, SamplingGrid(1e150, 1), plan)
+
+    def test_huge_j_prime_refused_by_the_count_rule(self):
+        with pytest.raises(StructuralError, match="J_prime must be a positive integer at most 2\\^53"):
+            plan_haraux(CHAIN, 4.7, 10**160, 0.2)
 
 
 class TestContinuumScan:

@@ -2,7 +2,7 @@
 
 Each argument below is a positive real (`positive`), a finite real or
 complex number (`finite`, `finite_complex`) or an integer count of at
-least 1 or 0 (`count`).  A value
+least 1 or 0 and at most 2^53 (`count`).  A value
 outside its rule must raise StructuralError naming the argument, never
 a bare ValueError, OverflowError or TypeError, and never be coerced
 (True to 1, 2.5 to 2).
@@ -101,9 +101,10 @@ SITES = [
     ("minus", "finite", lambda v: _system_from(_system_with(minus=[v, 0.0]))),
 ]
 
-BAD = (True, math.inf, math.nan, "x", 0, -1, 2.5)
+BAD = (True, math.inf, math.nan, "x", 0, -1, 2.5, 2**53 + 1)
 # by repr, the values of BAD that each rule accepts
-ACCEPTED = {"positive": {"2.5"}, "finite": {"0", "-1", "2.5"}, "count": set(), "count0": {"0"}}
+BIG = repr(2**53 + 1)
+ACCEPTED = {"positive": {"2.5", BIG}, "finite": {"0", "-1", "2.5", BIG}, "count": set(), "count0": {"0"}}
 
 CASES = [
     pytest.param(call, name, value, id=f"{k}-{name}-{value!r}")
@@ -183,9 +184,20 @@ def test_finite_complex_accepts_exactly_its_domain(value):
             finite_complex(value, "v")
 
 
+@pytest.mark.parametrize("value", [2**53, np.int64(2**53)])
+def test_count_accepts_up_to_2_to_the_53(value):
+    assert count(value, "J") == 2**53
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, np.int64(2**62), 10**400])
+def test_count_above_2_to_the_53_is_named(value):
+    with pytest.raises(StructuralError, match=f"^J must be a positive integer at most 2\\^53, got {value}$"):
+        count(value, "J")
+
+
 @given(VALUES, st.sampled_from([0, 1]))
 def test_count_accepts_exactly_its_domain(value, least):
-    inside = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+    inside = isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value <= 2**53
     if inside:
         n = count(value, "v", least)
         assert type(n) is int and n == value

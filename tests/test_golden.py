@@ -20,7 +20,11 @@ the branch x -> gamma (`kernel_inverse`), on the branch x -> 0
 (`kernel_inverse_pinch`); one pins its refusal when R^2 or (R gamma)^2
 overflows (`kernel_inverse_overflow`).  Three pin the scan rows of the haraux task
 (`scan_haraux`, `scan_haraux_csv`) and the `;` join of the gaps task's
-A2 leads in CSV (`scan_gaps_csv`).
+A2 leads in CSV (`scan_gaps_csv`).  Three pin the count rule's refusal of
+a J or J' above 2^53 (`haraux_jprime_huge`, `frame_j_huge`,
+`string_j_huge`), one a tail plan whose J no count holds
+(`poisson_delta_tiny`), and one a Gram whose norm overflows
+(`frame_gram_overflow`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -89,6 +93,11 @@ CASES = {
     "scan_haraux_csv": ("scan", ("--format", "csv"), 0),
     "scan_gaps_csv": ("scan", ("--format", "csv"), 0),
     "kernel_inverse_overflow": ("kernel", (), 2),
+    "haraux_jprime_huge": ("haraux", (), 1),
+    "frame_j_huge": ("frame", (), 1),
+    "string_j_huge": ("string", (), 1),
+    "poisson_delta_tiny": ("poisson", (), 2),
+    "frame_gram_overflow": ("frame", (), 1),
 }
 
 

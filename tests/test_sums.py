@@ -263,6 +263,22 @@ class TestSummationIdentity:
         rep = poisson_sides(s, kernel, delta, tail_tol=1e-11)
         assert abs(rep.lhs - rep.rhs) <= 1e-10 + 1e-9 * abs(rep.rhs)
 
+    @pytest.mark.parametrize(
+        "gamma, coeff, delta, j_half_count",
+        [
+            (1.0, 1.0, 1e-300, 2 * 10**300),  # T/delta past every count: no array is sized
+            (1.0, 1.0, 1e-310, math.inf),  # T/delta overflows
+            (1.0, 1e200, 0.5, math.inf),  # A^2 overflows
+            (1e-100, 1.0, 0.5, math.inf),  # 1/gamma^4 overflows
+        ],
+    )
+    def test_plan_past_the_count_rule_refused(self, gamma, coeff, delta, j_half_count):
+        s = ExpSum(ExponentSequence((0.0,), gamma, gamma), (coeff,))
+        with pytest.raises(ValidationError, match="tail plan needs more samples than memory allows") as err:
+            poisson_sides(s, certify_constants("direct", gamma), delta, tail_tol=1e-9)
+        assert err.value.details["j_half_count"] >= j_half_count
+        assert err.value.details["tail_tol"] == 1e-9
+
     def test_zero_coefficients(self):
         seq = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         s = ExpSum(seq, (0.0, 0.0))
