@@ -15,8 +15,8 @@ tolerances) takes a real, not a bool, in (0, inf); `finite` (frequencies,
 t', omega', margin, [re, im] parts in configs) the same without the sign;
 `finite_complex` (amplitudes, coefficients, x') a number with finite parts;
 `count` (J, J', mode indices) a Python or numpy integer, not a bool, of at
-least 1 (0 for seeds and trials) and at most 2^53.  JSON configs are read first by
-`cli._real`, a number or numeric string but no boolean, and
+least 1 (0 for seeds and trials) and at most 2^53.  JSON configs are read
+first by `cli._real`, a number or numeric string but no boolean, and
 `cli._integer`, which also takes 16.0.
 """
 
