@@ -53,6 +53,9 @@ SINGULAR_RTOL = 1e-10
 RESONANCE_WINDOW = 1e-10
 
 _RESIDUAL_RTOL = 1e-9
+# pi as two 33-bit parts and a double (fdlibm's split of pi/2, doubled): k times a
+# part is exact for |k| < 2^20, and the sum is pi within 2e-37
+_PI_PARTS = (3.1415926534682512, 1.2154201012607932e-10, 4.044532497591901e-21)
 
 
 @dataclass(frozen=True)
@@ -92,25 +95,17 @@ def _sinc(x: float) -> float:
     return 1.0 if x == 0.0 else math.sin(x) / x
 
 
-def _dirichlet(theta: float, J: int) -> float:
-    """sum_{j=-J}^{J} exp(i j theta), which is real."""
-    half = 0.5 * theta
-    s = math.sin(half)
-    if abs(s) >= 1e-8:
-        return math.sin((2 * J + 1) * half) / s
-    # near-resonant direction: fall back to direct summation
-    return 1.0 + 2.0 * math.fsum(np.cos(theta * np.arange(1, J + 1)))
-
-
 def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}.
 
-    The upper triangle is the Dirichlet closed form of `_dirichlet`,
-    evaluated as arrays, with its direct-sum fallback for the
-    near-resonant entries, times delta e^{i(w_k - w_n) t'}; the lower
-    triangle is its conjugate.  The operations are those of the scalar
-    formula `delta * complex(cos, sin) * d`, in its order, so every entry
-    is the same double, signed zeros included, it would be entry by entry.
+    The upper triangle is the Dirichlet kernel sum_{j=-J}^{J} e^{i j theta}
+    = sin((2J+1) h) / sin h, h = theta/2, times delta e^{i(w_k - w_n) t'}; the
+    lower triangle is its conjugate.  Where |sin h| < 1e-8 the same quotient
+    is taken at r = h - k pi, the distance to the nearest multiple of pi
+    (it is 2J+1 at r = 0), so a near-resonant entry costs no more than any
+    other.  The operations are those of the scalar formula
+    `delta * complex(cos, sin) * d`, in its order, so every entry is the same
+    double, signed zeros included, it would be entry by entry.
     """
     omegas = np.asarray(omegas)
     n = len(omegas)
@@ -119,11 +114,15 @@ def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     diff = omegas[upper[0]] - omegas[upper[1]]
     half = 0.5 * (diff * delta)
     sin_half = np.sin(half)
+    # written so that a NaN sine, like a small one, is near
+    near = ~(np.abs(sin_half) >= 1e-8)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.sin((2 * J + 1) * half) / sin_half
-    # written so that a NaN sine, like a small one, takes the fallback
-    for i in np.flatnonzero(~(np.abs(sin_half) >= 1e-8)):
-        d[i] = _dirichlet(diff[i] * delta, J)
+        if near.any():
+            h = half[near]
+            k = np.rint(h / np.pi)
+            r = h - k * _PI_PARTS[0] - k * _PI_PARTS[1] - k * _PI_PARTS[2]
+            d[near] = np.where(r == 0.0, 2 * J + 1, np.sin((2 * J + 1) * r) / np.sin(r))
     arg = diff * grid.t_shift
     phase = np.empty(len(diff), dtype=complex)
     phase.real = np.cos(arg)

@@ -135,39 +135,31 @@ def validate_weak_gap(seq: ExponentSequence) -> GapValidation:
 def classify(seq: ExponentSequence) -> GapClassification:
     """Partition indices by the gamma0 threshold.
 
-    A missing neighbor gap at the window boundary is treated as +inf.
-    Requires a valid weak-gap sequence, which guarantees that no index has
-    both neighbor gaps below gamma0 and that partner indices never start a
-    second chain.
+    k leads a pair, with partner k + 1, iff its right gap is below gamma0;
+    A1 is every index that is neither.  A missing neighbor gap at the window
+    boundary is +inf.  Requires a valid weak-gap sequence; an index with
+    both gaps below gamma0, which that excludes up to rounding, is refused.
     """
     report = validate_weak_gap(seq)
     if not report.ok:
         raise ValidationError(
             "sequence violates the weakened gap condition", details=asdict(report)
         )
-    w = seq.omegas
     g0 = seq.gamma0
-    n = len(w)
+    gaps = (math.inf, *seq.gaps(), math.inf)
     a1: set[int] = set()
     leads: set[int] = set()
     partners: dict[int, int] = {}
-    taken = set()
-    for k in range(n):
-        if k in taken:
-            continue
-        left = w[k] - w[k - 1] if k > 0 else math.inf
-        right = w[k + 1] - w[k] if k + 1 < n else math.inf
+    for k, (left, right) in enumerate(zip(gaps, gaps[1:])):
+        if left < g0 and right < g0:
+            raise ValidationError(
+                f"index {k} has both neighbor gaps below gamma0",
+                details={"index": k, "left": left, "right": right},
+            )
         if right < g0:
-            if not (left >= g0):
-                # impossible under the weakened gap condition; guards misuse
-                raise ValidationError(
-                    f"index {k} has both neighbor gaps below gamma0",
-                    details={"index": k, "left": left, "right": right},
-                )
             leads.add(k)
             partners[k] = k + 1
-            taken.add(k + 1)
-        else:
+        elif not left < g0:
             a1.add(k)
     return GapClassification(a1=frozenset(a1), a2_leads=frozenset(leads), partners=partners)
 

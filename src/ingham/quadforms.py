@@ -69,9 +69,10 @@ class QMatrix:
 def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
     """Assemble the block matrix of Q over the active (band-admissible) indices.
 
-    A pair with only one active member contributes the diagonal entry
-    1 + d^2 (the principal submatrix of the full block).  A pair with both
-    members active and d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
+    Starting from the identity, each pair adds d^2 to the diagonal entry of
+    each active member, and the off-diagonal 1 where both are active: the
+    principal submatrix of the full form.  A pair with both members active
+    and d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
     """
     cls = seq.classification
     if mask is None:
@@ -81,26 +82,17 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
             raise StructuralError("band mask length does not match sequence")
         active = mask.active_indices()
     pos = {k: i for i, k in enumerate(active)}
-    m = np.zeros((len(active), len(active)), dtype=float)
-    for k in cls.a1:
-        if k in pos:
-            m[pos[k], pos[k]] = 1.0
+    m = np.eye(len(active))
     for k in cls.a2_leads:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
-        if k in pos and p in pos:
+        ends = [pos[j] for j in (k, p) if j in pos]
+        if len(ends) == 2:
             if d < PAIR_GAP_FLOOR:
                 raise ValidationError(
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-            i, j = pos[k], pos[p]
-            m[i, i] = 1.0 + d * d
-            m[j, j] = 1.0 + d * d
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-        elif k in pos:
-            m[pos[k], pos[k]] = 1.0 + d * d
-        elif p in pos:
-            m[pos[p], pos[p]] = 1.0 + d * d
+            m[ends, ends[::-1]] = 1.0
+        m[ends, ends] += d * d
     return QMatrix(matrix=m, active=active)

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -33,7 +34,7 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _dirichlet, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing
+from ingham.bounds import _PI_PARTS, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing
 from ingham.cli import _sanitize
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
@@ -186,8 +187,8 @@ class TestSampledGram:
             assert quad == pytest.approx(energy, rel=1e-12, abs=1e-12)
 
     def test_near_resonant_entry_falls_back(self):
-        # diff * delta within 2e-9 of 2 pi: closed form divides by sin ~ 1e-9,
-        # the fallback sums directly
+        # diff * delta within 2e-9 of 2 pi: the closed form would divide by sin ~ 1e-9,
+        # the near-resonant rule takes the quotient at the distance to pi instead
         delta = 0.5
         diff = 2.0 * math.pi / delta * (1.0 + 1e-10)
         seq = ExponentSequence((0.0, diff), 1.0, 1.0)
@@ -202,12 +203,25 @@ class TestSampledGram:
         for theta in rng.uniform(0.1, 3.0, size=10):
             for J in (1, 4, 9):
                 direct = float(np.sum(np.cos(theta * np.arange(-J, J + 1))))
-                assert _dirichlet(float(theta), J) == pytest.approx(direct, abs=1e-11)
+                # delta 1, no shift: the entry is the Dirichlet kernel at theta
+                s = _gram_from_omegas(np.array([float(theta), 0.0]), SamplingGrid(1.0, J))
+                assert s[0, 1] == pytest.approx(direct, abs=1e-11)
 
     def test_mask_length_mismatch(self):
         other = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         with pytest.raises(StructuralError):
             sampled_gram(CHAIN, SamplingGrid(0.3, 4), band_mask(other, 0.3))
+
+
+def _dirichlet(theta, J):
+    """sum_{j=-J}^{J} e^{i j theta} by the scalar rule of `_gram_from_omegas`."""
+    half = 0.5 * theta
+    s = math.sin(half)
+    if abs(s) >= 1e-8:
+        return math.sin((2 * J + 1) * half) / s
+    k = round(half / math.pi)
+    r = half - k * _PI_PARTS[0] - k * _PI_PARTS[1] - k * _PI_PARTS[2]
+    return float(2 * J + 1) if r == 0.0 else math.sin((2 * J + 1) * r) / math.sin(r)
 
 
 def _gram_loop(omegas, grid):
@@ -227,7 +241,7 @@ def _gram_loop(omegas, grid):
 
 def test_gram_matches_loop():
     rng = np.random.default_rng(20261018)
-    fallbacks = 0
+    near = 0
     for case in range(120):
         n = int(rng.integers(2, 41))
         delta = float(rng.uniform(0.05, 1.0))
@@ -247,7 +261,7 @@ def test_gram_matches_loop():
         # bit for bit, signed zeros included
         assert np.array_equal(s.view(np.uint64), expected.view(np.uint64)), case
         theta = np.subtract.outer(omegas, omegas) * delta
-        fallbacks += int(np.sum(np.triu(np.abs(np.sin(0.5 * theta)) < 1e-8, 1)))
+        near += int(np.sum(np.triu(np.abs(np.sin(0.5 * theta)) < 1e-8, 1)))
         if case % 10 == 0:
             # independent oracle: the Gram summed sample by sample, scipy's eigh
             v = np.exp(1j * np.multiply.outer(grid.times(), omegas))
@@ -257,7 +271,60 @@ def test_gram_matches_loop():
             assert np.allclose(
                 np.linalg.eigvalsh(s), scipy.linalg.eigh(brute, eigvals_only=True), rtol=0.0, atol=tol
             )
-    assert fallbacks >= 80
+    assert near >= 80
+
+
+def _kernel_entry(half, J):
+    """The Gram entry of omegas (2 half, 0) at delta 1 and no shift: the Dirichlet kernel at 2 half."""
+    return _gram_from_omegas(np.array([2.0 * half, 0.0]), SamplingGrid(1.0, J))[0, 1]
+
+
+def test_pi_parts():
+    mp.mp.dps = 60
+    assert abs(mp.mpf(_PI_PARTS[0]) + _PI_PARTS[1] + _PI_PARTS[2] - mp.pi) < 1e-36
+    for part in _PI_PARTS[:2]:  # 33 significant bits: k times a part is exact for |k| < 2^20
+        assert math.frexp(part)[0] * 2**33 == int(math.frexp(part)[0] * 2**33)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2, -2])
+def test_near_resonant_entries_match_mpmath(k):
+    # h near k pi, where |sin h| < 1e-8: the entry is sin((2J+1) h) / sin h of the double h,
+    # to within a few roundings of the (2J+1) r product, at every J up to 2^40
+    mp.mp.dps = 60
+    rng = np.random.default_rng(20261018 + k)
+    checked = 0
+    for J in (1, 7, 1000, 10**6, 2**30, 2**40):
+        n = 2 * J + 1
+        rs = [0.0] + [float(x) for x in rng.choice([-1.0, 1.0], 12) * 10 ** rng.uniform(-16, -8, 12)]
+        rs += [float(x) / n for x in rng.uniform(-30.0, 30.0, 12)]
+        for r in rs:
+            half = float(k * mp.pi + r)
+            if not abs(math.sin(half)) < 1e-8:
+                continue
+            h = mp.mpf(half)
+            exact = mp.mpf(n) if h == 0 else mp.sin(n * h) / mp.sin(h)
+            entry = _kernel_entry(half, J)
+            assert entry.imag == 0.0
+            assert abs(entry.real - exact) <= 4 * 2.0**-53 * n, (k, J, r)
+            checked += 1
+    assert checked >= 80
+
+
+def test_near_resonant_entry_allocates_nothing_of_size_j():
+    # one near-resonant entry among three; the direct-sum fallback this replaced
+    # allocated 8 bytes per unit of J for it
+    omegas = np.array([0.0, 2.0 * math.pi / 0.5 * (1.0 + 1e-10), 1.0])
+
+    def peak(J):
+        tracemalloc.start()
+        try:
+            _gram_from_omegas(omegas, SamplingGrid(0.5, J))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm up
+    assert peak(10**6) <= peak(10**4)
 
 
 class TestFrameConstants:

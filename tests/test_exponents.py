@@ -15,7 +15,9 @@ from ingham import (
     classify,
     validate_weak_gap,
 )
+from ingham import exponents
 from ingham.cli import _sanitize, _seq_from
+from ingham.exponents import GapValidation
 
 
 def seq(*omegas, gamma=1.0, gamma0=None):
@@ -104,6 +106,14 @@ class TestClassification:
         with pytest.raises(ValidationError) as err:
             classify(seq(0.0, 0.5, 1.0))
         assert "violations" in err.value.details
+
+    def test_both_gaps_below_gamma0_refused(self, monkeypatch):
+        # a validator that lets the sequence through: index 1 has gaps 0.1 and 0.1
+        monkeypatch.setattr(exponents, "validate_weak_gap", lambda seq: GapValidation(True, ()))
+        s = seq(0.0, 0.1, 0.2, 5.0, gamma=1.0, gamma0=0.5)
+        with pytest.raises(ValidationError, match="index 1 has both neighbor gaps below gamma0") as err:
+            classify(s)
+        assert err.value.details == {"index": 1, "left": 0.1 - 0.0, "right": 0.2 - 0.1}
 
     @given(st.integers(0, 10**6))
     def test_partition_property(self, seed):

@@ -15,6 +15,7 @@ from ingham import (
     q_matrix,
     q_prime,
 )
+from ingham.exponents import BandMask
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
@@ -94,6 +95,20 @@ class TestMatrixForm:
         assert qm2.dim == 2
         assert qm2.matrix[1, 1] == pytest.approx(1.0 + d2)
         assert qm2.matrix[0, 1] == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=12, max_size=12), st.booleans())
+    def test_masked_matrix_is_principal_submatrix(self, seed, flags, keep_lead):
+        # any mask, contiguous or not; the first pair always has one member in and one out
+        seq = block_sequence(np.random.default_rng(seed), chain_prob=0.9)
+        flags = flags[: len(seq)]
+        leads = sorted(seq.classification.a2_leads)
+        if leads:
+            flags[leads[0]], flags[leads[0] + 1] = keep_lead, not keep_lead
+        mask = BandMask(admissible=tuple(flags), delta=1.0, threshold=1.0)
+        active = mask.active_indices()
+        qm = q_matrix(seq, mask)
+        assert qm.active == active
+        assert np.array_equal(qm.matrix, q_matrix(seq).matrix[np.ix_(active, active)])
 
     def test_positive_definite_when_gaps_positive(self, rng):
         for _ in range(10):
