@@ -266,11 +266,20 @@ def trace_jump_sum(sys: CoupledSystem) -> ExpSum:
 
 
 def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
-    """Sample the junction jump on the grid (caps checked first)."""
+    """Sample the junction jump on the grid (caps checked first).
+
+    A grid whose 2J+1 samples cannot be allocated is refused with a
+    ValidationError.
+    """
     check_caps(sys, grid.delta)
     s = trace_jump_sum(sys)
-    values = eval_sum(s, grid.times())
-    return ObservationTrace(grid, tuple(values))
+    try:
+        return ObservationTrace(grid, tuple(eval_sum(s, grid.times())))
+    except MemoryError:
+        raise ValidationError(
+            "observation trace needs more samples than memory allows",
+            details={"samples": 2 * grid.J + 1},
+        ) from None
 
 
 def _modes(sys: CoupledSystem) -> list[tuple[str, Mode]]:

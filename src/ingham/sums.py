@@ -273,7 +273,7 @@ def poisson_sides(
     tail_tol = positive(tail_tol, "tail_tol")
     _within_period(kernel, delta)
     mask = band_mask(s.seq, delta)
-    offenders = [k for k, c in enumerate(s.coeffs) if abs(c) > 0.0 and not mask.admissible[k]]
+    offenders = [k for k, c in enumerate(s.coeffs) if c != 0 and not mask.admissible[k]]
     if enforce_band and offenders:
         raise ValidationError(
             "band condition violated: nonzero coefficient beyond pi/delta - gamma/2",
@@ -281,7 +281,8 @@ def poisson_sides(
         )
 
     omegas, coeffs = _components(s)
-    coeff_l1 = math.fsum(np.abs(coeffs))
+    with np.errstate(over="ignore"):  # a modulus past the double range plans J = inf, refused below
+        coeff_l1 = math.fsum(np.abs(coeffs))
     if coeff_l1 == 0.0:
         return PoissonReport(0.0, 0.0, 0.0, 0.0, 0)
 

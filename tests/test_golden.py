@@ -24,7 +24,10 @@ A2 leads in CSV (`scan_gaps_csv`).  Three pin the count rule's refusal of
 a J or J' above 2^53 (`haraux_jprime_huge`, `frame_j_huge`,
 `string_j_huge`), one a tail plan whose J no count holds
 (`poisson_delta_tiny`), and one a Gram whose norm overflows
-(`frame_gram_overflow`).
+(`frame_gram_overflow`).  Two pin refusals by sample count: a coefficient
+whose modulus overflows, which plans an infinite tail
+(`poisson_coeff_huge`), and a J of 2^53, whose 2J+1 trace samples no
+memory holds (`string_j_2p53`).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -98,6 +101,8 @@ CASES = {
     "string_j_huge": ("string", (), 1),
     "poisson_delta_tiny": ("poisson", (), 2),
     "frame_gram_overflow": ("frame", (), 1),
+    "poisson_coeff_huge": ("poisson", (), 2),
+    "string_j_2p53": ("string", (), 2),
 }
 
 

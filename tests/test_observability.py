@@ -276,6 +276,16 @@ class TestObserve:
         with pytest.raises(StructuralError):
             ObservationTrace(SamplingGrid(0.5, 2), (1.0, 2.0))
 
+    @pytest.mark.parametrize("kind", [STRING, BEAM])
+    def test_unallocatable_trace_refused_by_name(self, kind, rng):
+        # 2J+1 = 2^54 + 1 samples: numpy refuses the array at once, on any host
+        sys = full_string(A_IRR, 0.2, rng) if kind == STRING else full_beam(A_IRR, 8.0, 0.015, rng)
+        grid = SamplingGrid(0.2 if kind == STRING else 0.015, 2**53)
+        for call in (lambda: observe(sys, grid), lambda: verify_observability(sys, grid, 0.05, 0)):
+            with pytest.raises(ValidationError, match="observation trace needs more samples than memory allows") as err:
+                call()
+            assert err.value.details == {"samples": 2**54 + 1}
+
     def test_band_mask_fully_active(self, rng):
         # caps guarantee the merged exponents sit inside the band
         sys = full_string(A_IRR, 0.2, rng)

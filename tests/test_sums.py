@@ -279,6 +279,18 @@ class TestSummationIdentity:
         assert err.value.details["j_half_count"] >= j_half_count
         assert err.value.details["tail_tol"] == 1e-9
 
+    def test_coefficient_modulus_past_double_range_refused(self):
+        # |1.7e308 (1 + i)| overflows: the l1 norm is inf, without a warning, and so is the plan
+        seq = ExponentSequence((0.0, 3.0), 1.0, 1.0)
+        s = ExpSum(seq, (complex(1.7e308, 1.7e308), 1.0))
+        with pytest.raises(ValidationError, match="tail plan needs more samples than memory allows") as err:
+            poisson_sides(s, certify_constants("direct", 1.0), 0.5, tail_tol=1e-9)
+        assert err.value.details == {"j_half_count": math.inf, "tail_tol": 1e-9}
+        # beyond the band the same coefficient is named by the band check
+        with pytest.raises(ValidationError, match="band condition violated") as err:
+            poisson_sides(ExpSum(seq, (1.0, complex(1.7e308, 1.7e308))), certify_constants("direct", 1.0), 0.9)
+        assert err.value.details["indices"] == [1]
+
     def test_zero_coefficients(self):
         seq = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         s = ExpSum(seq, (0.0, 0.0))
