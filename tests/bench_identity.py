@@ -9,9 +9,10 @@ unpacked with `git archive`.  Every case that `perfbench/workloads.py` of
 this tree generates for the three workloads and the given seeds is written
 as a config once.  Then one subprocess per tree imports that tree's `src/`
 alone and runs each case through its `ingham.cli.main`, with the argv the
-benchmark uses.  A case differs when its exit code or the bytes it writes
-to stdout differ; a call that raises is recorded by its exception type and
-message.  The tool prints one line per differing case and a summary, and
+benchmark uses and with `-W error::RuntimeWarning`, as the test suite runs.
+A case differs when its exit code or the bytes it writes to stdout differ;
+a call that raises, a numpy warning included, is recorded by its exception
+type and message.  The tool prints one line per differing case and a summary, and
 exits 1 if any case differs, else 0.
 """
 
@@ -69,7 +70,9 @@ def _cases(seeds, workdir: Path) -> list[tuple[str, list[str]]]:
 def _start(tree: Path, cases_path: Path, out_path: Path) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, "-c", _WORKER, str(tree / "src"), str(cases_path), str(out_path)]
+    # as in the test suite, a numpy warning is an error, so a case that starts to warn differs
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _WORKER,
+            str(tree / "src"), str(cases_path), str(out_path)]
     return subprocess.Popen(argv, env=env, cwd=tree)
 
 

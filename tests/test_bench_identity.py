@@ -38,3 +38,17 @@ def test_changed_output_is_reported(tmp_path):
     differ, total = _summary(proc)
     assert differ == total > 0
     assert proc.stdout.startswith("DIFFERS 101/")
+
+
+def test_warning_is_reported(tmp_path):
+    # the workers run under -W error::RuntimeWarning: a tree that warns in cli.run differs on every case
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "ingham" / "cli.py"
+    head = '    """Execute one command, write the report, return the exit code."""\n'
+    text = cli.read_text()
+    assert head in text
+    cli.write_text(text.replace(head, head + '    __import__("warnings").warn("patched", RuntimeWarning)\n'))
+    proc = _run(tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ, total = _summary(proc)
+    assert differ == total > 0
