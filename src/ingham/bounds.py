@@ -53,8 +53,8 @@ SINGULAR_RTOL = 1e-10
 RESONANCE_WINDOW = 1e-10
 
 _RESIDUAL_RTOL = 1e-9
-# pi as two 33-bit parts and a double (fdlibm's split of pi/2, doubled): k times a
-# part is exact for |k| < 2^20, and the sum is pi within 2e-37
+# pi as two 33-bit parts and a double (fdlibm's split of pi/2, doubled): k times
+# either 33-bit part is exact for |k| < 2^20, and the sum is pi within 2e-37
 _PI_PARTS = (3.1415926534682512, 1.2154201012607932e-10, 4.044532497591901e-21)
 
 
@@ -101,9 +101,8 @@ def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     The upper triangle is the Dirichlet kernel sum_{j=-J}^{J} e^{i j theta}
     = sin((2J+1) h) / sin h, h = theta/2, times delta e^{i(w_k - w_n) t'}; the
     lower triangle is its conjugate.  Where |sin h| < 1e-8 the same quotient
-    is taken at r = h - k pi, the distance to the nearest multiple of pi
-    (it is 2J+1 at r = 0), so a near-resonant entry costs no more than any
-    other.  The operations are those of the scalar formula
+    is taken at r = h - k pi, the distance to the nearest multiple of pi (2J+1
+    at r = 0).  The operations are those of the scalar formula
     `delta * complex(cos, sin) * d`, in its order, so every entry is the same
     double, signed zeros included, it would be entry by entry.
     """

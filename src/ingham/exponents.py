@@ -136,9 +136,9 @@ def classify(seq: ExponentSequence) -> GapClassification:
     """Partition indices by the gamma0 threshold.
 
     k leads a pair, with partner k + 1, iff its right gap is below gamma0;
-    A1 is every index that is neither.  A missing neighbor gap at the window
-    boundary is +inf.  Requires a valid weak-gap sequence; an index with
-    both gaps below gamma0, which that excludes up to rounding, is refused.
+    A1 is every index that is neither.  A missing gap at the window boundary
+    is +inf.  Requires a valid weak-gap sequence, and refuses any index with
+    both gaps below gamma0, which such a sequence has only through rounding.
     """
     report = validate_weak_gap(seq)
     if not report.ok:

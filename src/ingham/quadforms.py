@@ -86,13 +86,15 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
     for k in cls.a2_leads:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
-        ends = [pos[j] for j in (k, p) if j in pos]
-        if len(ends) == 2:
+        i, j = pos.get(k), pos.get(p)
+        if i is not None and j is not None:
             if d < PAIR_GAP_FLOOR:
                 raise ValidationError(
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-            m[ends, ends[::-1]] = 1.0
-        m[ends, ends] += d * d
+            m[i, j] = m[j, i] = 1.0
+        for e in (i, j):
+            if e is not None:
+                m[e, e] += d * d
     return QMatrix(matrix=m, active=active)

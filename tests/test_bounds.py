@@ -311,8 +311,7 @@ def test_near_resonant_entries_match_mpmath(k):
 
 
 def test_near_resonant_entry_allocates_nothing_of_size_j():
-    # one near-resonant entry among three; the direct-sum fallback this replaced
-    # allocated 8 bytes per unit of J for it
+    # one near-resonant entry among three: nothing of size J is allocated for it
     omegas = np.array([0.0, 2.0 * math.pi / 0.5 * (1.0 + 1e-10), 1.0])
 
     def peak(J):
