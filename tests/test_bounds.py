@@ -280,8 +280,8 @@ def _kernel_entry(half, J):
 
 
 def test_pi_parts():
-    mp.mp.dps = 60
-    assert abs(mp.mpf(_PI_PARTS[0]) + _PI_PARTS[1] + _PI_PARTS[2] - mp.pi) < 1e-36
+    with mp.workdps(60):
+        assert abs(mp.mpf(_PI_PARTS[0]) + _PI_PARTS[1] + _PI_PARTS[2] - mp.pi) < 1e-36
     for part in _PI_PARTS[:2]:  # 33 significant bits: k times a part is exact for |k| < 2^20
         assert math.frexp(part)[0] * 2**33 == int(math.frexp(part)[0] * 2**33)
 
@@ -290,7 +290,6 @@ def test_pi_parts():
 def test_near_resonant_entries_match_mpmath(k):
     # h near k pi, where |sin h| < 1e-8: the entry is sin((2J+1) h) / sin h of the double h,
     # to within a few roundings of the (2J+1) r product, at every J up to 2^40
-    mp.mp.dps = 60
     rng = np.random.default_rng(20261018 + k)
     checked = 0
     for J in (1, 7, 1000, 10**6, 2**30, 2**40):
@@ -298,14 +297,15 @@ def test_near_resonant_entries_match_mpmath(k):
         rs = [0.0] + [float(x) for x in rng.choice([-1.0, 1.0], 12) * 10 ** rng.uniform(-16, -8, 12)]
         rs += [float(x) / n for x in rng.uniform(-30.0, 30.0, 12)]
         for r in rs:
-            half = float(k * mp.pi + r)
-            if not abs(math.sin(half)) < 1e-8:
-                continue
-            h = mp.mpf(half)
-            exact = mp.mpf(n) if h == 0 else mp.sin(n * h) / mp.sin(h)
-            entry = _kernel_entry(half, J)
-            assert entry.imag == 0.0
-            assert abs(entry.real - exact) <= 4 * 2.0**-53 * n, (k, J, r)
+            with mp.workdps(60):
+                half = float(k * mp.pi + r)
+                if not abs(math.sin(half)) < 1e-8:
+                    continue
+                h = mp.mpf(half)
+                exact = mp.mpf(n) if h == 0 else mp.sin(n * h) / mp.sin(h)
+                entry = _kernel_entry(half, J)
+                assert entry.imag == 0.0
+                assert abs(entry.real - exact) <= 4 * 2.0**-53 * n, (k, J, r)
             checked += 1
     assert checked >= 80
 
