@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import _sampled_pencil
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
-from .sums import ExpSum, SamplingGrid, _phasors, eval_sum
+from .sums import ExpSum, SamplingGrid, _exact_sum, _phasors, eval_sum
 
 STRING = "string"
 BEAM = "beam"
@@ -152,26 +152,28 @@ class SobolevSpec:
         return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationTrace:
     """Samples of the derivative jump u_x(a-0, t) - u_x(a+0, t) on a grid."""
 
     grid: SamplingGrid
-    samples: tuple[complex, ...]
+    samples: np.ndarray  # a read-only copy, complex, shape (2J+1,); traces compare by identity
 
     def __post_init__(self):
-        if len(self.samples) != 2 * self.grid.J + 1:
+        samples = np.array(self.samples, dtype=complex)
+        if samples.shape != (2 * self.grid.J + 1,):
             raise StructuralError("trace length must be 2J+1")
-        object.__setattr__(self, "samples", tuple(complex(v) for v in self.samples))
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     def energy(self) -> float:
-        return self.grid.delta * math.fsum(abs(v) ** 2 for v in self.samples)
+        return self.grid.delta * _exact_sum(np.abs(self.samples) ** 2)
 
     def rows(self):
         """(j, t, re, im) per sample, for table export."""
-        times = self.grid.times()
-        for idx, val in enumerate(self.samples):
-            yield idx - self.grid.J, float(times[idx]), val.real, val.imag
+        times = self.grid.times().tolist()
+        for j, (t, v) in enumerate(zip(times, self.samples.tolist()), -self.grid.J):
+            yield j, t, v.real, v.imag
 
 
 def mode_caps(sys: CoupledSystem, delta: float) -> tuple[float, float]:
@@ -274,7 +276,7 @@ def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
     check_caps(sys, grid.delta)
     s = trace_jump_sum(sys)
     try:
-        return ObservationTrace(grid, tuple(eval_sum(s, grid.times())))
+        return ObservationTrace(grid, eval_sum(s, grid.times()))
     except MemoryError:
         raise ValidationError(
             "observation trace needs more samples than memory allows",
@@ -545,16 +547,15 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
             "rank-deficient reconstruction: fewer samples than exponents",
             details={"samples": design.shape[0], "exponents": design.shape[1]},
         )
-    y = np.asarray(trace.samples, dtype=complex)
-    coeffs, _, rank, svals = np.linalg.lstsq(design, y, rcond=None)
+    coeffs, _, rank, svals = np.linalg.lstsq(design, trace.samples, rcond=None)
     if rank < design.shape[1] or svals[-1] <= _RANK_RTOL * svals[0]:
         raise ValidationError(
             "rank-deficient reconstruction",
             details={"min_eig": float(svals[-1] ** 2), "rank": int(rank)},
         )
     fit = design @ coeffs
-    scale = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(fit - y)) / (scale if scale > 0.0 else 1.0)
+    scale = float(np.linalg.norm(trace.samples))
+    residual = float(np.linalg.norm(fit - trace.samples)) / (scale if scale > 0.0 else 1.0)
     # real and imaginary parts divided apart: complex / float as Python divides it
     amps = np.empty(coeffs.shape, dtype=complex)
     amps.real[cols] = coeffs.real / weights

@@ -27,7 +27,9 @@ a J or J' above 2^53 (`haraux_jprime_huge`, `frame_j_huge`,
 (`frame_gram_overflow`).  Two pin refusals by sample count: a coefficient
 whose modulus overflows, which plans an infinite tail
 (`poisson_coeff_huge`), and a J of 2^53, whose 2J+1 trace samples no
-memory holds (`string_j_2p53`).
+memory holds (`string_j_2p53`).  One pins the round trip of a 1001-sample
+trace (`string_j500`), whose fields are the same under one and two
+OpenBLAS threads (at J = 1000 the least-squares fields are not).
 
 The outputs pin the numerics of one numpy/LAPACK build. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
@@ -103,6 +105,7 @@ CASES = {
     "frame_gram_overflow": ("frame", (), 1),
     "poisson_coeff_huge": ("poisson", (), 2),
     "string_j_2p53": ("string", (), 2),
+    "string_j500": ("string", (), 0),
 }
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,44 @@ class TestObserve:
         trace = observe(sys, grid)
         s = trace_jump_sum(sys)
         assert trace.energy() == pytest.approx(sampled_energy(s, grid), rel=1e-14)
+
+    @pytest.mark.parametrize("J", [8, 50, 300])
+    def test_energy_is_sampled_energy_exactly(self, J, rng):
+        # one summation rule for the sampled energy: the two agree to the bit
+        grid = SamplingGrid(0.2, J)
+        for _ in range(50):
+            sys = full_string(A_IRR, 0.2, rng)
+            assert observe(sys, grid).energy() == sampled_energy(trace_jump_sum(sys), grid)
+
+    def test_trace_holds_one_complex_per_sample(self, rng):
+        sys = full_string(A_IRR, 0.2, rng)
+        grid = SamplingGrid(0.2, 10**5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = observe(sys, grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 24 * (2 * grid.J + 1)  # a tuple of Python complexes holds 40
+        assert trace.samples.nbytes == 16 * (2 * grid.J + 1)
+
+    def test_samples_are_a_read_only_copy(self):
+        grid = SamplingGrid(0.5, 1)
+        source = np.array([1.0, 2.0j, 3.0])
+        values = [1.0, 2.0j, 3.0]
+        for given in (source, values):
+            trace = ObservationTrace(grid, given)
+            assert trace.samples.dtype == np.complex128 and not trace.samples.flags.writeable
+            with pytest.raises(ValueError):
+                trace.samples[0] = 5.0
+            given[1] = 7.0
+            assert trace.samples.tolist() == [1.0, 2.0j, 3.0]
+        assert source.flags.writeable
+
+    def test_two_dimensional_samples_refused(self):
+        with pytest.raises(StructuralError, match="trace length must be 2J\\+1"):
+            ObservationTrace(SamplingGrid(0.5, 1), np.zeros((3, 1), dtype=complex))
 
     def test_caps_enforced(self, rng):
         sys = full_string(A_IRR, 0.1, rng)  # more modes than delta=0.3 allows
