@@ -160,11 +160,10 @@ class ObservationTrace:
     samples: np.ndarray  # a read-only copy, complex, shape (2J+1,); traces compare by identity
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=complex)
-        if samples.shape != (2 * self.grid.J + 1,):
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=complex))
+        self.samples.flags.writeable = False
+        if self.samples.shape != (2 * self.grid.J + 1,):
             raise StructuralError("trace length must be 2J+1")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
     def energy(self) -> float:
         return self.grid.delta * _exact_sum(np.abs(self.samples) ** 2)
