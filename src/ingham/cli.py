@@ -43,7 +43,7 @@ from .errors import StructuralError, ValidationError, count, finite, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .kernels import G_eval, WindowKernel, certify_constants, g_transform
 from .observability import BEAM, STRING, CoupledSystem, Mode, reconstruct, verify_observability
-from .sums import AugmentedExpSum, ExpSum, SamplingGrid, poisson_sides
+from .sums import ExpSum, SamplingGrid, poisson_sides
 
 _DEFAULT_TOL = 1e-9
 _DEFAULT_SEED = 0
@@ -148,8 +148,8 @@ def _kernel_from(data: dict) -> WindowKernel:
     )
 
 
-def _sum_from(data: dict, gamma: float, gamma0: float | None = None) -> ExpSum | AugmentedExpSum:
-    """A plain sum, or an augmented one when the config has omega_prime.
+def _sum_from(data: dict, gamma: float, gamma0: float | None = None) -> ExpSum:
+    """A plain sum; omega_prime or x_prime is refused, as poisson_sides refuses an augmented sum.
 
     A sum config carries no gap parameters, so gamma (and optionally
     gamma0) come from the caller, typically from the kernel of the
@@ -158,13 +158,9 @@ def _sum_from(data: dict, gamma: float, gamma0: float | None = None) -> ExpSum |
     with _reading("sum"):
         omegas = tuple(_real(w, "omegas") for w in data["omegas"])
         coeffs = tuple(_complex(c, "coeffs") for c in data["coeffs"])
-    base = ExpSum(ExponentSequence(omegas, gamma, gamma if gamma0 is None else gamma0), coeffs)
-    if "omega_prime" not in data:
-        return base
-    with _reading("augmented sum"):
-        x_prime = _complex(data["x_prime"], "x_prime")
-        omega_prime = _real(data["omega_prime"], "omega_prime")
-    return AugmentedExpSum(base, omega_prime, x_prime)
+    if "omega_prime" in data or "x_prime" in data:
+        raise StructuralError("summation identity applies to plain sums only")
+    return ExpSum(ExponentSequence(omegas, gamma, gamma if gamma0 is None else gamma0), coeffs)
 
 
 def _system_from(data: dict) -> CoupledSystem:
@@ -486,7 +482,11 @@ def run(cfg: RunConfig) -> int:
         }, 2
     except StructuralError as exc:
         envelope["error"], code = {"type": "structural", "message": str(exc)}, 1
-    _emit(cfg, envelope)
+    try:
+        _emit(cfg, envelope)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 1
     return code
 
 

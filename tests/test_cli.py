@@ -139,6 +139,14 @@ class TestEnvelope:
         assert main(["gaps"]) == 1
         assert "INGHAM_INPUT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-such-dir", "a-dir"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, target):
+        cfg = write_cfg(tmp_path, CHAIN_SEQ)
+        assert main(["gaps", "--input", str(cfg), "--output", str(tmp_path / target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write output: ") and err.endswith("\n")
+
 
 class TestKernelCommand:
     def test_direct_constants(self, tmp_path):
@@ -206,6 +214,26 @@ class TestPoissonCommand:
         payload["enforce_band"] = False
         code, text, _ = run_cli(tmp_path, "poisson", payload)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"omega_prime": 1.7, "x_prime": [0.5, 0.0]},
+            {"omega_prime": 0.5, "x_prime": [0.5, 0.0]},  # coincides with a frequency
+            {"omega_prime": 1.7},
+            {"x_prime": [0.5, 0.0]},
+        ],
+        ids=["augmented", "coinciding", "no-x_prime", "no-omega_prime"],
+    )
+    def test_augmented_sum_refused(self, tmp_path, extra):
+        payload = self.payload()
+        payload["sum"] = dict(payload["sum"], **extra)
+        code, text, _ = run_cli(tmp_path, "poisson", payload)
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "type": "structural",
+            "message": "summation identity applies to plain sums only",
+        }
 
 
 class TestFlags:

@@ -91,8 +91,7 @@ SITES = [
     ("omega_prime", "finite", lambda v: AugmentedExpSum(SUM, v, 1.0)),
     ("margin", "finite", lambda v: certify_constants("direct", 1.5, margin=v)),
     ("coeffs", "finite", lambda v: _sum_from({"omegas": [0.0], "coeffs": [[1.0, v]]}, 1.0)),
-    ("x_prime", "finite", lambda v: _sum_from(
-        {"omegas": [0.0], "coeffs": [[1.0, 0.0]], "omega_prime": 2.0, "x_prime": [v, 0.0]}, 1.0)),
+    ("coeffs", "finite", lambda v: _sum_from({"omegas": [0.0], "coeffs": [[v, 0.0]]}, 1.0)),
     ("minus", "finite", lambda v: Mode(1, 0.0, v)),
     ("coeffs", "finite", lambda v: ExpSum(ExponentSequence((0.0,), 1.0, 1.0), (v,))),
     ("x_prime", "finite", lambda v: AugmentedExpSum(SUM, 2.0, v)),

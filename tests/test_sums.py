@@ -384,26 +384,23 @@ class TestSerialization:
         assert back.seq.omegas == s.seq.omegas
         assert back.coeffs == s.coeffs
 
-    def test_augmented_roundtrip(self):
+    def test_augmented_refused(self):
+        # poisson_sides takes plain sums only, so the reader builds no augmented sum
         cfg = {
             "omegas": [-2.0, 0.5, 3.0],
             "coeffs": [[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]],
             "omega_prime": 6.5,
             "x_prime": [0.25, -0.75],
         }
-        back = _sum_from(cfg, gamma=1.0, gamma0=0.8)
-        assert isinstance(back, AugmentedExpSum)
-        assert back.omega_prime == 6.5
-        assert back.x_prime == 0.25 - 0.75j
-        assert back.base.seq.gamma0 == 0.8
+        with pytest.raises(StructuralError, match="summation identity applies to plain sums only"):
+            _sum_from(cfg, gamma=1.0, gamma0=0.8)
 
     def test_numbers_read_by_the_json_rules(self):
         # frequencies as cli._real reads them, coefficient parts as errors.finite
-        cfg = {"omegas": ["0.0"], "coeffs": [[1.0, 0.0]], "omega_prime": "2.5", "x_prime": [1.0, 0.0]}
+        cfg = {"omegas": ["0.0"], "coeffs": [[1.0, 0.0]]}
         back = _sum_from(cfg, gamma=1.0)
-        assert (back.base.seq.omegas, back.omega_prime) == ((0.0,), 2.5)
-        for key, value in [("omegas", [True]), ("omega_prime", True), ("coeffs", [[True, False]]),
-                           ("coeffs", [["1", "0"]]), ("x_prime", [1.0, True])]:
+        assert back.seq.omegas == (0.0,)
+        for key, value in [("omegas", [True]), ("coeffs", [[True, False]]), ("coeffs", [["1", "0"]])]:
             with pytest.raises(StructuralError, match=key):
                 _sum_from(dict(cfg, **{key: value}), gamma=1.0)
 
