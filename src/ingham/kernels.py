@@ -76,25 +76,37 @@ _TPI = (
 
 
 def _phi(u):
-    """pi^2 sin(u)/(u (pi^2 - u^2)) for u >= 0, series-filled near 0 and pi."""
+    """pi^2 sin(u)/(u (pi^2 - u^2)) for u >= 0, series-filled near 0 and pi.
+
+    Formed in place in two arrays, out and the denominator den, with the
+    operations and order of the closed form, so every double is the same.
+    """
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
-    capped = np.minimum(u, _STAGED_FROM)
+    den = np.minimum(u, _STAGED_FROM, out=np.empty_like(u))
     # the closed form divides 0/0 at u = 0 and u = pi; the series overwrite those
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = _PI2 * np.sin(u)
-        np.divide(top, capped * (_PI2 - capped * capped), out=out)
-    far = u > _STAGED_FROM
-    if far.any():
-        out[far] = -top[far] / u[far] / u[far] / u[far]
-    near0 = u < _SING_WINDOW
-    if near0.any():
-        u2 = u[near0] * u[near0]
-        out[near0] = _T0[0] + u2 * (_T0[1] + u2 * (_T0[2] + u2 * _T0[3]))
-    nearpi = np.abs(u - math.pi) < _SING_WINDOW
-    if nearpi.any():
-        v = u[nearpi] - math.pi
-        out[nearpi] = _TPI[0] + v * (_TPI[1] + v * (_TPI[2] + v * _TPI[3]))
+        np.multiply(den, den, out=out)
+        np.subtract(_PI2, out, out=out)
+        den *= out
+        np.sin(u, out=out)
+        out *= _PI2
+        far = u > _STAGED_FROM
+        if far.any():
+            out[far] = -out[far] / u[far] / u[far] / u[far]
+            den[far] = 1.0  # the division below keeps the staged quotient
+        out /= den
+    # u - pi is exact near pi (Sterbenz), so this holds both series windows
+    near = u <= math.pi + _SING_WINDOW
+    if near.any():
+        v, fill = u[near], out[near]
+        at0 = v < _SING_WINDOW
+        v2 = v[at0] * v[at0]
+        fill[at0] = _T0[0] + v2 * (_T0[1] + v2 * (_T0[2] + v2 * _T0[3]))
+        atpi = np.abs(v - math.pi) < _SING_WINDOW
+        w = v[atpi] - math.pi
+        fill[atpi] = _TPI[0] + w * (_TPI[1] + w * (_TPI[2] + w * _TPI[3]))
+        out[near] = fill
     return out
 
 
@@ -109,8 +121,8 @@ def h_transform(gamma: float, t):
     Even in t, real valued, decays like |t|^-3.  Accepts scalars or arrays.
     """
     gamma = positive(gamma, "gamma")
-    u = np.abs(gamma * np.asarray(t, dtype=float))
-    out = gamma * _phi(u)
+    out = _phi(np.abs(gamma * np.asarray(t, dtype=float)))
+    out *= gamma
     return _shaped(out, t)
 
 
@@ -180,13 +192,12 @@ def G_eval(kernel: WindowKernel, x):
 
 def g_transform(kernel: WindowKernel, t):
     """Transform of the kernel: h^2 (direct) or (R^2 - t^2) h^2 (inverse)."""
-    h = h_transform(kernel.gamma, t)
-    if kernel.variant == VARIANT_DIRECT:
-        out = np.asarray(h) ** 2
-    else:
+    out = np.asarray(h_transform(kernel.gamma, t))  # a new array: squared in place, as h ** 2 rounds
+    out *= out
+    if kernel.variant != VARIANT_DIRECT:
         ta = np.asarray(t, dtype=float)
         # R * R, which rounds as t * t does at t = R (C pow may not): g(R) is 0
-        out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
+        out *= kernel.R * kernel.R - ta * ta
     return _shaped(out, t)
 
 

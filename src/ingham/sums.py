@@ -17,7 +17,7 @@ support-pinned kernel is reported as a companion (the two differ for
 pair distances between gamma and 2 gamma).
 
 Energies and the left-hand side are summed exactly and rounded once
-(`_exact_sum`, the double math.fsum returns), so identity checks at the
+(`_exact_total`, the double math.fsum returns), so identity checks at the
 1e-9 level are not polluted by accumulation error.
 """
 
@@ -152,21 +152,29 @@ _EXACT_MIN_EXP = -1074  # below every exponent np.frexp returns
 def _exact_sum(a: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array: the double math.fsum returns.
 
-    Each term is m 2^e with m 2^26 = q + r, q an integer of magnitude at
-    most 2^26 and r in [0, 1) a multiple of 2^-27.  Per chunk of
-    _EXACT_CHUNK terms, np.bincount adds q and r per exponent; every
-    partial sum is a multiple of its unit below 2^53, so the totals are
-    exact.  They are added as Python ints and rounded once by int/int
-    division.  Input with an inf or NaN goes to math.fsum.  One
-    difference: where fsum raises "intermediate overflow" although the
-    exact sum is finite, as for [1e308, 1e308, -1e308], this returns that
-    sum.
+    Finite input goes to `_exact_total` in chunks of _EXACT_CHUNK terms;
+    input with an inf or NaN goes to math.fsum.  One difference: where
+    fsum raises "intermediate overflow" although the exact sum is finite,
+    as for [1e308, 1e308, -1e308], this returns that sum.
     """
     if not np.isfinite(a).all():
         return math.fsum(a.tolist())
+    return _exact_total(a[start : start + _EXACT_CHUNK] for start in range(0, a.size, _EXACT_CHUNK))
+
+
+def _exact_total(chunks) -> float:
+    """Correctly rounded sum of nonempty finite float64 chunks of at most 2^26 terms each.
+
+    Each term is m 2^e with m 2^26 = q + r, q an integer of magnitude at
+    most 2^26 and r in [0, 1) a multiple of 2^-27.  Per chunk, np.bincount
+    adds q and r per exponent; every partial sum is a multiple of its unit
+    below 2^53, so the totals are exact.  They are added as Python ints
+    and rounded once by int/int division, which raises OverflowError past
+    the double range.
+    """
     total = 0
-    for start in range(0, a.size, _EXACT_CHUNK):
-        f, e = np.frexp(a[start : start + _EXACT_CHUNK])
+    for chunk in chunks:
+        f, e = np.frexp(chunk)
         low = int(e.min())
         e -= low
         f *= 2.0**26
@@ -174,8 +182,8 @@ def _exact_sum(a: np.ndarray) -> float:
         f -= q
         hi = np.bincount(e, weights=q).tolist()
         lo = (np.bincount(e, weights=f) * 2.0**27).tolist()
-        chunk = sum(((int(h) << 27) + int(r)) << b for b, (h, r) in enumerate(zip(hi, lo)) if h or r)
-        total += chunk << (low - _EXACT_MIN_EXP)
+        units = sum(((int(h) << 27) + int(r)) << b for b, (h, r) in enumerate(zip(hi, lo)) if h or r)
+        total += units << (low - _EXACT_MIN_EXP)
     # total counts units of 2^(_EXACT_MIN_EXP - 53)
     return total / (1 << (53 - _EXACT_MIN_EXP))
 
@@ -263,7 +271,10 @@ def poisson_sides(
     aliasing behaviour beyond the band can be probed by switching the
     check off.  A plan whose J the count rule refuses (above 2^53) or
     whose grid arrays cannot be allocated is refused with a
-    ValidationError.
+    ValidationError, and so is a side past the double range: a left-side
+    term or the exact left-side sum, or either right side.  The left side
+    holds the 2J+1 samples and the J+1 half-grid weights; its terms are
+    formed and summed exactly _EXACT_CHUNK at a time (`_lhs_terms`).
     """
     if isinstance(s, AugmentedExpSum):
         raise StructuralError("summation identity applies to plain sums only")
@@ -289,21 +300,43 @@ def poisson_sides(
     J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
     try:
         grid = SamplingGrid(delta, J)  # refuses a J above 2^53 before any allocation
-        # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored
+        # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored for j < 0
         half = g_transform(kernel, delta * np.arange(J + 1))
-        weights = np.concatenate((half[:0:-1], half))
         values = eval_sum(s, grid)
     except (StructuralError, MemoryError):
         raise ValidationError(
             "tail plan needs more samples than memory allows",
             details={"j_half_count": J, "tail_tol": tail_tol},
         ) from None
-    lhs = delta * _exact_sum(weights * np.abs(values) ** 2)
+    try:
+        lhs = delta * _exact_total(_lhs_terms(half, values))
+    except OverflowError:  # a term or the exact sum past the double range
+        lhs = math.inf
 
     diffs = omegas[:, None] - omegas[None, :]
     raw = convolution_eval(kernel, diffs)
     pinned = np.where(np.abs(diffs) >= kernel.gamma, 0.0, raw)
-    rhs = 2.0 * math.pi * float((coeffs @ raw @ coeffs.conj()).real)
-    rhs_pinned = 2.0 * math.pi * float((coeffs @ pinned @ coeffs.conj()).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = 2.0 * math.pi * float((coeffs @ raw @ coeffs.conj()).real)
+        rhs_pinned = 2.0 * math.pi * float((coeffs @ pinned @ coeffs.conj()).real)
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(rhs_pinned)):
+        raise ValidationError("summation identity side leaves the double range", details={"j_half_count": J})
     return PoissonReport(lhs, rhs, bound, rhs_pinned, J)
+
+
+def _lhs_terms(half: np.ndarray, values: np.ndarray):
+    """The terms g(|j| delta) |x(j delta)|^2, _EXACT_CHUNK at a time: j = 0..J, then j = -J..-1.
+
+    half holds g at j = 0..J and values x at j = -J..J.  Raises
+    OverflowError at the first chunk holding a term past the double range.
+    """
+    J = half.size - 1
+    for weights, samples in ((half, values[J:]), (half[:0:-1], values[:J])):
+        for start in range(0, weights.size, _EXACT_CHUNK):
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.abs(samples[start : start + _EXACT_CHUNK]) ** 2
+                terms *= weights[start : start + _EXACT_CHUNK]
+            if not np.isfinite(terms).all():
+                raise OverflowError("summation term past the double range")
+            yield terms
 

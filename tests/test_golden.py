@@ -27,7 +27,12 @@ a J or J' above 2^53 (`haraux_jprime_huge`, `frame_j_huge`,
 (`frame_gram_overflow`).  Two pin refusals by sample count: a coefficient
 whose modulus overflows, which plans an infinite tail
 (`poisson_coeff_huge`), and a J of 2^53, whose 2J+1 trace samples no
-memory holds (`string_j_2p53`).  One pins the round trip of a 1001-sample
+memory holds (`string_j_2p53`).  Four pin the refusal of a summation
+identity side past the double range: the exact left-side sum of finite
+terms (`poisson_overflow_sum`), one left-side term
+(`poisson_overflow_term`), terms and the right side
+(`poisson_overflow_both`), and terms whose partial sums overflowed
+math.fsum (`poisson_overflow_fsum`).  One pins the round trip of a 1001-sample
 trace (`string_j500`), whose fields are the same under one and two
 OpenBLAS threads (at J = 1000 the least-squares fields are not).
 
@@ -106,6 +111,10 @@ CASES = {
     "poisson_coeff_huge": ("poisson", (), 2),
     "string_j_2p53": ("string", (), 2),
     "string_j500": ("string", (), 0),
+    "poisson_overflow_sum": ("poisson", (), 2),
+    "poisson_overflow_term": ("poisson", (), 2),
+    "poisson_overflow_both": ("poisson", (), 2),
+    "poisson_overflow_fsum": ("poisson", (), 2),
 }
 
 

@@ -36,7 +36,70 @@ def h_oracle(gamma, t):
     return val
 
 
+def _phi_closed_form(u):
+    """kernels._phi as first written, three masks and new arrays: the reference for its in-place form."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    capped = np.minimum(u, kernels._STAGED_FROM)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = kernels._PI2 * np.sin(u)
+        np.divide(top, capped * (kernels._PI2 - capped * capped), out=out)
+    far = u > kernels._STAGED_FROM
+    if far.any():
+        out[far] = -top[far] / u[far] / u[far] / u[far]
+    near0 = u < kernels._SING_WINDOW
+    if near0.any():
+        u2, c = u[near0] * u[near0], kernels._T0
+        out[near0] = c[0] + u2 * (c[1] + u2 * (c[2] + u2 * c[3]))
+    nearpi = np.abs(u - math.pi) < kernels._SING_WINDOW
+    if nearpi.any():
+        v, c = u[nearpi] - math.pi, kernels._TPI
+        out[nearpi] = c[0] + v * (c[1] + v * (c[2] + v * c[3]))
+    return out
+
+
+def _h_closed_form(gamma, t):
+    out = gamma * _phi_closed_form(np.abs(gamma * np.asarray(t, dtype=float)))
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def _g_closed_form(kernel, t):
+    h = _h_closed_form(kernel.gamma, t)
+    if kernel.variant == "direct":
+        out = np.asarray(h) ** 2
+    else:
+        ta = np.asarray(t, dtype=float)
+        out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
+    return float(out) if np.ndim(t) == 0 else out
+
+
 class TestTransform:
+    @pytest.mark.parametrize("name", ["phi", "h", "g_direct", "g_inverse"])
+    def test_same_doubles_as_the_closed_form(self, name):
+        # both series windows, their edges, the staged branch above 1e100, and t^2 overflowing
+        u = np.array([0.0, 1e-5, math.pi - 5e-5, math.pi, math.pi + 5e-5, 1.0, 1e3, 1e100, 2e100, 1e300])
+        gamma = 1.3
+        got, ref = {
+            "phi": (kernels._phi, _phi_closed_form),
+            "h": (lambda t: h_transform(gamma, t), lambda t: _h_closed_form(gamma, t)),
+            "g_direct": (lambda t: g_transform(certify_constants("direct", gamma), t),
+                         lambda t: _g_closed_form(certify_constants("direct", gamma), t)),
+            "g_inverse": (lambda t: g_transform(certify_constants("inverse", gamma, R=math.pi), t),
+                          lambda t: _g_closed_form(certify_constants("inverse", gamma, R=math.pi), t)),
+        }[name]
+        args = u if name == "phi" else np.concatenate((u, -u)) / gamma
+
+        def run(f, x):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = f(x)
+            return type(out), np.asarray(out).tobytes(), [w.category for w in caught]
+
+        for arg in [args, args.reshape(2, -1), *args.tolist(), *map(np.array, args.tolist())]:
+            kept = np.array(arg)
+            assert run(got, arg) == run(ref, kept.copy())
+            assert np.asarray(arg).tobytes() == kept.tobytes()  # the argument is left alone
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_matches_quadrature(self, gamma, rng):
         ts = rng.uniform(-40.0, 40.0, size=20)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ingham import (
     poisson_sides,
     sampled_energy,
 )
+from ingham import sums
 from ingham.cli import _grid_from, _sanitize, _sum_from
 from ingham.sums import _EXACT_CHUNK, _exact_sum
 
@@ -190,7 +192,7 @@ class TestExactSum:
             math.fsum([1e308, 1e308, -1e308])
         assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
 
-    def test_poisson_lhs_is_the_fsum_of_its_terms(self):
+    def test_poisson_lhs_is_the_fsum_of_its_terms(self, monkeypatch):
         # the long inverse-kernel case of the benchmark: n = 10, gamma 1.5
         n, gamma = 10, 1.5
         delta = 0.9 * 2.0 * math.pi / ((n - 1) * 2.8 * gamma + 2.0 * gamma)
@@ -198,13 +200,22 @@ class TestExactSum:
         c = np.exp(0.7j * np.arange(n)) * np.linspace(1.0, 2.0, n)
         s = ExpSum(seq, tuple(c / np.sum(np.abs(c))))
         kernel = WindowKernel("inverse", gamma, 1.0, 1.0, R=1.5 * math.pi / gamma)
+
+        def fsum_of_terms(J):
+            half = g_transform(kernel, delta * np.arange(J + 1))
+            weights = np.concatenate((half[:0:-1], half))
+            values = eval_sum(s, SamplingGrid(delta, J))
+            return delta * math.fsum((weights * np.abs(values) ** 2).tolist())
+
         rep = poisson_sides(s, kernel, delta)
-        J = rep.j_half_count
-        assert J > 40000
-        half = g_transform(kernel, delta * np.arange(J + 1))
-        weights = np.concatenate((half[:0:-1], half))
-        values = eval_sum(s, SamplingGrid(delta, J))
-        assert rep.lhs == delta * math.fsum((weights * np.abs(values) ** 2).tolist())
+        assert rep.j_half_count > 40000
+        assert rep.lhs == fsum_of_terms(rep.j_half_count)
+        # the j = 0 sample counted once, and halves of J + 1 and J terms around a chunk's length
+        for J in (1, _EXACT_CHUNK - 2, _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1):
+            monkeypatch.setattr(sums, "_tail_plan", lambda *args, J=J: (J, 0.0))
+            rep = poisson_sides(s, kernel, delta)
+            assert rep.j_half_count == J
+            assert rep.lhs == fsum_of_terms(J)
 
     def test_sampled_energy_is_the_fsum_of_its_terms(self):
         s = simple_sum()
@@ -290,6 +301,37 @@ class TestSummationIdentity:
         with pytest.raises(ValidationError, match="band condition violated") as err:
             poisson_sides(ExpSum(seq, (1.0, complex(1.7e308, 1.7e308))), certify_constants("direct", 1.0), 0.9)
         assert err.value.details["indices"] == [1]
+
+    @pytest.mark.parametrize(
+        "gamma, R, omegas, coeff, delta, j_half_count",
+        [
+            (100.0, 0.05, (-1.0, 0.0, 20.0), 8e152, 0.03, 63),  # the exact sum of finite terms
+            (100.0, 0.05, (-1.0, 0.0, 20.0), 1e153, 0.03, 73),  # one term
+            (1.0, 1e5, (-1.0, 0.0, 1.5), 1e149, 1.0, 100000),  # terms and both right sides
+            (1.0, 1e5, (-1.0, 0.0, 1.5), 3e149, 1.0, 100000),  # terms whose partial sums overflow fsum
+        ],
+    )
+    def test_side_past_double_range_refused(self, gamma, R, omegas, coeff, delta, j_half_count):
+        # the goldens poisson_overflow_{sum,term,both,fsum}; no warning escapes either
+        s = _sum_from({"omegas": omegas, "coeffs": [[coeff, 0.0]] * 3}, gamma)
+        kernel = certify_constants("inverse", gamma, R=R)
+        with pytest.raises(ValidationError, match="summation identity side leaves the double range") as err:
+            poisson_sides(s, kernel, delta, tail_tol=1e300)
+        assert err.value.details == {"j_half_count": j_half_count}
+
+    def test_lhs_memory_per_unit_of_j(self):
+        # the sum and kernel of the poisson_tail_too_long golden, at a tail_tol that fits
+        s = simple_sum(coeffs=(1.0, -1j, 0.5))
+        kernel = certify_constants("inverse", 1.0, R=4.7)
+        poisson_sides(s, kernel, 0.8, tail_tol=1e-13)  # warm up
+        tracemalloc.start()
+        try:
+            rep = poisson_sides(s, kernel, 0.8, tail_tol=1e-13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.j_half_count == 241546
+        assert peak <= 50 * rep.j_half_count
 
     def test_zero_coefficients(self):
         seq = ExponentSequence((0.0, 3.0), 1.0, 1.0)
