@@ -477,8 +477,8 @@ def run(cfg: RunConfig) -> int:
     except ValidationError as exc:
         envelope["error"], code = {
             "type": "validation",
-            "message": str(exc.args[0]) if exc.args else "validation error",
-            "details": _sanitize(getattr(exc, "details", {})),
+            "message": str(exc),
+            "details": _sanitize(exc.details),
         }, 2
     except StructuralError as exc:
         envelope["error"], code = {"type": "structural", "message": str(exc)}, 1

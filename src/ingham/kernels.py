@@ -179,7 +179,9 @@ def convolution_eval(kernel: WindowKernel, x):
     if kernel.variant == VARIANT_DIRECT:
         out = g * hh
     else:
-        out = kernel.R * kernel.R * g * hh + dd / g
+        with np.errstate(over="ignore"):  # at a subnormal gamma dd / g passes the double range: -inf
+            dd /= g
+        out = kernel.R * kernel.R * g * hh + dd
     return _shaped(out, x)
 
 

@@ -278,8 +278,7 @@ def poisson_sides(
     """
     if isinstance(s, AugmentedExpSum):
         raise StructuralError("summation identity applies to plain sums only")
-    if not isinstance(s, ExpSum):
-        raise StructuralError(f"not an exponential sum: {type(s).__name__}")
+    omegas, coeffs = _components(s)
     delta = positive(delta, "delta")
     tail_tol = positive(tail_tol, "tail_tol")
     _within_period(kernel, delta)
@@ -291,32 +290,32 @@ def poisson_sides(
             details={"indices": offenders, "threshold": mask.threshold},
         )
 
-    omegas, coeffs = _components(s)
-    with np.errstate(over="ignore"):  # a modulus past the double range plans J = inf, refused below
-        coeff_l1 = math.fsum(np.abs(coeffs))
-    if coeff_l1 == 0.0:
-        return PoissonReport(0.0, 0.0, 0.0, 0.0, 0)
-
-    J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
-    try:
-        grid = SamplingGrid(delta, J)  # refuses a J above 2^53 before any allocation
-        # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored for j < 0
-        half = g_transform(kernel, delta * np.arange(J + 1))
-        values = eval_sum(s, grid)
-    except (StructuralError, MemoryError):
-        raise ValidationError(
-            "tail plan needs more samples than memory allows",
-            details={"j_half_count": J, "tail_tol": tail_tol},
-        ) from None
-    try:
-        lhs = delta * _exact_total(_lhs_terms(half, values))
-    except OverflowError:  # a term or the exact sum past the double range
-        lhs = math.inf
-
-    diffs = omegas[:, None] - omegas[None, :]
-    raw = convolution_eval(kernel, diffs)
-    pinned = np.where(np.abs(diffs) >= kernel.gamma, 0.0, raw)
+    # past the double range a modulus plans J = inf and a sample, term, difference
+    # or side is non-finite: each is refused by name below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        coeff_l1 = math.fsum(np.abs(coeffs))
+        if coeff_l1 == 0.0:
+            return PoissonReport(0.0, 0.0, 0.0, 0.0, 0)
+
+        J, bound = _tail_plan(kernel, coeff_l1, delta, tail_tol)
+        try:
+            grid = SamplingGrid(delta, J)  # refuses a J above 2^53 before any allocation
+            # g is even and the grid (t' = 0) symmetric: g at j >= 0, mirrored for j < 0
+            half = g_transform(kernel, delta * np.arange(J + 1))
+            values = eval_sum(s, grid)
+        except (StructuralError, MemoryError):
+            raise ValidationError(
+                "tail plan needs more samples than memory allows",
+                details={"j_half_count": J, "tail_tol": tail_tol},
+            ) from None
+        try:
+            lhs = delta * _exact_total(_lhs_terms(half, values))
+        except OverflowError:  # a term or the exact sum past the double range
+            lhs = math.inf
+
+        diffs = omegas[:, None] - omegas[None, :]
+        raw = convolution_eval(kernel, diffs)
+        pinned = np.where(np.abs(diffs) >= kernel.gamma, 0.0, raw)
         rhs = 2.0 * math.pi * float((coeffs @ raw @ coeffs.conj()).real)
         rhs_pinned = 2.0 * math.pi * float((coeffs @ pinned @ coeffs.conj()).real)
     if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(rhs_pinned)):
@@ -328,14 +327,14 @@ def _lhs_terms(half: np.ndarray, values: np.ndarray):
     """The terms g(|j| delta) |x(j delta)|^2, _EXACT_CHUNK at a time: j = 0..J, then j = -J..-1.
 
     half holds g at j = 0..J and values x at j = -J..J.  Raises
-    OverflowError at the first chunk holding a term past the double range.
+    OverflowError at the first chunk holding a term past the double range;
+    the caller's np.errstate keeps numpy from warning of it.
     """
     J = half.size - 1
     for weights, samples in ((half, values[J:]), (half[:0:-1], values[:J])):
         for start in range(0, weights.size, _EXACT_CHUNK):
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = np.abs(samples[start : start + _EXACT_CHUNK]) ** 2
-                terms *= weights[start : start + _EXACT_CHUNK]
+            terms = np.abs(samples[start : start + _EXACT_CHUNK]) ** 2
+            terms *= weights[start : start + _EXACT_CHUNK]
             if not np.isfinite(terms).all():
                 raise OverflowError("summation term past the double range")
             yield terms

@@ -1,19 +1,23 @@
-"""Check that two source trees give the same CLI output on every benchmark case.
+"""Check that two runs give the same CLI output on every benchmark case.
 
 Usage, from the root of the repository:
 
     python3 tests/bench_identity.py --parent DIR [--seeds 101,102,103]
+    python3 tests/bench_identity.py --threads A,B [--seeds 101,102,103]
 
-DIR is another checkout of the repository, for example the parent commit
-unpacked with `git archive`.  Every case that `perfbench/workloads.py` of
-this tree generates for the three workloads and the given seeds is written
-as a config once.  Then one subprocess per tree imports that tree's `src/`
-alone and runs each case through its `ingham.cli.main`, with the argv the
-benchmark uses and with `-W error::RuntimeWarning`, as the test suite runs.
-A case differs when its exit code or the bytes it writes to stdout differ;
-a call that raises, a numpy warning included, is recorded by its exception
-type and message.  The tool prints one line per differing case and a summary, and
-exits 1 if any case differs, else 0.
+With --parent, DIR is another checkout of the repository, for example the
+parent commit unpacked with `git archive`, and both trees run with one
+BLAS thread.  With --threads, this tree runs twice, with A and with B
+OpenBLAS (and OpenMP, MKL) threads.  Every case that
+`perfbench/workloads.py` of this tree generates for the three workloads
+and the given seeds is written as a config once.  Then one subprocess per
+run imports its tree's `src/` alone and runs each case through its
+`ingham.cli.main`, with the argv the benchmark uses and with
+`-W error::RuntimeWarning`, as the test suite runs.  A case differs when
+its exit code or the bytes it writes to stdout differ; a call that raises,
+a numpy warning included, is recorded by its exception type and message.
+The tool prints one line per differing case and a summary, and exits 1 if
+any case differs, else 0.
 """
 
 from __future__ import annotations
@@ -67,38 +71,48 @@ def _cases(seeds, workdir: Path) -> list[tuple[str, list[str]]]:
     return cases
 
 
-def _start(tree: Path, cases_path: Path, out_path: Path) -> subprocess.Popen:
+def _start(tree: Path, threads: int, cases_path: Path, out_path: Path) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     # as in the test suite, a numpy warning is an error, so a case that starts to warn differs
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _WORKER,
             str(tree / "src"), str(cases_path), str(out_path)]
     return subprocess.Popen(argv, env=env, cwd=tree)
 
 
+def _thread_pair(text: str) -> tuple[int, int]:
+    counts = tuple(int(n) for n in text.split(","))
+    if len(counts) != 2 or min(counts) < 1:
+        raise ValueError(text)
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--parent", type=Path, help="checkout to compare against, both at one BLAS thread")
+    mode.add_argument("--threads", type=_thread_pair, metavar="A,B",
+                      help="compare this tree under A and under B BLAS threads")
     parser.add_argument("--seeds", default="101,102,103", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    trees = {"parent": args.parent.resolve(), "change": ROOT}
-    for name, tree in trees.items():
-        if not (tree / "src" / "ingham" / "__init__.py").is_file():
-            parser.error(f"no ingham source tree under {tree} ({name})")
+    if args.parent and not (args.parent / "src" / "ingham" / "__init__.py").is_file():
+        parser.error(f"no ingham source tree under {args.parent}")
+    # (tree, BLAS threads) of the run before and of the run after
+    runs = [(args.parent.resolve(), 1), (ROOT, 1)] if args.parent else [(ROOT, n) for n in args.threads]
     with tempfile.TemporaryDirectory(prefix="bench-identity-") as tmp:
         workdir = Path(tmp)
         cases = _cases(seeds, workdir)
         (workdir / "cases.json").write_text(json.dumps(cases))
-        procs = {name: _start(tree, workdir / "cases.json", workdir / f"{name}.json")
-                 for name, tree in trees.items()}
-        if any([proc.wait() != 0 for proc in procs.values()]):
+        procs = [_start(tree, threads, workdir / "cases.json", workdir / f"run{k}.json")
+                 for k, (tree, threads) in enumerate(runs)]
+        if any([proc.wait() != 0 for proc in procs]):
             print("error: a worker failed", file=sys.stderr)
             return 2
-        parent, change = (json.loads((workdir / f"{name}.json").read_text()) for name in trees)
-    differ = [case_id for case_id, _ in cases if parent[case_id] != change[case_id]]
+        before, after = (json.loads((workdir / f"run{k}.json").read_text()) for k in range(2))
+    differ = [case_id for case_id, _ in cases if before[case_id] != after[case_id]]
     for case_id in differ:
-        print(f"DIFFERS {case_id}: exit {parent[case_id][0]} -> {change[case_id][0]}")
+        print(f"DIFFERS {case_id}: exit {before[case_id][0]} -> {after[case_id][0]}")
     print(f"{len(differ)} of {len(cases)} cases differ (seeds {args.seeds})")
     return 1 if differ else 0
 

@@ -1,4 +1,5 @@
-"""`tests/bench_identity.py` compares the CLI bytes of two trees on every benchmark case."""
+"""`tests/bench_identity.py` compares the CLI bytes of two trees, or of one tree
+under two BLAS thread counts, on every benchmark case."""
 
 import re
 import shutil
@@ -10,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tests" / "bench_identity.py"
 
 
-def _run(parent: Path) -> subprocess.CompletedProcess:
-    argv = [sys.executable, str(TOOL), "--parent", str(parent), "--seeds", "101"]
+def _run(*mode: str) -> subprocess.CompletedProcess:
+    argv = [sys.executable, str(TOOL), *mode, "--seeds", "101"]
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
@@ -22,7 +23,14 @@ def _summary(proc) -> tuple[int, int]:
 
 
 def test_tree_is_identical_to_itself():
-    proc = _run(ROOT)
+    proc = _run("--parent", str(ROOT))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    differ, total = _summary(proc)
+    assert differ == 0 and total > 0
+
+
+def test_same_thread_count_is_identical():
+    proc = _run("--threads", "1,1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     differ, total = _summary(proc)
     assert differ == 0 and total > 0
@@ -33,7 +41,7 @@ def test_changed_output_is_reported(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "ingham" / "cli.py"
     cli.write_text(cli.read_text().replace('{"name": "ingham"', '{"name": "other"'))
-    proc = _run(tmp_path)
+    proc = _run("--parent", str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     differ, total = _summary(proc)
     assert differ == total > 0
@@ -48,7 +56,7 @@ def test_warning_is_reported(tmp_path):
     text = cli.read_text()
     assert head in text
     cli.write_text(text.replace(head, head + '    __import__("warnings").warn("patched", RuntimeWarning)\n'))
-    proc = _run(tmp_path)
+    proc = _run("--parent", str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     differ, total = _summary(proc)
     assert differ == total > 0

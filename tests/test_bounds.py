@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -132,6 +133,13 @@ class TestPencil:
         s = scale * np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(StructuralError, match=r"pencil residual gate undefined: \|\|S\|\| = inf"):
             hermitian_pencil_eig(s, np.eye(2))
+
+    def test_residual_gate(self, rng):
+        # a Q eigenvalue of 1e-14 amplifies the congruence's rounding past 1e-9 ||S||
+        _, s = random_pencil(rng, 6)
+        q = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-14]).astype(complex)
+        with pytest.raises(StructuralError, match=r"pencil residual .* exceeds 1e-09 \* \|\|S\|\|"):
+            hermitian_pencil_eig(s, q)
 
     def test_dimension_above_200(self, rng):
         # 250 active exponents: the pencil dimension has no cap of its own
@@ -638,6 +646,12 @@ class TestHarauxFilter:
         plan = chain_plan()
         aug = AugmentedExpSum(ExpSum(CHAIN, (1.0,) * 5), 4.9, 1.0)
         with pytest.raises(ValidationError):
+            haraux_filter(aug, plan)
+
+    def test_invalid_plan_refused(self):
+        plan = dataclasses.replace(chain_plan(), eps_sup=1.0)
+        aug = AugmentedExpSum(ExpSum(CHAIN, (1.0,) * 5), plan.omega_prime, 1.0)
+        with pytest.raises(ValidationError, match="plan invalid: eps_sup >= 1"):
             haraux_filter(aug, plan)
 
 

@@ -490,6 +490,22 @@ class TestScanCommand:
         code, _, _ = run_cli(tmp_path, "scan", payload)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"task": "frame", "base": dict(CHAIN_SEQ, J=16), "axes": [{"name": "delta", "values": [1e999]}]},
+                "axis 'delta' has non-finite values",
+            ),
+            ({"task": "continuum", "base": dict(CHAIN_SEQ, R=4.0, J_list=[])}, "continuum scan needs J values"),
+        ],
+        ids=["axis-inf", "J_list-empty"],
+    )
+    def test_refusal_exit_2(self, tmp_path, payload, message):
+        code, text, _ = run_cli(tmp_path, "scan", payload)
+        assert code == 2
+        assert json.loads(text)["error"]["message"] == message
+
     def test_unknown_task_exit_1(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "scan", {"task": "mystery", "axes": []})
         assert code == 1

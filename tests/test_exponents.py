@@ -33,6 +33,10 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             seq(0.0, math.inf)
 
+    def test_rejects_non_sequence(self):
+        with pytest.raises(StructuralError, match="frequencies must be real numbers"):
+            ExponentSequence(3.0, 1.0, 1.0)
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(StructuralError):
             ExponentSequence((0.0, 3.0), 0.0, 0.0)

@@ -32,7 +32,11 @@ identity side past the double range: the exact left-side sum of finite
 terms (`poisson_overflow_sum`), one left-side term
 (`poisson_overflow_term`), terms and the right side
 (`poisson_overflow_both`), and terms whose partial sums overflowed
-math.fsum (`poisson_overflow_fsum`).  One pins the round trip of a 1001-sample
+math.fsum (`poisson_overflow_fsum`).  Two pin refusals reached without
+a numpy warning: non-finite samples of frequencies near the double range with
+the band check off (`poisson_band_off_huge`), and an inverse kernel's
+G(0) overflowing to -inf at a subnormal gamma (`kernel_inverse_gamma_tiny`).
+One pins the round trip of a 1001-sample
 trace (`string_j500`), whose fields are the same under one and two
 OpenBLAS threads (at J = 1000 the least-squares fields are not).
 
@@ -115,6 +119,8 @@ CASES = {
     "poisson_overflow_term": ("poisson", (), 2),
     "poisson_overflow_both": ("poisson", (), 2),
     "poisson_overflow_fsum": ("poisson", (), 2),
+    "poisson_band_off_huge": ("poisson", (), 2),
+    "kernel_inverse_gamma_tiny": ("kernel", (), 2),
 }
 
 
