@@ -29,6 +29,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def _handle_gaps(data: dict, cfg: RunConfig):
     if not validation.ok:
         raise ValidationError("gap violations", details=asdict(validation))
     report = dict(
-        _sanitize(seq), gaps=seq.gaps(), validation=validation, classification=seq.classification
+        _fields(seq), gaps=seq.gaps(), validation=validation, classification=seq.classification
     )
     return report, None
 
@@ -198,7 +199,7 @@ def _handle_gaps(data: dict, cfg: RunConfig):
 def _handle_kernel(data: dict, cfg: RunConfig):
     kernel = _kernel_from(data)
     report = dict(
-        _sanitize(kernel), G0=float(G_eval(kernel, 0.0)), g0=float(g_transform(kernel, 0.0))
+        _fields(kernel), G0=float(G_eval(kernel, 0.0)), g0=float(g_transform(kernel, 0.0))
     )
     return report, None
 
@@ -216,14 +217,14 @@ def _handle_poisson(data: dict, cfg: RunConfig):
         tail_tol=_real(data.get("tail_tol", cfg.tol), "tail_tol"),
         enforce_band=_flag(data.get("enforce_band", True), "enforce_band"),
     )
-    return dict(_sanitize(report), delta=delta, kernel=kernel), None
+    return dict(_fields(report), delta=delta, kernel=kernel), None
 
 
 def _handle_frame(data: dict, cfg: RunConfig):
     seq = _seq_from(data)
     grid = _grid_from(data)
     report = frame_constants(seq, grid)
-    out = dict(_sanitize(report), grid=grid)
+    out = dict(_fields(report), grid=grid)
     if report.singular:
         return out, "singular pencil"
     return out, None
@@ -254,7 +255,7 @@ def _handle_junction(kind: str, data: dict, cfg: RunConfig):
         seed=cfg.seed,
         enforce_horizon=_flag(data.get("enforce_horizon", True), "enforce_horizon"),
     )
-    out = dict(_sanitize(report), grid=grid, system=system)
+    out = dict(_fields(report), grid=grid, system=system)
     # the round trip reconstructs the witness, trial 0 of default_rng(cfg.seed)
     trial, trace = report._witness
     rec = reconstruct(trace, trial)
@@ -368,35 +369,93 @@ _COMMAND_TABLE = {
 }
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, leaving out a field whose value is None."""
+    return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+
+
 def _sanitize(obj):
-    """JSON-safe copy, the one serializer of reports: tuples to lists, sets
-    to sorted lists, complexes to [re, im], non-finite to strings, dict keys
-    to strings, dataclass instances to dicts of their fields, leaving out a
-    field whose value is None."""
-    if isinstance(obj, dict):
+    """JSON-safe copy, the one step before `_json`: tuples to lists, sets to
+    sorted lists, complexes to [re, im], non-finite to strings, dict keys to
+    strings, dataclass instances to dicts of their `_fields`."""
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return obj
+        return "nan" if obj != obj else "inf" if obj > 0.0 else "-inf"
+    if kind is dict:
         return {str(k): _sanitize(v) for k, v in obj.items()}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _sanitize(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None
-        }
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_sanitize(v) for v in obj]
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
+    if kind is complex:
+        return [_sanitize(obj.real), _sanitize(obj.imag)]
+    # dataclasses, sets, subclasses and numpy scalars
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _sanitize(_fields(obj))
+    if isinstance(obj, dict):
+        return _sanitize(dict(obj))
+    if isinstance(obj, (list, tuple)):
+        return _sanitize(list(obj))
     if isinstance(obj, (set, frozenset)):
-        return [_sanitize(v) for v in sorted(obj)]
+        return _sanitize(sorted(obj))
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return _sanitize(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return [_sanitize(obj.real), _sanitize(obj.imag)]
+        return _sanitize(complex(obj))
     return obj
+
+
+# float reprs that JSON spells otherwise, as json.dumps spells them
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(tree) -> str:
+    """`json.dumps(tree, sort_keys=True, indent=2)` for a tree `_sanitize`
+    made, written in one pass.
+
+    The stdlib encodes in C only without an indent.  This writer takes
+    dicts with string keys, lists, strings, ints, floats, bools and None,
+    each of exactly that type, and raises TypeError for any other object.
+    """
+    out: list[str] = []
+    put = out.append
+
+    def write(obj, indent):
+        kind = type(obj)
+        if kind is float:
+            text = float.__repr__(obj)
+            put(_NONFINITE_JSON.get(text, text))
+        elif kind is str:
+            put(_quote(obj))
+        elif kind is dict:
+            inner, sep = indent + "  ", "{"
+            for key in sorted(obj):
+                put(sep + inner + _quote(key) + ": ")
+                write(obj[key], inner)
+                sep = ","
+            put(indent + "}" if obj else "{}")
+        elif kind is list:
+            inner, sep = indent + "  ", "["
+            for value in obj:
+                put(sep + inner)
+                write(value, inner)
+                sep = ","
+            put(indent + "]" if obj else "[]")
+        elif obj is None or kind is bool:
+            put("null" if obj is None else "true" if obj else "false")
+        elif kind is int:
+            put(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    write(tree, "\n")
+    return "".join(out)
 
 
 def _csv_cell(value) -> str:
@@ -438,7 +497,7 @@ def _emit(cfg: RunConfig, envelope: dict) -> None:
     if cfg.fmt == "csv":
         body = _to_csv(envelope["report"] if "report" in envelope else envelope)
     else:
-        body = json.dumps(_sanitize(envelope), sort_keys=True, indent=2) + "\n"
+        body = _json(_sanitize(envelope)) + "\n"
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
@@ -478,7 +537,7 @@ def run(cfg: RunConfig) -> int:
         envelope["error"], code = {
             "type": "validation",
             "message": str(exc),
-            "details": _sanitize(exc.details),
+            "details": exc.details,
         }, 2
     except StructuralError as exc:
         envelope["error"], code = {"type": "structural", "message": str(exc)}, 1
