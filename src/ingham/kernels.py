@@ -195,11 +195,24 @@ def G_eval(kernel: WindowKernel, x):
 def g_transform(kernel: WindowKernel, t):
     """Transform of the kernel: h^2 (direct) or (R^2 - t^2) h^2 (inverse)."""
     out = np.asarray(h_transform(kernel.gamma, t))  # a new array: squared in place, as h ** 2 rounds
-    out *= out
-    if kernel.variant != VARIANT_DIRECT:
-        ta = np.asarray(t, dtype=float)
+    if kernel.variant == VARIANT_DIRECT:
+        out *= out
+        return _shaped(out, t)
+    ta = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
         # R * R, which rounds as t * t does at t = R (C pow may not): g(R) is 0
-        out *= kernel.R * kernel.R - ta * ta
+        factor = np.asarray(kernel.R * kernel.R - ta * ta)
+    # where t * t (or an uncertified R * R) overflows, g is (R h)^2 - (t h)^2
+    finite = np.isfinite(factor)
+    wide = None if finite.all() else ~finite
+    if wide is not None:
+        h = out[wide]
+        g_wide = (kernel.R * h) ** 2 - (ta[wide] * h) ** 2
+        factor[wide] = 0.0
+    out *= out
+    out *= factor
+    if wide is not None:
+        out[wide] = g_wide
     return _shaped(out, t)
 
 

@@ -69,7 +69,10 @@ def _g_closed_form(kernel, t):
         out = np.asarray(h) ** 2
     else:
         ta = np.asarray(t, dtype=float)
-        out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (kernel.R * kernel.R - ta * ta) * np.asarray(h) ** 2
+            # where t * t overflows, the product above is inf * 0: g is (R h)^2 - (t h)^2
+            out = np.where(np.isinf(ta * ta), (kernel.R * np.asarray(h)) ** 2 - (ta * h) ** 2, out)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -150,6 +153,27 @@ class TestTransform:
             u = mp.mpf(t)
             h = mp.pi**2 * mp.sin(u) / (u * (mp.pi**2 - u * u))
             assert abs(got - (mp.mpf(k.R) ** 2 - u * u) * h * h) <= mp.mpf(2.0**-1074)
+
+    @pytest.mark.parametrize(
+        "gamma, t",
+        [(1.0, t) for t in (1.35e154, 1e200, -1e300, 1.7e308)]
+        + [(1e-300, t) for t in (1.35e154, 1e200, -1e300, 2e300)],
+    )
+    def test_inverse_g_where_t_squared_overflows(self, gamma, t):
+        # g = (R h)^2 - (t h)^2 with no warning: below the least subnormal at gamma 1, and at
+        # gamma 1e-300, where h is a normal double, a plain negative double
+        k = WindowKernel("inverse", gamma, alpha=1.0, beta=1.0, R=4.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g_transform(k, t)
+            assert g_transform(k, np.array([t, 1.0]))[0] == got
+        with mp.workdps(60):
+            u = abs(mp.mpf(gamma) * mp.mpf(t))
+            h = mp.mpf(gamma) * mp.pi**2 * mp.sin(u) / (u * (mp.pi**2 - u * u))
+            ref = (mp.mpf(k.R) ** 2 - mp.mpf(t) ** 2) * h * h
+            assert abs(got - ref) <= 4e-15 * abs(ref) + mp.mpf(2.0**-1074)
+        if gamma == 1e-300:
+            assert got < -1e-300
 
     @given(st.floats(0.2, 3.0), st.floats(-200.0, 200.0))
     def test_tail_bound(self, gamma, t):
