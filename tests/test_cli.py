@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import env_with_package
 import ingham
 from ingham import StructuralError, bounds, exponents, observability, quadforms
-from ingham.cli import RunConfig, _sanitize, _shared_parser, build_parser, main
+from ingham.cli import RunConfig, _json, _sanitize, _shared_parser, build_parser, main
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -992,6 +995,38 @@ class TestSanitize:
         assert _sanitize(CoupledSystem(STRING, 0.3, gamma=2.0))["gamma"] == 2.0
         # a None outside a dataclass field is data, not an unset field
         assert _sanitize({"x": None, "y": [None]}) == {"x": None, "y": [None]}
+
+
+# trees of the JSON types `_json` takes: every float, including the non-finite
+# ones json.dumps spells NaN and Infinity, ints past 2^64, and any text
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(_JSON_TREES)
+    @example({"10": 1, "9": [], "": {}, "1e2": {"a": []}})
+    @example([-0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 2**64, -(2**64) - 1, 0])
+    @example({"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\"\\/\n\t\u2028\ud800"})
+    @example([[], {}, [[]], [{}], {"a": {"b": []}}])
+    def test_same_text_as_json_dumps(self, tree):
+        assert _json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1 + 2j, np.int64(3)])
+    def test_what_the_stdlib_cannot_encode_raises_type_error(self, value):
+        for tree in (value, [value], {"a": [0, {"b": value}]}):
+            with pytest.raises(TypeError):
+                json.dumps(tree, sort_keys=True, indent=2)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _json(tree)
 
 
 def _imports_cli(tree: ast.AST) -> bool:

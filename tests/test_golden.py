@@ -3,7 +3,10 @@
 Each case is a config `tests/golden/<name>.json` run as `ingham <command>
 --input <config> <flags>` through the in-process `ingham.cli.main`; the
 exact bytes written to `--output` must equal `tests/golden/<name>.out`,
-and the exit code must equal the one recorded in `CASES`.  The configs are
+and the exit code must equal the one recorded in `CASES`.  Each JSON
+`.out` must also be what `json.dumps(..., sort_keys=True, indent=2)`
+writes for its own parse, so the stdlib stays the oracle of the format
+that `ingham.cli` writes by hand.  The configs are
 those of `tests/test_cli.py` and the README examples, plus edge cases of
 the report serializer: an unset field left out (`kernel_direct_R`), a set
 one kept (`string_gamma`), validation details, integer-keyed maps that
@@ -49,6 +52,7 @@ rounds differently, regenerate them with
 and review the diff: a changed value is a changed result.
 """
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -141,6 +145,13 @@ def test_golden_output(name, tmp_path):
     out = tmp_path / "out"
     assert run_case(name, out) == CASES[name][2]
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, flags, _) in CASES.items() if "csv" not in flags))
+def test_json_golden_is_the_stdlib_format(name):
+    # the stdlib stays the oracle of the envelope's format: sorted keys, indent 2, one newline
+    text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_every_golden_file_has_a_case():
