@@ -411,17 +411,14 @@ def _sanitize(obj):
     return obj
 
 
-# float reprs that JSON spells otherwise, as json.dumps spells them
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json(tree) -> str:
     """`json.dumps(tree, sort_keys=True, indent=2)` for a tree `_sanitize`
     made, written in one pass.
 
     The stdlib encodes in C only without an indent.  This writer takes
-    dicts with string keys, lists, strings, ints, floats, bools and None,
-    each of exactly that type, and raises TypeError for any other object.
+    dicts with string keys, lists, strings, ints, finite floats, bools and
+    None, each of exactly that type, and raises TypeError for any other
+    object.
     """
     out: list[str] = []
     put = out.append
@@ -429,8 +426,7 @@ def _json(tree) -> str:
     def write(obj, indent):
         kind = type(obj)
         if kind is float:
-            text = float.__repr__(obj)
-            put(_NONFINITE_JSON.get(text, text))
+            put(float.__repr__(obj))
         elif kind is str:
             put(_quote(obj))
         elif kind is dict:

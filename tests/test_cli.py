@@ -997,13 +997,12 @@ class TestSanitize:
         assert _sanitize({"x": None, "y": [None]}) == {"x": None, "y": [None]}
 
 
-# trees of the JSON types `_json` takes: every float, including the non-finite
-# ones json.dumps spells NaN and Infinity, ints past 2^64, and any text
+# JSON-safe trees, as `_sanitize` makes them: finite floats, ints past 2^64, any text
 _JSON_TREES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-(2**80), 2**80)
-    | st.floats()
+    | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
     max_leaves=24,
