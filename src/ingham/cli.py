@@ -411,47 +411,33 @@ def _sanitize(obj):
     return obj
 
 
-def _json(tree) -> str:
-    """`json.dumps(tree, sort_keys=True, indent=2)` for a tree `_sanitize`
-    made, written in one pass.
+def _json(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for a tree `_sanitize`
+    made, written directly.
 
     The stdlib encodes in C only without an indent.  This writer takes
     dicts with string keys, lists, strings, ints, finite floats, bools and
     None, each of exactly that type, and raises TypeError for any other
-    object.
+    object.  Each container is joined as soon as its items are written,
+    which keeps fewer strings alive than one list of chunks for the tree.
     """
-    out: list[str] = []
-    put = out.append
-
-    def write(obj, indent):
-        kind = type(obj)
-        if kind is float:
-            put(float.__repr__(obj))
-        elif kind is str:
-            put(_quote(obj))
-        elif kind is dict:
-            inner, sep = indent + "  ", "{"
-            for key in sorted(obj):
-                put(sep + inner + _quote(key) + ": ")
-                write(obj[key], inner)
-                sep = ","
-            put(indent + "}" if obj else "{}")
-        elif kind is list:
-            inner, sep = indent + "  ", "["
-            for value in obj:
-                put(sep + inner)
-                write(value, inner)
-                sep = ","
-            put(indent + "]" if obj else "[]")
-        elif obj is None or kind is bool:
-            put("null" if obj is None else "true" if obj else "false")
-        elif kind is int:
-            put(int.__repr__(obj))
-        else:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-    write(tree, "\n")
-    return "".join(out)
+    kind = type(obj)
+    if kind is float:
+        return float.__repr__(obj)
+    if kind is str:
+        return _quote(obj)
+    inner = indent + "  "
+    if kind is dict:
+        items = [_quote(key) + ": " + _json(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list:
+        items = [_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _csv_cell(value) -> str:
