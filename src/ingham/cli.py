@@ -375,9 +375,9 @@ def _fields(obj) -> dict:
 
 
 def _sanitize(obj):
-    """JSON-safe copy, the one step before `_json`: tuples to lists, sets to
-    sorted lists, complexes to [re, im], non-finite to strings, dict keys to
-    strings, dataclass instances to dicts of their `_fields`."""
+    """JSON-safe copy, which `_json` and `_to_csv` write: tuples to lists,
+    sets to sorted lists, complexes to [re, im], non-finite to strings, dict
+    keys to strings, dataclass instances to dicts of their `_fields`."""
     kind = type(obj)
     if kind is float:
         if math.isfinite(obj):
