@@ -16,9 +16,16 @@ right-hand side from the raw convolution; the value obtained from the
 support-pinned kernel is reported as a companion (the two differ for
 pair distances between gamma and 2 gamma).
 
-Energies and the left-hand side are summed exactly and rounded once
-(`_exact_total`, the double math.fsum returns), so identity checks at the
-1e-9 level are not polluted by accumulation error.
+Energies and the left-hand side are the correctly rounded sums of their
+terms, the doubles math.fsum returns, so identity checks at the 1e-9
+level are not polluted by accumulation error.  `_exact_total` certifies a
+one-pass sum: it splits each chunk of terms error-free (ExtractVector of
+Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), bounds numpy's sum
+of the rests a priori (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 4) and returns the double to which both ends of
+that bound round.  Where they round apart, or a chunk's max is near
+either end of the double range, a second pass sums the chunks exactly
+per binary exponent (`_binned_total`).
 """
 
 from __future__ import annotations
@@ -147,22 +154,80 @@ def eval_sum(s, t):
 
 _EXACT_CHUNK = 1 << 15  # temporaries stay in cache; any size up to 2^26 is exact
 _EXACT_MIN_EXP = -1074  # below every exponent np.frexp returns
+# the fast path's sigma = 2^s: s <= 1023 keeps sigma + p a double, s >= -968
+# keeps the bound n^2 2^(s - 106) of the rests' sum a double, exactly
+_FAST_EXP_RANGE = range(-968, 1024)
 
 
 def _exact_sum(a: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array: the double math.fsum returns.
 
-    Finite input goes to `_exact_total` in chunks of _EXACT_CHUNK terms;
-    input with an inf or NaN goes to math.fsum.  One difference: where
-    fsum raises "intermediate overflow" although the exact sum is finite,
-    as for [1e308, 1e308, -1e308], this returns that sum.
+    The array goes to `_exact_total` in chunks of _EXACT_CHUNK terms; if
+    a term is inf or NaN it goes to math.fsum instead.  One difference:
+    where fsum raises "intermediate overflow" although the exact sum is
+    finite, as for [1e308, 1e308, -1e308], this returns that sum.
     """
-    if not np.isfinite(a).all():
-        return math.fsum(a.tolist())
-    return _exact_total(a[start : start + _EXACT_CHUNK] for start in range(0, a.size, _EXACT_CHUNK))
+    chunks = [a[start : start + _EXACT_CHUNK] for start in range(0, a.size, _EXACT_CHUNK)]
+    total = _exact_total(lambda: chunks)
+    return math.fsum(a.tolist()) if math.isnan(total) else total
 
 
 def _exact_total(chunks) -> float:
+    """Correctly rounded sum of the nonempty float64 chunks, of at most 2^26 terms each, that chunks() yields.
+
+    Returns NaN at the first chunk holding an inf or NaN, and raises
+    OverflowError where the exact sum of finite terms is past the double
+    range.  Every other result is the double nearest the exact sum, ties
+    to even, as math.fsum rounds.
+
+    Fast path, one pass: per chunk p of n terms, with m = max|p| < 2^e
+    and n < 2^M, sigma = 2^s with s = e + M splits each term error-free into
+    q = (p + sigma) - sigma, a multiple of 2^-53 sigma, and the rest
+    r = p - q, |r| <= 2^-53 sigma (ExtractVector in Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31, 2008).  Every partial sum of q is such a multiple below
+    sigma, so sum(q) is exact in any order; numpy's sum of r is within
+    gamma_(n-1) n 2^-53 sigma <= n^2 2^(s - 106) of the exact one, in any
+    order and under gradual underflow (Higham, "Accuracy and Stability
+    of Numerical Algorithms", 2nd ed., 2002, ch. 4).  math.fsum of every
+    chunk's two sums, with the summed bounds subtracted and then added,
+    rounds both ends of an interval holding the exact sum; rounding is
+    monotone, so where both ends round to the same double that double is
+    the correctly rounded sum.
+
+    Fallback, a second pass over chunks() once the first has seen every
+    term finite: where the two ends differ (the exact sum within the
+    bound of a rounding boundary, zero included), where e + M leaves
+    _FAST_EXP_RANGE for some chunk (its max below 2^(-969 - M) or at
+    least 2^(1023 - M)) or where fsum overflows, `_binned_total` sums the
+    chunks again.
+    """
+    parts, bounds, fast = [], [], True
+    for chunk in chunks():
+        m = max(chunk.max(), -chunk.min())  # NaN or inf exactly when a term is not finite
+        if not math.isfinite(m):
+            return math.nan
+        s = math.frexp(m)[1] + chunk.size.bit_length()
+        fast = fast and s in _FAST_EXP_RANGE
+        if fast:
+            sigma = math.ldexp(1.0, s)
+            q = chunk + sigma
+            q -= sigma
+            parts.append(float(q.sum()))
+            q -= chunk  # -r, exactly: one temporary per chunk, not two
+            parts.append(-float(q.sum()))
+            bounds.append(math.ldexp(chunk.size * chunk.size, s - 106))
+    if fast:
+        try:
+            low = math.fsum(parts + [-b for b in bounds])
+            if low == math.fsum(parts + bounds):
+                return low
+        except OverflowError:  # fsum overflowed in a partial sum
+            pass
+    return _binned_total(chunks())
+
+
+def _binned_total(chunks) -> float:
     """Correctly rounded sum of nonempty finite float64 chunks of at most 2^26 terms each.
 
     Each term is m 2^e with m 2^26 = q + r, q an integer of magnitude at
@@ -274,7 +339,8 @@ def poisson_sides(
     ValidationError, and so is a side past the double range: a left-side
     term or the exact left-side sum, or either right side.  The left side
     holds the 2J+1 samples and the J+1 half-grid weights; its terms are
-    formed and summed exactly _EXACT_CHUNK at a time (`_lhs_terms`).
+    formed _EXACT_CHUNK at a time (`_lhs_terms`) and summed exactly by
+    `_exact_total`, formed a second time only where it falls back.
     """
     if isinstance(s, AugmentedExpSum):
         raise StructuralError("summation identity applies to plain sums only")
@@ -308,9 +374,9 @@ def poisson_sides(
                 "tail plan needs more samples than memory allows",
                 details={"j_half_count": J, "tail_tol": tail_tol},
             ) from None
-        try:
-            lhs = delta * _exact_total(_lhs_terms(half, values))
-        except OverflowError:  # a term or the exact sum past the double range
+        try:  # NaN where a term is past the double range
+            lhs = delta * _exact_total(lambda: _lhs_terms(half, values))
+        except OverflowError:  # the exact sum past the double range
             lhs = math.inf
 
         diffs = omegas[:, None] - omegas[None, :]
@@ -326,16 +392,14 @@ def poisson_sides(
 def _lhs_terms(half: np.ndarray, values: np.ndarray):
     """The terms g(|j| delta) |x(j delta)|^2, _EXACT_CHUNK at a time: j = 0..J, then j = -J..-1.
 
-    half holds g at j = 0..J and values x at j = -J..J.  Raises
-    OverflowError at the first chunk holding a term past the double range;
-    the caller's np.errstate keeps numpy from warning of it.
+    half holds g at j = 0..J and values x at j = -J..J.  A term past the
+    double range is inf or NaN; the caller's np.errstate keeps numpy from
+    warning of it.
     """
     J = half.size - 1
     for weights, samples in ((half, values[J:]), (half[:0:-1], values[:J])):
         for start in range(0, weights.size, _EXACT_CHUNK):
             terms = np.abs(samples[start : start + _EXACT_CHUNK]) ** 2
             terms *= weights[start : start + _EXACT_CHUNK]
-            if not np.isfinite(terms).all():
-                raise OverflowError("summation term past the double range")
             yield terms
 

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from ingham import (
     sampled_energy,
 )
 from ingham import sums
-from ingham.cli import _grid_from, _sanitize, _sum_from
+from ingham.cli import _grid_from, _sanitize, _sum_from, main
 from ingham.sums import _EXACT_CHUNK, _exact_sum
 
 
@@ -153,17 +155,76 @@ class TestGridEval:
         assert abs(rep.lhs - rep.rhs) <= 1e-10 + 1e-9 * (1.0 + abs(rep.rhs))
 
 
+def _check_fsum(xs):
+    try:
+        expected = math.fsum(xs)
+    except OverflowError:
+        return  # fsum overflowed, maybe only in an intermediate partial
+    assert _exact_sum(np.array(xs, dtype=float)).hex() == expected.hex()
+
+
+@pytest.fixture
+def binned(monkeypatch):
+    """The chunk counts of each call of the binned fold, the fallback of the one-pass sum."""
+    calls = []
+    fold = sums._binned_total
+
+    def spy(chunks):
+        chunks = list(chunks)
+        calls.append(len(chunks))
+        return fold(chunks)
+
+    monkeypatch.setattr(sums, "_binned_total", spy)
+    return calls
+
+
 class TestExactSum:
     """_exact_sum against math.fsum, which CPython rounds correctly."""
 
     @settings(max_examples=200)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
     def test_matches_fsum(self, xs):
-        try:
-            expected = math.fsum(xs)
-        except OverflowError:
-            return  # fsum overflowed, maybe only in an intermediate partial
-        assert _exact_sum(np.array(xs, dtype=float)).hex() == expected.hex()
+        _check_fsum(xs)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+    def test_matches_fsum_across_chunks(self, xs):
+        # up to 9 chunks: every chunk's bound enters the certificate of the whole sum
+        with mock.patch.object(sums, "_EXACT_CHUNK", 7):
+            _check_fsum(xs)
+
+    @pytest.mark.parametrize("chunk", [_EXACT_CHUNK, 1, 2])
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1.0, 2.0**-53],  # a tie, to even: 1
+            [1.0, 2.0**-53, 2.0**-1074],  # just past the tie: 1 + 2^-52
+            [1.0, -(2.0**-54)],  # a tie below 1, to even: 1
+        ],
+    )
+    def test_rounding_boundary_takes_the_binned_fold(self, xs, chunk, binned):
+        with mock.patch.object(sums, "_EXACT_CHUNK", chunk):
+            assert _exact_sum(np.array(xs)).hex() == math.fsum(xs).hex()
+        assert binned == [-(-len(xs) // chunk)]
+
+    @pytest.mark.parametrize(
+        "xs, fallback",
+        [
+            ([2.0**1000, 3.0 * 2.0**999, -(2.0**1000) * (1.0 + 2.0**-52), 2.0**948], False),
+            ([2.0**1005, -3.0 * 2.0**1004, 2.0**1005 * (1.0 + 2.0**-52), 2.0**953], False),  # n = 4: sigma 2^1009
+            ([2.0**1021, 2.0**1021, -(2.0**1021), 2.0**969], True),  # sigma would be 2^1025
+            ([-1.7e308, 1.7e308, 1.7e308, -1.7e308, 2.0**971], True),
+            ([5e-324, 1e-310, -3e-320, 2.0**-1022, 2.0**-1074 * 12345], True),  # all subnormal or near it
+            ([1e308, 5e-324, -1e308, 5e-324, 1e308], True),
+            ([2.0**-960, -3.0 * 2.0**-962, 5e-324, 2.0**-961], False),  # sigma 2^-956, its bound 2^-1058
+            ([2.0**-980, 5e-324, -3e-310], True),  # sigma 2^-977
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [_EXACT_CHUNK, 2])
+    def test_range_edges(self, xs, fallback, chunk, binned):
+        with mock.patch.object(sums, "_EXACT_CHUNK", chunk):
+            assert _exact_sum(np.array(xs)).hex() == math.fsum(xs).hex()
+        assert bool(binned) == fallback
 
     def test_longer_than_one_chunk(self, rng):
         n = 3 * _EXACT_CHUNK + 12345
@@ -318,6 +379,23 @@ class TestSummationIdentity:
         with pytest.raises(ValidationError, match="summation identity side leaves the double range") as err:
             poisson_sides(s, kernel, delta, tail_tol=1e300)
         assert err.value.details == {"j_half_count": j_half_count}
+
+    @pytest.mark.parametrize(
+        "name, folds",
+        [
+            ("poisson_overflow_sum", [2]),  # finite terms: the binned fold finds the exact sum past the range
+            ("poisson_overflow_term", []),  # an inf term: its chunk's max is inf, the sum NaN
+            ("poisson_overflow_both", []),
+            ("poisson_overflow_fsum", []),
+            ("poisson_band_off_huge", []),  # NaN samples, so NaN terms
+        ],
+    )
+    def test_overflow_goldens_refused_by_the_fold_or_a_term(self, name, folds, binned, tmp_path):
+        config = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+        out = tmp_path / "out.json"
+        assert main(["poisson", "--input", str(config), "--output", str(out)]) == 2
+        assert "summation identity side leaves the double range" in out.read_text()
+        assert binned == folds
 
     def test_lhs_memory_per_unit_of_j(self):
         # the sum and kernel of the poisson_tail_too_long golden, at a tail_tol that fits
