@@ -462,7 +462,9 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     The discrete grid spans [-R, R]; as J grows the sampled Gram converges
     to the continuous-energy Gram and the extreme pencil eigenvalues
     follow.  Rows flag changes of the active set (the band mask depends
-    on delta).  Every J must be a positive integer.
+    on delta).  The continuous pencil depends only on the active omegas,
+    their Q and R, so it is solved once per distinct active set.  Every J
+    must be a positive integer.
     """
     R = positive(R, "R")
     if not R > math.pi / seq.gamma:
@@ -472,11 +474,14 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
         )
     rows = []
     prev_active: tuple[int, ...] | None = None
+    continuous: dict[tuple[int, ...], tuple[float, float]] = {}
     for J in J_list:
         J = count(J, "J")
         delta = R / J
         report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
-        c1c, c2c, _ = _pencil_extremes(continuous_gram(omegas, R), qm)
+        if active not in continuous:
+            continuous[active] = _pencil_extremes(continuous_gram(omegas, R), qm)[:2]
+        c1c, c2c = continuous[active]
         if report.singular or c1c <= 0.0:
             rel = math.inf
         else:

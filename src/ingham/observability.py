@@ -39,8 +39,10 @@ _COLLISION_RTOL = 1e-9
 # rounding guard: a two-step gap this close to 2*gamma counts as equal
 _GAP_ULP_RTOL = 1e-13
 _RANK_RTOL = 1e-10
-# trials drawn and evaluated together: memory is O(chunk x exponents), whatever the trial count
-_TRIAL_CHUNK = 64
+# trials drawn and evaluated together, so the default 100 trials take one batch;
+# a batch peaks near 70 bytes per trial and exponent (tracemalloc), 0.86 MB
+# at 98 exponents, whatever the trial count
+_TRIAL_CHUNK = 128
 # batched trial 0 and its per-system recomputation must agree to this (relative)
 _WITNESS_RTOL = 1e-12
 
@@ -128,11 +130,14 @@ class CoupledSystem:
         """(seq, tags) of `assemble_exponents(self)`, then cols and weights:
         exponent k carries weights[k] * amps[cols[k]] in the derivative jump,
         where amps flattens the (plus, minus) pairs of the modes in _modes
-        order.  Computed once per system and shared by every caller."""
+        order.  Computed once per system and shared by every caller, and by
+        the systems that _with_pairs derives from it."""
         seq, tags = assemble_exponents(self)
         slot = {(side, m.n): k for k, (side, m) in enumerate(_modes(self))}
         cols = np.array([2 * slot[tag.side, tag.n] + (tag.sign < 0) for tag in tags])
         weights = np.array([self.jump_weight(tag.side, tag.n) for tag in tags])
+        # shared, so read-only
+        cols.flags.writeable = weights.flags.writeable = False
         return seq, tags, cols, weights
 
 
@@ -294,10 +299,19 @@ def _amplitudes(sys: CoupledSystem) -> np.ndarray:
 
 
 def _with_pairs(sys: CoupledSystem, pairs) -> CoupledSystem:
-    """Same mode layout with the (plus, minus) rows of pairs, in _modes order."""
+    """Same mode layout with the (plus, minus) rows of pairs, in _modes order.
+
+    The layout depends only on kind, a, gamma and the mode indices, which
+    the new system keeps, so it takes over sys._layout where sys has
+    computed it.  It computes none itself: a resonant sys still gives a
+    system, refused only when its exponents are needed.
+    """
     modes = [Mode(m.n, complex(p), complex(q)) for (_, m), (p, q) in zip(_modes(sys), pairs)]
     cut = len(sys.left)
-    return CoupledSystem(sys.kind, sys.a, tuple(modes[:cut]), tuple(modes[cut:]), sys.gamma)
+    new = CoupledSystem(sys.kind, sys.a, tuple(modes[:cut]), tuple(modes[cut:]), sys.gamma)
+    if "_layout" in sys.__dict__:
+        new.__dict__["_layout"] = sys.__dict__["_layout"]
+    return new
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -403,7 +417,7 @@ def _ratio(num: float, den: float) -> float:
 
 def _trial_ratios(
     sys: CoupledSystem, gram: np.ndarray, epsilon: float, trials: int, seed: int
-) -> list[float]:
+) -> np.ndarray:
     """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
 
     Trial k carries the amplitudes that the k-th of repeated
@@ -411,21 +425,36 @@ def _trial_ratios(
     initial_data_energy over the sampled jump energy, which for exponent
     coefficients c is the quadratic form c^T S conj(c) in the Gram S of
     the merged exponents (c^H S c would be the energy of the time-reversed
-    samples).  Both agree with the time-domain fsum path to rounding.
+    samples).  Both agree with the time-domain fsum path to rounding.  A
+    chunk's ratios are formed in one array operation, the same doubles as
+    _ratio: num / den, and inf where den <= 0 or is NaN.
     """
     _, _, cols, weights = sys._layout
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
     f0, f1 = _sobolev_factors(sys, spec0), _sobolev_factors(sys, spec1)
     rng = np.random.default_rng(seed)
-    ratios = []
+    ratios = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
         amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(f0))
         plus, minus = amps[..., 0], amps[..., 1]
         num = f0 * _coef_sq(sys, plus, minus, "u0") + f1 * _coef_sq(sys, plus, minus, "u1")
         coeffs = weights * amps.reshape(len(amps), -1)[:, cols]
         den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram.T).real
-        ratios += [_ratio(n, d) for n, d in zip(num.sum(axis=1).tolist(), den.tolist())]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios[start:start + len(amps)] = np.where(den > 0.0, num.sum(axis=1) / den, math.inf)
     return ratios
+
+
+def _median(x: np.ndarray) -> float:
+    """float(np.median(x)) of a nonempty 1-D array, bit for bit, from one sort:
+    the middle element, or (a + b) / 2 of the middle two, as np.mean forms
+    it; NaN where x holds a NaN, which the sort puts last."""
+    s = np.sort(x)
+    n = len(s)
+    if math.isnan(s[-1]):
+        return math.nan
+    mid = s[(n - 1) // 2:n // 2 + 1].tolist()
+    return (mid[0] + mid[-1]) / 2.0 if n % 2 == 0 else mid[0]
 
 
 def verify_observability(
@@ -439,16 +468,18 @@ def verify_observability(
     """Estimate the constant bounding initial-data norms by sampled jump energy.
 
     Per trial, amplitudes are redrawn and the ratio (||u0||^2 + ||u1||^2)
-    / (delta sum |jump|^2) recorded; the max is the empirical constant.
-    The trials are evaluated as a batch (see _trial_ratios): amplitudes
-    come from default_rng(seed) _TRIAL_CHUNK trials at a time, and each
-    sampled energy is a quadratic form in the pencil's Gram.  Caps,
-    horizon and the merged exponents are checked once, since trials
-    change only the amplitudes.  As a witness, trial 0 is drawn through
-    with_amplitudes and observed, and its ratio recomputed in the time
-    domain; a relative disagreement above _WITNESS_RTOL raises
-    StructuralError.  The CLI's round trip reconstructs this same trial 0
-    from its trace (the report's `_witness`).
+    / (delta sum |jump|^2) recorded; the max is the empirical constant
+    and the median, np.median's value taken from one sort, is reported
+    beside it.  The trials are evaluated as a batch (see _trial_ratios):
+    amplitudes come from default_rng(seed) _TRIAL_CHUNK trials at a time,
+    and each sampled energy is a quadratic form in the pencil's Gram.
+    Caps, horizon and the merged exponents are checked once, since trials
+    change only the amplitudes: sys._layout is assembled once, and trial
+    0 and the round trip's reconstruction take it over through _with_pairs.
+    As a witness, trial 0 is drawn through with_amplitudes and observed,
+    and its ratio recomputed in the time domain; a relative disagreement
+    above _WITNESS_RTOL raises StructuralError.  The CLI's round trip
+    reconstructs this same trial 0 from its trace (the report's `_witness`).
     Independently, the pencil of the sampled Gram against the diagonal of
     Sobolev weights over squared jump weights certifies finiteness: its
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
@@ -485,12 +516,13 @@ def verify_observability(
     ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))
     trace = observe(trial, grid)
-    if ratios:
+    if trials:
+        first = float(ratios[0])
         again = _ratio(initial_data_energy(trial, epsilon), trace.energy())
-        if again != ratios[0] and not abs(again - ratios[0]) <= _WITNESS_RTOL * abs(ratios[0]):
-            raise StructuralError(f"trial 0 ratio {ratios[0]!r} differs from its recomputation {again!r}")
-        c_emp = max(ratios)
-        med = float(np.median(ratios))
+        if again != first and not abs(again - first) <= _WITNESS_RTOL * abs(first):
+            raise StructuralError(f"trial 0 ratio {first!r} differs from its recomputation {again!r}")
+        c_emp = max(ratios.tolist())
+        med = _median(ratios)
     else:
         c_emp = c_pencil
         med = 0.0

@@ -781,6 +781,24 @@ class TestContinuumScan:
         assert rows[0].active_count == 2 and rows[1].active_count == 4
         assert not rows[0].active_changed and rows[1].active_changed
 
+    @pytest.mark.parametrize(
+        "omegas, J_list, solves",
+        [
+            ((-3.1, -0.4, 0.2, 2.6, 5.6), [32, 64, 128, 256], 1),
+            ((0.0, 3.0, 6.0, 9.0, 30.0), [8, 16], 2),
+            ((0.0, 3.0, 6.0, 9.0, 30.0), [8, 16, 8, 16], 2),
+        ],
+        ids=["one-active-set", "active-change", "active-sets-revisited"],
+    )
+    def test_continuous_pencil_once_per_active_set(self, monkeypatch, omegas, J_list, solves):
+        seq = ExponentSequence(omegas, 1.0, 1.0)
+        expect = continuum_limit_scan(seq, 4.0, J_list)
+        calls = []
+        honest = ingham.bounds.continuous_gram
+        monkeypatch.setattr(ingham.bounds, "continuous_gram", lambda *a: calls.append(a) or honest(*a))
+        assert continuum_limit_scan(seq, 4.0, J_list) == expect
+        assert len(calls) == solves
+
     @pytest.mark.parametrize("J", [0, -4, 4.7])
     def test_J_not_positive_integer_rejected(self, J):
         # checked before delta = R / J is formed

@@ -392,6 +392,35 @@ class TestWithAmplitudes:
         again = with_amplitudes(sys, np.random.default_rng(7))
         assert again == fresh
 
+    def test_computed_layout_shared(self):
+        sys = full_string(A_IRR, 0.2)
+        seq, tags, cols, weights = sys._layout
+        trial = with_amplitudes(sys, np.random.default_rng(7))
+        assert "_layout" in trial.__dict__ and trial._layout is sys._layout
+        # the shared layout is the one the trial would assemble itself
+        fresh_seq, fresh_tags = assemble_exponents(trial)
+        assert (fresh_seq, fresh_tags) == (seq, tags)
+        slot = {(side, m.n): k for k, (side, m) in enumerate(observability._modes(trial))}
+        assert cols.tolist() == [2 * slot[t.side, t.n] + (t.sign < 0) for t in fresh_tags]
+        assert weights.tolist() == [trial.jump_weight(t.side, t.n) for t in fresh_tags]
+
+    def test_no_layout_computed_for_the_trial(self):
+        sys = full_string(A_IRR, 0.2)
+        assert "_layout" not in with_amplitudes(sys, np.random.default_rng(7)).__dict__
+
+    def test_resonant_system_still_drawn(self):
+        sys = CoupledSystem(STRING, 0.5, left=(Mode(1, 1.0),), right=(Mode(1, 1.0),))
+        trial = with_amplitudes(sys, np.random.default_rng(7))
+        assert [m.n for m in trial.left + trial.right] == [1, 1]
+        with pytest.raises(ValidationError, match="resonant"):
+            trial._layout
+
+    def test_shared_layout_read_only(self):
+        _, _, cols, weights = full_string(A_IRR, 0.2)._layout
+        for shared in (cols, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
 
 class TestVerifyObservability:
     def string_instance(self, rng=None):
@@ -453,8 +482,9 @@ class TestVerifyObservability:
         with pytest.raises(StructuralError):
             verify_observability(sys, grid, epsilon=0.1, trials=-1)
 
-    # 193 trials: three chunks of observability._TRIAL_CHUNK = 64 and one more
-    @pytest.mark.parametrize("trials", [1, 100, 3 * 64 + 1])
+    # 100 trials take one chunk of observability._TRIAL_CHUNK, 193 a full chunk
+    # and part of another, the last three full chunks and one trial more
+    @pytest.mark.parametrize("trials", [1, 100, 193, 3 * observability._TRIAL_CHUNK + 1])
     @pytest.mark.parametrize(
         "sys, grid",
         [
@@ -479,6 +509,66 @@ class TestVerifyObservability:
         assert rep.exponent_count == len(assemble_exponents(sys)[0])
         assert rep.c_empirical == pytest.approx(max(ratios), rel=1e-13)
         assert rep.ratio_median == pytest.approx(float(np.median(ratios)), rel=1e-13)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "sys, grid",
+        [
+            (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29, 0.37)),
+            (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30, -1.9)),
+        ],
+        ids=["string-36-shifted", "beam-8-shifted"],
+    )
+    def test_chunk_size_changes_no_bit(self, monkeypatch, sys, grid, chunk):
+        default = verify_observability(sys, grid, epsilon=0.05, trials=100, seed=17)
+        monkeypatch.setattr(observability, "_TRIAL_CHUNK", chunk)
+        rep = verify_observability(sys, grid, epsilon=0.05, trials=100, seed=17)
+        got, expect = (rep.c_empirical, rep.ratio_median), (default.c_empirical, default.ratio_median)
+        if chunk > 1:
+            assert got == expect
+        else:
+            # a one-row chunk's product with the Gram takes BLAS's matrix-vector
+            # kernel, which rounds some ratios a last bit apart from the
+            # matrix-matrix kernel of every longer chunk
+            assert got == pytest.approx(expect, rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("fill", [0.0, -1.0, math.nan])
+    def test_ratio_inf_where_energy_not_positive(self, fill):
+        # a Gram of zeros, of -1 or of NaN makes every sampled energy 0, -|sum c|^2 or NaN
+        sys = full_string(A_IRR, 0.2)
+        n = len(sys._layout[0])
+        ratios = observability._trial_ratios(sys, np.full((n, n), fill), 0.05, 5, 3)
+        assert ratios.tolist() == [math.inf] * 5
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, 1.0],
+            [0.1, 0.7, 0.3, 1e300, 0.2],
+            [0.1, 0.7, 0.3, 0.9, 0.2, 0.4],
+            [1.7976931348623157e308, 1.7976931348623157e308],
+            [1.0, math.inf, 2.0],
+            [1.0, math.inf],
+            [math.inf, math.inf, 0.5, 3.0],
+            [1.0, math.nan, 2.0],
+            [math.nan, 1.0],
+            [math.inf, math.nan],
+        ],
+    )
+    def test_median_is_numpys(self, values):
+        x = np.array(values)
+        with np.errstate(over="ignore"):  # np.mean warns where the middle two sum past the double range
+            expect = float(np.median(x))
+        got = observability._median(x)
+        assert type(got) is float
+        assert got == expect or (math.isnan(got) and math.isnan(expect))
+
+    def test_median_is_numpys_on_random_lengths(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 60):
+            x = np.exp(rng.normal(size=n) * 20.0)
+            assert observability._median(x) == float(np.median(x))
 
     def test_witness_disagreement_raises(self, monkeypatch):
         sys, grid = self.string_instance()
