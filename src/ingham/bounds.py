@@ -147,7 +147,8 @@ def hermitian_pencil_eig(
 ):
     """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
 
-    Q must be positive definite (checked via Cholesky).  Residuals
+    Q must be positive definite (checked via Cholesky, or entry by entry
+    for a diagonal Q, whose congruence is a scaling).  Residuals
     ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
     StructuralError, and so does an ||S|| past the double range, against
@@ -157,19 +158,30 @@ def hermitian_pencil_eig(
     q = np.asarray(q, dtype=complex)
     if s.shape != q.shape or s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError("pencil matrices must be square and of equal shape")
-    try:
-        chol = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError:
-        raise ValidationError("Q not positive definite") from None
-    # congruence A = L^{-1} S L^{-H}
-    a = np.linalg.solve(chol, s)
-    a = np.linalg.solve(chol, a.conj().T).conj().T
+    # congruence A = L^{-1} S L^{-H} with Q = L L^H
+    diagonal = np.count_nonzero(q) == np.count_nonzero(q.diagonal())
+    if diagonal:
+        # L = diag(sqrt(q_ii)), Cholesky's factor, so the congruence is a scaling
+        d = q.diagonal().real
+        if not np.all(d > 0.0):  # written so that a NaN entry fails
+            raise ValidationError("Q not positive definite")
+        l = np.sqrt(d)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK: a non-finite A fails below
+            a = s / l
+            a = (a.conj().T / l).conj().T
+    else:
+        try:
+            chol = np.linalg.cholesky(q)
+        except np.linalg.LinAlgError:
+            raise ValidationError("Q not positive definite") from None
+        a = np.linalg.solve(chol, s)
+        a = np.linalg.solve(chol, a.conj().T).conj().T
     a = 0.5 * (a + a.conj().T)
     try:
         vals, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         raise StructuralError("pencil eigensolver did not converge") from None
-    vecs = np.linalg.solve(chol.conj().T, u)
+    vecs = u / l if diagonal else np.linalg.solve(chol.conj().T, u)
     with np.errstate(over="ignore"):  # an overflowing ||S|| is refused by name below
         s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
     if not math.isfinite(s_norm):

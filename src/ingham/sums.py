@@ -114,9 +114,44 @@ def _components(s) -> tuple[np.ndarray, np.ndarray]:
     return omegas, coeffs
 
 
+def _mirror_half(x: np.ndarray) -> int:
+    """len(x) // 2 when x[-1-k] == -x[k] for every k of the 1-D x, else 0.
+
+    The end elements are compared first, so an asymmetric x costs O(1).
+    """
+    if len(x) < 2 or x[0] != -x[-1]:
+        return 0
+    return len(x) // 2 if np.array_equal(x[::-1], -x) else 0
+
+
 def _phasors(rows, cols) -> np.ndarray:
-    """exp(i r c) for every r in rows and c in cols, the one place grid phasors are formed."""
-    return np.exp(1j * np.multiply.outer(rows, cols))
+    """exp(i r c) for every r in rows and c in cols, the one place grid phasors are formed.
+
+    exp(-i y) is the conjugate of exp(i y) to the bit, and so is the
+    phasor of a mirrored row or column: for rows or cols symmetric about
+    zero (an unshifted grid, a junction's +-omega) only the second half of
+    each symmetric axis is exponentiated, and the first half is filled with
+    the conjugates, a quarter of the exponentials when both are symmetric.
+    Adding 0.0 turns the conjugate 1 - 0j of a zero argument back into the
+    1 + 0j that exp gives, so every byte equals
+    np.exp(1j * np.multiply.outer(rows, cols)), which any other input takes.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    hr = hc = 0
+    if rows.ndim == cols.ndim == 1:
+        hr, hc = _mirror_half(rows), _mirror_half(cols)
+    if not (hr or hc):
+        return np.exp(1j * np.multiply.outer(rows, cols))
+    m, n = len(rows), len(cols)
+    out = np.empty((m, n), dtype=complex)
+    np.exp(1j * np.multiply.outer(rows[hr:], cols[hc:]), out=out[hr:, hc:])
+    if hc:
+        np.conjugate(out[hr:, n - hc:][:, ::-1], out=out[hr:, :hc])
+        out[hr:, :hc] += 0.0
+    if hr:
+        np.conjugate(out[m - hr:][::-1], out=out[:hr])
+        out[:hr] += 0.0
+    return out
 
 
 def _grid_values(omegas: np.ndarray, coeffs: np.ndarray, grid: SamplingGrid) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +161,47 @@ class TestPencil:
         vals, vecs = hermitian_pencil_eig(np.diag([3.0, -1.0, 2.0]), np.eye(3), with_vectors=True)
         assert np.allclose(vals, [-1.0, 2.0, 3.0])
         assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
+
+    @staticmethod
+    def diagonal_pencil(rng, n):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return g @ g.conj().T, np.diag(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_diagonal_q_matches_cholesky_bitwise(self, n, rng):
+        # a diagonal Q is scaled by sqrt(q_ii), Cholesky's factor, instead of
+        # factored and solved; the eigenvalues keep every bit
+        for _ in range(5):
+            s, q = self.diagonal_pencil(rng, n)
+            chol = np.linalg.cholesky(q.astype(complex))
+            a = np.linalg.solve(chol, s)
+            a = np.linalg.solve(chol, a.conj().T).conj().T
+            expected = np.linalg.eigh(0.5 * (a + a.conj().T))[0]
+            got = hermitian_pencil_eig(s, q)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_diagonal_q_vectors_solve_the_pencil(self, rng):
+        s, q = self.diagonal_pencil(rng, 12)
+        vals, vecs = hermitian_pencil_eig(s, q, with_vectors=True)
+        r = s @ vecs - (q @ vecs) * vals
+        assert np.all(np.linalg.norm(r, axis=0) <= 1e-9 * np.linalg.norm(s) * np.linalg.norm(vecs, axis=0))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, math.nan])
+    def test_diagonal_q_not_positive_definite(self, bad):
+        q = np.diag([2.0, bad, 1.0]).astype(complex)
+        with pytest.raises(ValidationError, match="^Q not positive definite$"):
+            hermitian_pencil_eig(np.eye(3), q)
+
+    def test_block_q_is_factored(self, rng, monkeypatch):
+        cholesky = mock.Mock(side_effect=np.linalg.cholesky)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        s, _ = random_pencil(rng, 4)
+        block = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        q = np.kron(np.eye(2), block)
+        hermitian_pencil_eig(s, q)
+        assert cholesky.call_count == 1
+        hermitian_pencil_eig(s, np.diag(np.diag(q)))
+        assert cholesky.call_count == 1
 
 
 class TestSampledGram:

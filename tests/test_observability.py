@@ -274,6 +274,22 @@ class TestObserve:
         assert held <= 24 * (2 * grid.J + 1)  # a tuple of Python complexes holds 40
         assert trace.samples.nbytes == 16 * (2 * grid.J + 1)
 
+    def test_peak_per_sample(self, rng):
+        # the 8 exponents are +-omega and the grid is unshifted, so only a
+        # quarter of the phasors is exponentiated, with no full-size argument
+        # array: 128 bytes of phasors per sample plus about 56 of work
+        sys = full_string(A_IRR, 0.2, rng)
+        grid = SamplingGrid(0.2, 10**5)
+        assert len(assemble_exponents(sys)[0]) == 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            observe(sys, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * (2 * grid.J + 1)  # the full outer product peaks at 264
+
     def test_samples_are_a_read_only_copy(self):
         grid = SamplingGrid(0.5, 1)
         source = np.array([1.0, 2.0j, 3.0])

@@ -11,13 +11,17 @@ from scipy.integrate import quad
 
 from helpers import block_sequence, poisson_delta, random_coeffs
 from ingham import (
+    STRING,
     AugmentedExpSum,
+    CoupledSystem,
     ExponentSequence,
     ExpSum,
+    Mode,
     SamplingGrid,
     StructuralError,
     ValidationError,
     WindowKernel,
+    assemble_exponents,
     certify_constants,
     continuous_energy,
     eval_sum,
@@ -153,6 +157,82 @@ class TestGridEval:
         slack = 2.0 * l1 * grid_eval_bound(seq.omegas, s.coeffs, grid) * grid.delta * np.sum(np.abs(weights))
         assert abs(rep.lhs - lhs_direct) <= slack
         assert abs(rep.lhs - rep.rhs) <= 1e-10 + 1e-9 * (1.0 + abs(rep.rhs))
+
+
+_MODEST = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)  # every product finite
+
+
+@st.composite
+def phasor_axis(draw):
+    """A 1-D axis: symmetric of odd or even length (zeros of either sign included), or arbitrary."""
+    kind = draw(st.sampled_from(["even", "odd", "plain"]))
+    if kind == "plain":
+        return np.array(draw(st.lists(_MODEST, min_size=1, max_size=12)))
+    half = draw(st.lists(st.one_of(_MODEST, st.sampled_from([0.0, -0.0])), min_size=kind == "even", max_size=6))
+    mid = [draw(st.sampled_from([0.0, -0.0]))] if kind == "odd" else []
+    return np.array([-h for h in reversed(half)] + mid + half)
+
+
+def _same_bits(got, expected) -> bool:
+    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (got, expected)]
+    return got.shape == expected.shape and np.array_equal(*bits)
+
+
+def _string_omegas() -> tuple[float, ...]:
+    """The merged +-omega of an 8-exponent string junction, as assemble_exponents lists them."""
+    modes = tuple(Mode(n, 1.0, 1.0) for n in (1, 2))
+    seq, _ = assemble_exponents(CoupledSystem(STRING, math.sqrt(2.0) / 2.0, modes, modes))
+    return seq.omegas
+
+
+class TestPhasors:
+    """sums._phasors against the outer product it stands for, to the bit."""
+
+    @settings(max_examples=300)
+    @given(phasor_axis(), phasor_axis())
+    def test_matches_outer_product_bitwise(self, rows, cols):
+        assert _same_bits(sums._phasors(rows, cols), np.exp(1j * np.multiply.outer(rows, cols)))
+
+    @pytest.mark.parametrize("J", [1, 2, 7, 500])
+    @pytest.mark.parametrize("t_shift", [0.0, 0.375])
+    def test_grid_times_by_junction_omegas(self, J, t_shift):
+        times, omegas = SamplingGrid(0.2, J, t_shift).times(), _string_omegas()
+        expected = np.exp(1j * np.multiply.outer(times, omegas))
+        assert _same_bits(sums._phasors(times, omegas), expected)
+        assert _same_bits(sums._phasors(omegas, times), expected.T)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (np.array([-1.5, -0.0, 1.5]), np.array([2.0])),  # one column
+            (np.array(0.75), np.array([-3.0, 3.0])),  # scalar rows
+            (np.array([-0.0, 0.0]), np.array([0.0, -0.0])),  # zeros of both signs
+            (np.array([-2.0, 1.0, -1.0, 2.0]), np.array([-5.0, 0.0, 5.0])),  # unsorted but symmetric
+            (np.array([-2.0, 0.5, 2.0]), np.array([-1.0, 1.0])),  # ends mirror, middle does not
+        ],
+    )
+    def test_edge_cases(self, rows, cols):
+        assert _same_bits(sums._phasors(rows, cols), np.exp(1j * np.multiply.outer(rows, cols)))
+
+    @pytest.mark.parametrize("J", [1, 50])
+    def test_unshifted_grid_by_pairs_exponentiates_a_quarter(self, J, monkeypatch):
+        times, omegas = SamplingGrid(0.2, J).times(), _string_omegas()
+        exp = np.exp
+        evaluated = []
+
+        def counting_exp(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        sums._phasors(times, omegas)
+        assert sum(evaluated) == (J + 1) * len(omegas) // 2
+
+    def test_asymmetric_axis_pays_no_full_comparison(self, monkeypatch):
+        # mismatched ends decide at once: Poisson's shifted grids never compare whole arrays
+        monkeypatch.setattr(np, "array_equal", mock.Mock(side_effect=AssertionError("compared")))
+        rows = SamplingGrid(0.2, 1000, t_shift=0.1).times()
+        sums._phasors(rows, np.array([-3.0, 0.5, 2.0]))
 
 
 def _check_fsum(xs):
