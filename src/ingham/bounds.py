@@ -11,9 +11,15 @@ exponentials and Q the block matrix of the quadratic form.  The pencil is
 reduced by congruence with the Cholesky factor L of Q to the Hermitian
 matrix L^{-1} S L^{-H}, which LAPACK's divide-and-conquer solver (numpy's
 eigh) diagonalizes; every eigenpair is then checked against the residual
-gate ||S v - lambda Q v|| <= 1e-9 ||S||.  The congruence already gives up
-the relative accuracy a Jacobi solver would offer, so LAPACK loses
-nothing, and the pencil dimension is limited only by memory.
+gate ||S v - lambda Q v|| <= 1e-9 ||S||.  Q is block diagonal, 1 for an
+isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, so L is lower
+bidiagonal with isolated subdiagonal entries.  `hermitian_pencil_eig`
+applies such a Q as a banded operator: the congruence, the eigenvectors
+and Q V in the gate take O(n^2) recurrences in place of dense LU solves
+and products, with the LU solves' own operations and so their bits, and
+only the Cholesky factor, eigh and S V stay cubic.  The congruence already
+gives up the relative accuracy a Jacobi solver would offer, so LAPACK
+loses nothing, and the pencil dimension is limited only by memory.
 
 One step, `_sampled_pencil`, builds the Gram, solves and applies the singular
 rule for `frame_constants`, `extended_frame_constants`, `continuum_limit_scan`
@@ -37,6 +43,7 @@ suite is the arbiter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,6 +102,15 @@ def _sinc(x: float) -> float:
     return 1.0 if x == 0.0 else math.sin(x) / x
 
 
+@functools.lru_cache(maxsize=128)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, read-only, kept per n."""
+    upper = np.triu_indices(n, 1)
+    for index in upper:
+        index.flags.writeable = False
+    return upper
+
+
 def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}.
 
@@ -109,7 +125,7 @@ def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
     omegas = np.asarray(omegas)
     n = len(omegas)
     delta, J = grid.delta, grid.J
-    upper = np.triu_indices(n, 1)
+    upper = _upper_pairs(n)
     diff = omegas[upper[0]] - omegas[upper[1]]
     half = 0.5 * (diff * delta)
     sin_half = np.sin(half)
@@ -142,14 +158,41 @@ def sampled_gram(seq: ExponentSequence, grid: SamplingGrid, mask: BandMask) -> n
     return _gram_from_omegas(omegas, grid)
 
 
+def _bidiagonal_solve(b: np.ndarray, mult: np.ndarray | None, diag: np.ndarray) -> np.ndarray:
+    """L^{-1} b for a lower-bidiagonal L, by the steps of LU without pivoting.
+
+    The unit lower factor holds mult[k-1] = L[k, k-1] * (1 / L[k-1, k-1]) at
+    row k, and the upper factor is L's diagonal `diag`.  Where no two nonzero
+    subdiagonal entries are adjacent, row k-1 of a nonzero mult[k-1] is still
+    b's own, so the recurrence is one shifted update.  mult None is L = diag.
+    """
+    if mult is not None:
+        b = b.copy()
+        b[1:] -= mult[:, None] * b[:-1]
+    return b / diag[:, None]
+
+
 def hermitian_pencil_eig(
     s: np.ndarray, q: np.ndarray, with_vectors: bool = False
 ):
     """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
 
-    Q must be positive definite (checked via Cholesky, or entry by entry
-    for a diagonal Q, whose congruence is a scaling).  Residuals
-    ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
+    The pencil is reduced by congruence with the Cholesky factor L of
+    Q = L L^H to A = L^{-1} S L^{-H}, and an eigenvector u of A gives
+    v = L^{-H} u.  Q must be positive definite.
+
+    A Q whose nonzeros lie on its diagonal and on isolated sub- and
+    superdiagonal entries (every Q this package builds: scalar 1s and 2x2
+    pair blocks, or a diagonal) is applied as a banded operator.  Its L is
+    lower bidiagonal; the congruence is the two-term recurrence that LU
+    without pivoting performs on L, v is a back substitution, and Q V in the
+    residual is a banded product.  These are the operations of the LU
+    solves, so the eigenvalues keep their bits wherever LU picks no pivot,
+    which for a real block [[a, b], [b, a]] means |b| < a.  Without pairs L
+    is sqrt(diag Q), checked entry by entry, and there is no Cholesky.  Any
+    other Q is factored and solved densely.
+
+    Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
     StructuralError, and so does an ||S|| past the double range, against
     which every residual would pass.
@@ -158,35 +201,57 @@ def hermitian_pencil_eig(
     q = np.asarray(q, dtype=complex)
     if s.shape != q.shape or s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError("pencil matrices must be square and of equal shape")
-    # congruence A = L^{-1} S L^{-H} with Q = L L^H
-    diagonal = np.count_nonzero(q) == np.count_nonzero(q.diagonal())
-    if diagonal:
-        # L = diag(sqrt(q_ii)), Cholesky's factor, so the congruence is a scaling
-        d = q.diagonal().real
-        if not np.all(d > 0.0):  # written so that a NaN entry fails
-            raise ValidationError("Q not positive definite")
-        l = np.sqrt(d)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK: a non-finite A fails below
-            a = s / l
-            a = (a.conj().T / l).conj().T
-    else:
+    sub = q.diagonal(-1) != 0
+    pairs, upper = np.count_nonzero(sub), np.count_nonzero(q.diagonal(1))
+    nnz = np.count_nonzero(q.diagonal()) + pairs + upper
+    # adjacency by a logical and: a product of two entries near 1e-200 underflows to 0
+    banded = np.count_nonzero(q) == nnz and not np.count_nonzero(sub[1:] & sub[:-1])
+    if pairs or not banded:
         try:
             chol = np.linalg.cholesky(q)
         except np.linalg.LinAlgError:
             raise ValidationError("Q not positive definite") from None
+    if not banded:
         a = np.linalg.solve(chol, s)
         a = np.linalg.solve(chol, a.conj().T).conj().T
+    else:
+        if pairs:
+            diag = chol.diagonal()
+        else:
+            diag = q.diagonal().real
+            if not np.all(diag > 0.0):  # written so that a NaN entry fails
+                raise ValidationError("Q not positive definite")
+            diag = np.sqrt(diag)
+        with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK: a non-finite A fails below
+            mult = chol.diagonal(-1) * (1.0 / diag[:-1]) if pairs else None
+            a = _bidiagonal_solve(s, mult, diag)
+            a = _bidiagonal_solve(a.conj().T, mult, diag).conj().T
     a = 0.5 * (a + a.conj().T)
     try:
         vals, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         raise StructuralError("pencil eigensolver did not converge") from None
-    vecs = u / l if diagonal else np.linalg.solve(chol.conj().T, u)
     with np.errstate(over="ignore"):  # an overflowing ||S|| is refused by name below
         s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
     if not math.isfinite(s_norm):
         raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
-    resid = s @ vecs - q @ vecs * vals[None, :]
+    if not banded:
+        vecs = np.linalg.solve(chol.conj().T, u)
+        qv = q @ vecs
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # back substitution in L^H: v[k] = (u[k] - conj(L[k+1, k]) v[k+1]) / conj(L[k, k])
+            diag = diag.conj()
+            vecs = u / diag[:, None]
+            if pairs:
+                vecs[:-1] = (u[:-1] - chol.diagonal(-1).conj()[:, None] * vecs[1:]) / diag[:-1, None]
+            # Q V as a banded product
+            qv = q.diagonal()[:, None] * vecs
+            if pairs:
+                qv[1:] += q.diagonal(-1)[:, None] * vecs[:-1]
+            if upper:
+                qv[:-1] += q.diagonal(1)[:, None] * vecs[1:]
+    resid = s @ vecs - qv * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
     # written so that a NaN residual fails
     if not worst <= _RESIDUAL_RTOL * max(s_norm, 1e-300):

@@ -36,7 +36,7 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _PI_PARTS, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing
+from ingham.bounds import _PI_PARTS, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing, _upper_pairs
 from ingham.cli import _sanitize
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
@@ -192,16 +192,116 @@ class TestPencil:
         with pytest.raises(ValidationError, match="^Q not positive definite$"):
             hermitian_pencil_eig(np.eye(3), q)
 
+    @staticmethod
+    def lu_pencil(s, q):
+        """Eigenpairs by Cholesky and np.linalg.solve, as a dense Q takes them."""
+        chol = np.linalg.cholesky(q.astype(complex))
+        a = np.linalg.solve(chol, s)
+        a = np.linalg.solve(chol, a.conj().T).conj().T
+        vals, u = np.linalg.eigh(0.5 * (a + a.conj().T))
+        return vals, np.linalg.solve(chol.conj().T, u)
+
+    @staticmethod
+    def block_q(rng, n):
+        """Q of `q_matrix`'s form: pair blocks [[1+d^2, 1], [1, 1+d^2]] with d in
+        1e-3..1, one of them ending at the last index, singles 1, and pair
+        members whose partner is masked out, 1+d^2."""
+        q = np.eye(n)
+        k = 0
+        while k < n:
+            d2 = (10.0 ** rng.uniform(-3.0, 0.0)) ** 2
+            if k == n - 2 or (k < n - 3 and rng.uniform() < 0.5):
+                q[k, k] = q[k + 1, k + 1] = 1.0 + d2
+                q[k, k + 1] = q[k + 1, k] = 1.0
+                k += 2
+            else:
+                if rng.uniform() < 0.3:
+                    q[k, k] = 1.0 + d2
+                k += 1
+        return q
+
+    def assert_matches_lu(self, s, q):
+        expected, expected_vecs = self.lu_pencil(s, q)
+        vals, vecs = hermitian_pencil_eig(s, q, with_vectors=True)
+        assert np.array_equal(vals.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(vecs, expected_vecs)
+        r = s @ vecs - (q @ vecs) * vals
+        assert np.all(np.linalg.norm(r, axis=0) <= 1e-9 * np.linalg.norm(s) * np.linalg.norm(vecs, axis=0))
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 40, 100])
+    def test_block_q_matches_lu_bitwise(self, n, rng):
+        # a Q of 2x2 pair blocks is applied as a banded operator, by the operations
+        # of the LU solves: the eigenvalues keep every bit, the vectors every value
+        for _ in range(5):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            self.assert_matches_lu(g @ g.conj().T, self.block_q(rng, n))
+
+    def test_q_matrix_pencils_match_lu_bitwise(self, rng):
+        pairs = 0
+        for _ in range(12):
+            seq = block_sequence(rng, nmin=4, nmax=30)
+            grid = admissible_grid(seq, rng)
+            mask = band_mask(seq, grid.delta)
+            q = q_matrix(seq, mask).matrix
+            pairs += np.count_nonzero(q.diagonal(-1))
+            self.assert_matches_lu(sampled_gram(seq, grid, mask), q)
+        assert pairs > 0
+
     def test_block_q_is_factored(self, rng, monkeypatch):
         cholesky = mock.Mock(side_effect=np.linalg.cholesky)
+        solve = mock.Mock(side_effect=np.linalg.solve)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        s, dense_q = random_pencil(rng, 6)
+        hermitian_pencil_eig(s, self.block_q(rng, 6))
+        assert (cholesky.call_count, solve.call_count) == (1, 0)
+        hermitian_pencil_eig(s, np.diag(rng.uniform(0.5, 2.0, size=6)))
+        assert (cholesky.call_count, solve.call_count) == (1, 0)
+        hermitian_pencil_eig(s, dense_q, with_vectors=True)
+        assert (cholesky.call_count, solve.call_count) == (2, 3)
+
+    def test_package_pencils_make_no_lu_solve(self, rng, monkeypatch):
+        # the frame, Haraux and scan pencils all take the banded path
+        solve = mock.Mock(side_effect=np.linalg.solve)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        frame_constants(CHAIN, SamplingGrid(0.3, 12))
+        grid = SamplingGrid(0.3, 12)
+        plan = plan_haraux(CHAIN, 1.7, 4, grid.delta)
+        extended_frame_constants(CHAIN, grid, plan)
+        continuum_limit_scan(CHAIN, 4.0, [20, 40])
+        assert solve.call_count == 0
+
+    def test_complex_blocks_match_scipy(self, rng):
+        # complex off-diagonal blocks: banded, though LAPACK's bits are not promised
         s, _ = random_pencil(rng, 4)
-        block = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        q = np.kron(np.eye(2), block)
-        hermitian_pencil_eig(s, q)
-        assert cholesky.call_count == 1
-        hermitian_pencil_eig(s, np.diag(np.diag(q)))
-        assert cholesky.call_count == 1
+        q = np.kron(np.eye(2), np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+        vals, vecs = hermitian_pencil_eig(s, q, with_vectors=True)
+        tol = 1e-9 * np.linalg.norm(s)
+        assert np.allclose(vals, scipy.linalg.eigh(s, q, eigvals_only=True), rtol=0.0, atol=tol)
+        r = s @ vecs - (q @ vecs) * vals
+        assert np.all(np.linalg.norm(r, axis=0) <= tol * np.linalg.norm(vecs, axis=0))
+
+    def test_adjacent_tiny_subdiagonal_is_dense(self, rng, monkeypatch):
+        # two adjacent subdiagonal entries of 1e-200, whose product underflows to 0:
+        # the Q is tridiagonal, not of 2x2 blocks, and keeps the LU path
+        solve = mock.Mock(side_effect=np.linalg.solve)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        s, _ = random_pencil(rng, 5)
+        q = np.diag([2.0, 1.0, 3.0, 1.5, 1.0]).astype(complex)
+        q[1, 0] = q[0, 1] = q[2, 1] = q[1, 2] = 1e-200
+        vals = hermitian_pencil_eig(s, q)
+        assert solve.call_count == 3
+        expected = scipy.linalg.eigh(s, q, eigvals_only=True)
+        assert np.allclose(vals, expected, rtol=0.0, atol=1e-9 * np.linalg.norm(s))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 3)])
+    def test_non_finite_s_with_block_q(self, bad, entry, rng):
+        # refused by the gate, with no numpy warning (the suite turns warnings into errors)
+        s = np.eye(4, dtype=complex)
+        s[entry] = s[entry[::-1]] = bad
+        with pytest.raises(StructuralError):
+            hermitian_pencil_eig(s, self.block_q(rng, 4))
 
 
 class TestSampledGram:
@@ -256,6 +356,13 @@ class TestSampledGram:
                 # delta 1, no shift: the entry is the Dirichlet kernel at theta
                 s = _gram_from_omegas(np.array([float(theta), 0.0]), SamplingGrid(1.0, J))
                 assert s[0, 1] == pytest.approx(direct, abs=1e-11)
+
+    def test_index_pairs_are_cached_read_only(self):
+        upper = _upper_pairs(6)
+        assert _upper_pairs(6) is upper and _upper_pairs.cache_info().maxsize is not None
+        assert all(np.array_equal(got, want) for got, want in zip(upper, np.triu_indices(6, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            upper[0][0] = 1
 
     def test_mask_length_mismatch(self):
         other = ExponentSequence((0.0, 3.0), 1.0, 1.0)
