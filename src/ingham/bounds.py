@@ -13,11 +13,9 @@ matrix L^{-1} S L^{-H}, which LAPACK's divide-and-conquer solver (numpy's
 eigh) diagonalizes; every eigenpair is then checked against the residual
 gate ||S v - lambda Q v|| <= 1e-9 ||S||.  Q is block diagonal, 1 for an
 isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, so L is lower
-bidiagonal with isolated subdiagonal entries.  `hermitian_pencil_eig`
-applies such a Q as a banded operator: the congruence, the eigenvectors
-and Q V in the gate take O(n^2) recurrences in place of dense LU solves
-and products, with the LU solves' own operations and so their bits, and
-only the Cholesky factor, eigh and S V stay cubic.  The congruence already
+bidiagonal, and Q is applied as a banded operator: the congruence, the
+eigenvectors and Q V in the gate are O(n^2) recurrences with the operations
+(and so the bits) of the LU solves a dense Q takes.  The congruence already
 gives up the relative accuracy a Jacobi solver would offer, so LAPACK
 loses nothing, and the pencil dimension is limited only by memory.
 
@@ -245,7 +243,6 @@ def hermitian_pencil_eig(
             vecs = u / diag[:, None]
             if pairs:
                 vecs[:-1] = (u[:-1] - chol.diagonal(-1).conj()[:, None] * vecs[1:]) / diag[:-1, None]
-            # Q V as a banded product
             qv = q.diagonal()[:, None] * vecs
             if pairs:
                 qv[1:] += q.diagonal(-1)[:, None] * vecs[:-1]
