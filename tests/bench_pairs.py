@@ -47,9 +47,9 @@ BOOTSTRAP_DRAWS = 10000
 LEVEL = 0.95
 
 
-def directions(benchmark: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
+def directions() -> dict[str, str]:
     """{end-to-end metric: "lower" or "higher"}, as `BENCHMARK.json` declares them."""
-    spec = json.loads(benchmark.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
 
