@@ -15,7 +15,8 @@ gate ||S v - lambda Q v|| <= 1e-9 ||S||.  Q is block diagonal, 1 for an
 isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, so L is lower
 bidiagonal, and Q is applied as a banded operator: the congruence, the
 eigenvectors and Q V in the gate are O(n^2) recurrences with the operations
-(and so the bits) of the LU solves a dense Q takes.  The congruence already
+(and so the bits) of dense LU solves.  A Q of any other form is refused
+with a StructuralError, not solved densely.  The congruence already
 gives up the relative accuracy a Jacobi solver would offer, so LAPACK
 loses nothing, and the pencil dimension is limited only by memory.
 
@@ -179,16 +180,17 @@ def hermitian_pencil_eig(
     Q = L L^H to A = L^{-1} S L^{-H}, and an eigenvector u of A gives
     v = L^{-H} u.  Q must be positive definite.
 
-    A Q whose nonzeros lie on its diagonal and on isolated sub- and
-    superdiagonal entries (every Q this package builds: scalar 1s and 2x2
-    pair blocks, or a diagonal) is applied as a banded operator.  Its L is
-    lower bidiagonal; the congruence is the two-term recurrence that LU
-    without pivoting performs on L, v is a back substitution, and Q V in the
-    residual is a banded product.  These are the operations of the LU
-    solves, so the eigenvalues keep their bits wherever LU picks no pivot,
-    which for a real block [[a, b], [b, a]] means |b| < a.  Without pairs L
-    is sqrt(diag Q), checked entry by entry, and there is no Cholesky.  Any
-    other Q is factored and solved densely.
+    Q must be diagonal except for isolated 2x2 pair blocks, as every Q this
+    package builds is: its nonzeros lie on the diagonal and on mirrored sub-
+    and superdiagonal entries, no two subdiagonal ones adjacent.  Any other
+    Q, dense or tridiagonal, raises StructuralError.  L is then lower
+    bidiagonal and Q a banded operator: the congruence is the two-term
+    recurrence that LU without pivoting performs on L, v is a back
+    substitution, and Q V in the residual is a banded product.  These are
+    the operations of dense LU solves, so the eigenvalues keep their bits
+    wherever LU picks no pivot, which for a real block [[a, b], [b, a]]
+    means |b| < a.  Without pairs L is sqrt(diag Q), checked entry by
+    entry, and there is no Cholesky.
 
     Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
@@ -199,55 +201,47 @@ def hermitian_pencil_eig(
     q = np.asarray(q, dtype=complex)
     if s.shape != q.shape or s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise StructuralError("pencil matrices must be square and of equal shape")
-    sub = q.diagonal(-1) != 0
-    pairs, upper = np.count_nonzero(sub), np.count_nonzero(q.diagonal(1))
-    nnz = np.count_nonzero(q.diagonal()) + pairs + upper
-    # adjacency by a logical and: a product of two entries near 1e-200 underflows to 0
-    banded = np.count_nonzero(q) == nnz and not np.count_nonzero(sub[1:] & sub[:-1])
-    if pairs or not banded:
+    band = (q.diagonal(-1) != 0) & (q.diagonal(1) != 0)
+    pairs = np.count_nonzero(band)
+    # an unmirrored band entry or one off the bands makes nnz(Q) exceed this count; adjacency
+    # by a logical and: a product of two entries near 1e-200 underflows to 0
+    off_band = np.count_nonzero(q) != np.count_nonzero(q.diagonal()) + 2 * pairs
+    if off_band or np.count_nonzero(band[1:] & band[:-1]):
+        raise StructuralError("Q must be diagonal except for isolated 2x2 pair blocks")
+    if pairs:
         try:
             chol = np.linalg.cholesky(q)
         except np.linalg.LinAlgError:
             raise ValidationError("Q not positive definite") from None
-    if not banded:
-        a = np.linalg.solve(chol, s)
-        a = np.linalg.solve(chol, a.conj().T).conj().T
+        diag = chol.diagonal()
     else:
-        if pairs:
-            diag = chol.diagonal()
-        else:
-            diag = q.diagonal().real
-            if not np.all(diag > 0.0):  # written so that a NaN entry fails
-                raise ValidationError("Q not positive definite")
-            diag = np.sqrt(diag)
-        with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK: a non-finite A fails below
-            mult = chol.diagonal(-1) * (1.0 / diag[:-1]) if pairs else None
-            a = _bidiagonal_solve(s, mult, diag)
-            a = _bidiagonal_solve(a.conj().T, mult, diag).conj().T
-    a = 0.5 * (a + a.conj().T)
-    try:
-        vals, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        raise StructuralError("pencil eigensolver did not converge") from None
-    with np.errstate(over="ignore"):  # an overflowing ||S|| is refused by name below
+        diag = q.diagonal().real
+        if not np.all(diag > 0.0):  # written so that a NaN entry fails
+            raise ValidationError("Q not positive definite")
+        diag = np.sqrt(diag)
+    # as LAPACK, without a warning: a non-finite A fails the residual gate, and an
+    # overflowing ||S|| is refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = chol.diagonal(-1) * (1.0 / diag[:-1]) if pairs else None
+        a = _bidiagonal_solve(s, mult, diag)
+        a = _bidiagonal_solve(a.conj().T, mult, diag).conj().T
+        a = 0.5 * (a + a.conj().T)
+        try:
+            vals, u = np.linalg.eigh(a)
+        except np.linalg.LinAlgError:
+            raise StructuralError("pencil eigensolver did not converge") from None
         s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
-    if not math.isfinite(s_norm):
-        raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
-    if not banded:
-        vecs = np.linalg.solve(chol.conj().T, u)
-        qv = q @ vecs
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            # back substitution in L^H: v[k] = (u[k] - conj(L[k+1, k]) v[k+1]) / conj(L[k, k])
-            diag = diag.conj()
-            vecs = u / diag[:, None]
-            if pairs:
-                vecs[:-1] = (u[:-1] - chol.diagonal(-1).conj()[:, None] * vecs[1:]) / diag[:-1, None]
-            qv = q.diagonal()[:, None] * vecs
-            if pairs:
-                qv[1:] += q.diagonal(-1)[:, None] * vecs[:-1]
-            if upper:
-                qv[:-1] += q.diagonal(1)[:, None] * vecs[1:]
+        if not math.isfinite(s_norm):
+            raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
+        # back substitution in L^H: v[k] = (u[k] - conj(L[k+1, k]) v[k+1]) / conj(L[k, k])
+        diag = diag.conj()
+        vecs = u / diag[:, None]
+        if pairs:
+            vecs[:-1] = (u[:-1] - chol.diagonal(-1).conj()[:, None] * vecs[1:]) / diag[:-1, None]
+        qv = q.diagonal()[:, None] * vecs
+        if pairs:
+            qv[1:] += q.diagonal(-1)[:, None] * vecs[:-1]
+            qv[:-1] += q.diagonal(1)[:, None] * vecs[1:]
     resid = s @ vecs - qv * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
     # written so that a NaN residual fails

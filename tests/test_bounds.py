@@ -42,12 +42,35 @@ from ingham.cli import _sanitize
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
 
-def random_pencil(rng, n):
-    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    s = 0.5 * (s + s.conj().T)
+def block_q(rng, n):
+    """Q of `q_matrix`'s form: pair blocks [[1+d^2, 1], [1, 1+d^2]] with d in
+    1e-3..1, one of them ending at the last index, singles 1, and pair
+    members whose partner is masked out, 1+d^2."""
+    q = np.eye(n)
+    k = 0
+    while k < n:
+        d2 = (10.0 ** rng.uniform(-3.0, 0.0)) ** 2
+        if k == n - 2 or (k < n - 3 and rng.uniform() < 0.5):
+            q[k, k] = q[k + 1, k + 1] = 1.0 + d2
+            q[k, k + 1] = q[k + 1, k] = 1.0
+            k += 2
+        else:
+            if rng.uniform() < 0.3:
+                q[k, k] = 1.0 + d2
+            k += 1
+    return q
+
+
+def random_spd(rng, n):
+    """A dense Hermitian positive definite matrix, every entry nonzero."""
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q = b @ b.conj().T + n * np.eye(n)
-    return s, q
+    return b @ b.conj().T + n * np.eye(n)
+
+
+def random_pencil(rng, n):
+    """A random Hermitian S and a Q of `q_matrix`'s form, with a pair block from n = 2."""
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (s + s.conj().T), block_q(rng, n)
 
 
 def charpoly_eigs(a):
@@ -137,7 +160,7 @@ class TestPencil:
 
     def test_residual_gate(self, rng):
         # a Q eigenvalue of 1e-14 amplifies the congruence's rounding past 1e-9 ||S||
-        _, s = random_pencil(rng, 6)
+        s = random_spd(rng, 6)
         q = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-14]).astype(complex)
         with pytest.raises(StructuralError, match=r"pencil residual .* exceeds 1e-09 \* \|\|S\|\|"):
             hermitian_pencil_eig(s, q)
@@ -201,25 +224,6 @@ class TestPencil:
         vals, u = np.linalg.eigh(0.5 * (a + a.conj().T))
         return vals, np.linalg.solve(chol.conj().T, u)
 
-    @staticmethod
-    def block_q(rng, n):
-        """Q of `q_matrix`'s form: pair blocks [[1+d^2, 1], [1, 1+d^2]] with d in
-        1e-3..1, one of them ending at the last index, singles 1, and pair
-        members whose partner is masked out, 1+d^2."""
-        q = np.eye(n)
-        k = 0
-        while k < n:
-            d2 = (10.0 ** rng.uniform(-3.0, 0.0)) ** 2
-            if k == n - 2 or (k < n - 3 and rng.uniform() < 0.5):
-                q[k, k] = q[k + 1, k + 1] = 1.0 + d2
-                q[k, k + 1] = q[k + 1, k] = 1.0
-                k += 2
-            else:
-                if rng.uniform() < 0.3:
-                    q[k, k] = 1.0 + d2
-                k += 1
-        return q
-
     def assert_matches_lu(self, s, q):
         expected, expected_vecs = self.lu_pencil(s, q)
         vals, vecs = hermitian_pencil_eig(s, q, with_vectors=True)
@@ -234,7 +238,7 @@ class TestPencil:
         # of the LU solves: the eigenvalues keep every bit, the vectors every value
         for _ in range(5):
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            self.assert_matches_lu(g @ g.conj().T, self.block_q(rng, n))
+            self.assert_matches_lu(g @ g.conj().T, block_q(rng, n))
 
     def test_q_matrix_pencils_match_lu_bitwise(self, rng):
         pairs = 0
@@ -248,17 +252,16 @@ class TestPencil:
         assert pairs > 0
 
     def test_block_q_is_factored(self, rng, monkeypatch):
+        # one Cholesky for a block Q, none for a diagonal Q, and never an LU solve
         cholesky = mock.Mock(side_effect=np.linalg.cholesky)
         solve = mock.Mock(side_effect=np.linalg.solve)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        s, dense_q = random_pencil(rng, 6)
-        hermitian_pencil_eig(s, self.block_q(rng, 6))
+        s, q = random_pencil(rng, 6)
+        hermitian_pencil_eig(s, q, with_vectors=True)
         assert (cholesky.call_count, solve.call_count) == (1, 0)
-        hermitian_pencil_eig(s, np.diag(rng.uniform(0.5, 2.0, size=6)))
+        hermitian_pencil_eig(s, np.diag(rng.uniform(0.5, 2.0, size=6)), with_vectors=True)
         assert (cholesky.call_count, solve.call_count) == (1, 0)
-        hermitian_pencil_eig(s, dense_q, with_vectors=True)
-        assert (cholesky.call_count, solve.call_count) == (2, 3)
 
     def test_package_pencils_make_no_lu_solve(self, rng, monkeypatch):
         # the frame, Haraux and scan pencils all take the banded path
@@ -281,18 +284,36 @@ class TestPencil:
         r = s @ vecs - (q @ vecs) * vals
         assert np.all(np.linalg.norm(r, axis=0) <= tol * np.linalg.norm(vecs, axis=0))
 
-    def test_adjacent_tiny_subdiagonal_is_dense(self, rng, monkeypatch):
+    FORM = "^Q must be diagonal except for isolated 2x2 pair blocks$"
+
+    def test_adjacent_tiny_subdiagonal_is_refused(self, rng):
         # two adjacent subdiagonal entries of 1e-200, whose product underflows to 0:
-        # the Q is tridiagonal, not of 2x2 blocks, and keeps the LU path
-        solve = mock.Mock(side_effect=np.linalg.solve)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        # the Q is tridiagonal, not of 2x2 blocks
         s, _ = random_pencil(rng, 5)
         q = np.diag([2.0, 1.0, 3.0, 1.5, 1.0]).astype(complex)
         q[1, 0] = q[0, 1] = q[2, 1] = q[1, 2] = 1e-200
-        vals = hermitian_pencil_eig(s, q)
-        assert solve.call_count == 3
-        expected = scipy.linalg.eigh(s, q, eigvals_only=True)
-        assert np.allclose(vals, expected, rtol=0.0, atol=1e-9 * np.linalg.norm(s))
+        with pytest.raises(StructuralError, match=self.FORM):
+            hermitian_pencil_eig(s, q)
+
+    def test_dense_q_refused(self, rng):
+        s, _ = random_pencil(rng, 6)
+        with pytest.raises(StructuralError, match=self.FORM):
+            hermitian_pencil_eig(s, random_spd(rng, 6))
+
+    @pytest.mark.parametrize("moved", [None, (0, 1)], ids=["added", "moved-from-pair"])
+    def test_off_band_entry_refused(self, moved, rng):
+        # one entry at (0, 3) of a Q with a pair at (0, 1): added to it, or moved
+        # there from the pair's superdiagonal entry, which a count of the
+        # subdiagonal alone would not see
+        s, _ = random_pencil(rng, 6)
+        q = np.eye(6)
+        q[0, 0] = q[1, 1] = 1.25
+        q[0, 1] = q[1, 0] = 1.0
+        if moved:
+            q[moved] = 0.0
+        q[0, 3] = 0.5
+        with pytest.raises(StructuralError, match=self.FORM):
+            hermitian_pencil_eig(s, q)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 3)])
@@ -301,7 +322,7 @@ class TestPencil:
         s = np.eye(4, dtype=complex)
         s[entry] = s[entry[::-1]] = bad
         with pytest.raises(StructuralError):
-            hermitian_pencil_eig(s, self.block_q(rng, 4))
+            hermitian_pencil_eig(s, block_q(rng, 4))
 
 
 class TestSampledGram:
