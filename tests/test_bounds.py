@@ -217,7 +217,7 @@ class TestPencil:
 
     @staticmethod
     def lu_pencil(s, q):
-        """Eigenpairs by Cholesky and np.linalg.solve, as a dense Q takes them."""
+        """Eigenpairs by Cholesky and np.linalg.solve, the dense reference of the banded path."""
         chol = np.linalg.cholesky(q.astype(complex))
         a = np.linalg.solve(chol, s)
         a = np.linalg.solve(chol, a.conj().T).conj().T
