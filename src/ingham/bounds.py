@@ -7,18 +7,17 @@ The two-sided sampled-energy inequality
 
 is made sharp per instance by solving the generalized eigenproblem
 S v = lambda Q v, where S is the sampled Gram matrix of the active
-exponentials and Q the block matrix of the quadratic form.  The pencil is
-reduced by congruence with the Cholesky factor L of Q to the Hermitian
-matrix L^{-1} S L^{-H}, which LAPACK's divide-and-conquer solver (numpy's
-eigh) diagonalizes; every eigenpair is then checked against the residual
-gate ||S v - lambda Q v|| <= 1e-9 ||S||.  Q is block diagonal, 1 for an
-isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, so L is lower
-bidiagonal, and Q is applied as a banded operator: the congruence, the
-eigenvectors and Q V in the gate are O(n^2) recurrences with the operations
-(and so the bits) of dense LU solves.  A Q of any other form is refused
-with a StructuralError, not solved densely.  The congruence already
-gives up the relative accuracy a Jacobi solver would offer, so LAPACK
-loses nothing, and the pencil dimension is limited only by memory.
+exponentials and Q the block matrix of the quadratic form: 1 for an
+isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, carried as
+its two bands from `quadforms.q_matrix` to the solver.  Its Cholesky factor
+L, lower bidiagonal, reduces the pencil by congruence to the Hermitian
+L^{-1} S L^{-T}, which LAPACK's divide-and-conquer solver (numpy's eigh)
+diagonalizes; every eigenpair is then checked against the residual gate
+||S v - lambda Q v|| <= 1e-9 ||S||.  L, the congruence, the eigenvectors
+and Q V in the gate are O(n) and O(n^2) recurrences with the operations
+(and so the bits) of dense Cholesky and LU solves.  The congruence
+already gives up the relative accuracy a Jacobi solver would offer, so
+LAPACK loses nothing, and the pencil dimension is limited only by memory.
 
 One step, `_sampled_pencil`, builds the Gram, solves and applies the singular
 rule for `frame_constants`, `extended_frame_constants`, `continuum_limit_scan`
@@ -171,26 +170,37 @@ def _bidiagonal_solve(b: np.ndarray, mult: np.ndarray | None, diag: np.ndarray) 
     return b / diag[:, None]
 
 
+def _band_cholesky(q_diag: np.ndarray, q_sub: np.ndarray):
+    """(diagonal, subdiagonal or None without pairs) of the Cholesky factor L of Q, by
+    L[k+1, k] = q_sub[k] * (1 / L[k, k]) and L[k+1, k+1] = sqrt(q_diag[k+1] - L[k+1, k]^2),
+    LAPACK's operations and so its bits.  Runs under the pencil's np.errstate."""
+    band = q_sub != 0
+    # adjacency by a logical and: a product of two entries near 1e-200 underflows to 0
+    if np.count_nonzero(band[1:] & band[:-1]):
+        raise StructuralError("Q must be diagonal except for isolated 2x2 pair blocks")
+    low, pivots = None, q_diag
+    if np.count_nonzero(band):
+        low = q_sub * (1.0 / np.sqrt(q_diag[:-1]))
+        pivots = q_diag.copy()
+        pivots[1:] -= low * low
+    if not (pivots > 0.0).all():  # written so that a NaN pivot fails
+        raise ValidationError("Q not positive definite")
+    return np.sqrt(pivots), low
+
+
 def hermitian_pencil_eig(
-    s: np.ndarray, q: np.ndarray, with_vectors: bool = False
+    s: np.ndarray, q_diag: np.ndarray, q_sub: np.ndarray, with_vectors: bool = False
 ):
     """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
 
-    The pencil is reduced by congruence with the Cholesky factor L of
-    Q = L L^H to A = L^{-1} S L^{-H}, and an eigenvector u of A gives
-    v = L^{-H} u.  Q must be positive definite.
-
-    Q must be diagonal except for isolated 2x2 pair blocks, as every Q this
-    package builds is: its nonzeros lie on the diagonal and on mirrored sub-
-    and superdiagonal entries, no two subdiagonal ones adjacent.  Any other
-    Q, dense or tridiagonal, raises StructuralError.  L is then lower
-    bidiagonal and Q a banded operator: the congruence is the two-term
-    recurrence that LU without pivoting performs on L, v is a back
-    substitution, and Q V in the residual is a banded product.  These are
-    the operations of dense LU solves, so the eigenvalues keep their bits
-    wherever LU picks no pivot, which for a real block [[a, b], [b, a]]
-    means |b| < a.  Without pairs L is sqrt(diag Q), checked entry by
-    entry, and there is no Cholesky.
+    Q is real symmetric, given by its real diagonal `q_diag` (length n) and
+    subdiagonal `q_sub` (length n - 1, also the superdiagonal).  It must be
+    positive definite (else ValidationError) with no two adjacent nonzero
+    couplings (else StructuralError), as every Q this package builds is.
+    The pencil is reduced by congruence with the bidiagonal Cholesky factor
+    L of Q to A = L^{-1} S L^{-T}, and an eigenvector u of A gives
+    v = L^{-T} u, by banded recurrences with the operations, and so the
+    bits, of dense Cholesky and LU solves wherever LU picks no pivot.
 
     Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
@@ -198,31 +208,17 @@ def hermitian_pencil_eig(
     which every residual would pass.
     """
     s = np.asarray(s, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if s.shape != q.shape or s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise StructuralError("pencil matrices must be square and of equal shape")
-    band = (q.diagonal(-1) != 0) & (q.diagonal(1) != 0)
-    pairs = np.count_nonzero(band)
-    # an unmirrored band entry or one off the bands makes nnz(Q) exceed this count; adjacency
-    # by a logical and: a product of two entries near 1e-200 underflows to 0
-    off_band = np.count_nonzero(q) != np.count_nonzero(q.diagonal()) + 2 * pairs
-    if off_band or np.count_nonzero(band[1:] & band[:-1]):
-        raise StructuralError("Q must be diagonal except for isolated 2x2 pair blocks")
-    if pairs:
-        try:
-            chol = np.linalg.cholesky(q)
-        except np.linalg.LinAlgError:
-            raise ValidationError("Q not positive definite") from None
-        diag = chol.diagonal()
-    else:
-        diag = q.diagonal().real
-        if not np.all(diag > 0.0):  # written so that a NaN entry fails
-            raise ValidationError("Q not positive definite")
-        diag = np.sqrt(diag)
+    n = np.size(q_diag)
+    complex_q = np.iscomplexobj(q_diag) or np.iscomplexobj(q_sub)
+    if complex_q or np.ndim(q_diag) != 1 or s.shape != (n, n) or np.shape(q_sub) != (n - 1,):
+        raise StructuralError("pencil S must be n x n, with real Q bands of lengths n and n - 1")
+    q_diag, q_sub = np.asarray(q_diag, dtype=float), np.asarray(q_sub, dtype=float)
     # as LAPACK, without a warning: a non-finite A fails the residual gate, and an
     # overflowing ||S|| is refused by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        mult = chol.diagonal(-1) * (1.0 / diag[:-1]) if pairs else None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diag, low = _band_cholesky(q_diag, q_sub)
+        pairs = low is not None
+        mult = low * (1.0 / diag[:-1]) if pairs else None
         a = _bidiagonal_solve(s, mult, diag)
         a = _bidiagonal_solve(a.conj().T, mult, diag).conj().T
         a = 0.5 * (a + a.conj().T)
@@ -233,15 +229,14 @@ def hermitian_pencil_eig(
         s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
         if not math.isfinite(s_norm):
             raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
-        # back substitution in L^H: v[k] = (u[k] - conj(L[k+1, k]) v[k+1]) / conj(L[k, k])
-        diag = diag.conj()
+        # back substitution in L^T: v[k] = (u[k] - L[k+1, k] v[k+1]) / L[k, k]
         vecs = u / diag[:, None]
         if pairs:
-            vecs[:-1] = (u[:-1] - chol.diagonal(-1).conj()[:, None] * vecs[1:]) / diag[:-1, None]
-        qv = q.diagonal()[:, None] * vecs
+            vecs[:-1] = (u[:-1] - low[:, None] * vecs[1:]) / diag[:-1, None]
+        qv = q_diag[:, None] * vecs
         if pairs:
-            qv[1:] += q.diagonal(-1)[:, None] * vecs[:-1]
-            qv[:-1] += q.diagonal(1)[:, None] * vecs[1:]
+            qv[1:] += q_sub[:, None] * vecs[:-1]
+            qv[:-1] += q_sub[:, None] * vecs[1:]
     resid = s @ vecs - qv * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
     # written so that a NaN residual fails
@@ -249,21 +244,19 @@ def hermitian_pencil_eig(
         raise StructuralError(
             f"pencil residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * ||S||"
         )
-    if with_vectors:
-        return vals, vecs
-    return vals
+    return (vals, vecs) if with_vectors else vals
 
 
-def _pencil_extremes(s: np.ndarray, q: np.ndarray) -> tuple[float, float, bool]:
-    """(min_eig, max_eig, singular) of the pencil S v = lambda Q v, where
+def _pencil_extremes(s: np.ndarray, q: tuple) -> tuple[float, float, bool]:
+    """(min_eig, max_eig, singular) of the pencil S v = lambda Q v, q the bands of Q, where
     singular means min_eig <= SINGULAR_RTOL * max(max_eig, 0)."""
-    vals = hermitian_pencil_eig(s, q)
+    vals = hermitian_pencil_eig(s, *q)
     min_eig, max_eig = float(vals[0]), float(vals[-1])
     return min_eig, max_eig, min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
 
 
-def _sampled_pencil(omegas: np.ndarray, q: np.ndarray, grid: SamplingGrid):
-    """(min_eig, max_eig, singular, S) of the sampled Gram S of omegas on grid against Q."""
+def _sampled_pencil(omegas: np.ndarray, q: tuple, grid: SamplingGrid):
+    """(min_eig, max_eig, singular, S) of the sampled Gram S of omegas on grid, q Q's bands."""
     s = _gram_from_omegas(omegas, grid)
     return (*_pencil_extremes(s, q), s)
 
@@ -279,7 +272,7 @@ def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
 
 
 def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
-    """(report of `frame_constants`, its active indices and their omegas, its Q matrix)."""
+    """(report of `frame_constants`, its active indices and their omegas, its QMatrix)."""
     seq.classification  # first, so that a gap violation outranks the band refusals
     mask = band_mask(seq, grid.delta)
     active = mask.active_indices()
@@ -288,9 +281,9 @@ def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
             "no band-admissible exponents for this sampling step",
             details={"delta": grid.delta, "threshold": mask.threshold},
         )
-    qm = q_matrix(seq, mask).matrix
+    qm = q_matrix(seq, mask)
     omegas = np.array([seq.omegas[k] for k in active], dtype=float)
-    pencil = _sampled_pencil(omegas, qm, grid)
+    pencil = _sampled_pencil(omegas, (qm.diag, qm.sub), grid)
     horizon = grid.J * grid.delta
     diagnostics = (
         f"band mask: {len(active)} of {len(seq)} admissible",
@@ -488,8 +481,7 @@ def extended_frame_constants(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    q_ext = np.pad(qm, (0, 1))
-    q_ext[-1, -1] = 1.0
+    q_ext = (np.append(qm.diag, 1.0), np.append(qm.sub, 0.0))
     grid_ext = SamplingGrid(grid.delta, grid.J + plan.J_prime, grid.t_shift)
     pencil = _sampled_pencil(np.append(omegas, plan.omega_prime), q_ext, grid_ext)
     j, jp = grid.J, plan.J_prime
@@ -548,7 +540,8 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
         delta = R / J
         report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         if active not in continuous:
-            continuous[active] = _pencil_extremes(continuous_gram(omegas, R), qm)[:2]
+            gram = continuous_gram(omegas, R)
+            continuous[active] = _pencil_extremes(gram, (qm.diag, qm.sub))[:2]
         c1c, c2c = continuous[active]
         if report.singular or c1c <= 0.0:
             rel = math.inf

@@ -10,9 +10,9 @@ with the grouping fixed by the direct-inequality chain: both the paired
 modulus and the gap-weighted sum sit inside the A2 term.  Q'(x) adds
 |x'|^2 for one augmented exponent.  The matrix form is block diagonal:
 scalar 1 for A1 indices and the 2x2 block [[1+d^2, 1], [1, 1+d^2]] with
-d = omega_{k+1} - omega_k for each A2 pair (eigenvalues d^2 and 2+d^2).
-Band-masked indices are excluded from the matrix, which amounts to the
-principal submatrix on the active set.
+d = omega_{k+1} - omega_k for each A2 pair (eigenvalues d^2 and 2+d^2),
+held as its diagonal and subdiagonal.  Band-masked indices are excluded,
+which amounts to the principal submatrix on the active set.
 """
 
 from __future__ import annotations
@@ -56,21 +56,27 @@ def q_prime(aug: AugmentedExpSum) -> float:
 
 @dataclass(eq=False)
 class QMatrix:
-    """Dense Hermitian matrix form of Q restricted to the active indices."""
+    """Q on the active indices as its bands: `sub[i]` couples positions i and i + 1 of a pair."""
 
-    matrix: np.ndarray
+    diag: np.ndarray
+    sub: np.ndarray
     active: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.diag)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense symmetric matrix of the bands, formed on each read."""
+        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sub, 1)
 
 
 def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
-    """Assemble the block matrix of Q over the active (band-admissible) indices.
+    """Assemble the bands of Q over the active (band-admissible) indices.
 
     Starting from the identity, each pair adds d^2 to the diagonal entry of
-    each active member, and the off-diagonal 1 where both are active: the
+    each active member, and the coupling 1 where both are active: the
     principal submatrix of the full form.  A pair with both members active
     and d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
     """
@@ -82,7 +88,8 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
             raise StructuralError("band mask length does not match sequence")
         active = mask.active_indices()
     pos = {k: i for i, k in enumerate(active)}
-    m = np.eye(len(active))
+    diag = np.ones(len(active))
+    sub = np.zeros(max(len(active) - 1, 0))
     for k in cls.a2_leads:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
@@ -93,8 +100,8 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-            m[i, j] = m[j, i] = 1.0
+            sub[i] = 1.0
         for e in (i, j):
             if e is not None:
-                m[e, e] += d * d
-    return QMatrix(matrix=m, active=active)
+                diag[e] += d * d
+    return QMatrix(diag=diag, sub=sub, active=active)

@@ -54,23 +54,20 @@ class TestMatrixForm:
             seq = block_sequence(rng)
             qm = q_matrix(seq)
             x = np.array(random_coeffs(rng, len(seq)))
-            quad = float(np.real(x.conj() @ qm.matrix @ x))
+            # x^H Q x from the bands: the diagonal, and each coupling twice
+            quad = float(np.sum(qm.diag * np.abs(x) ** 2) + 2.0 * np.sum(qm.sub * (x[:-1].conj() * x[1:]).real))
             assert quad == pytest.approx(q_form(seq, x), rel=1e-12, abs=1e-12)
 
     def test_block_structure_and_eigenvalues(self):
         qm = q_matrix(CHAIN)
-        m = qm.matrix
-        assert qm.dim == 5 and qm.active == (0, 1, 2, 3, 4)
-        assert m[0, 0] == m[1, 1] == 1.0 + 0.25
-        assert m[0, 1] == m[1, 0] == 1.0
-        assert m[2, 3] == 1.0
-        assert m[4, 4] == 1.0
-        assert m[0, 2] == m[1, 4] == 0.0
-        eigs = np.sort(np.linalg.eigvalsh(m[:2, :2]))
-        assert np.allclose(eigs, [0.25, 2.25], atol=1e-14)
-        eigs = np.sort(np.linalg.eigvalsh(m[2:4, 2:4]))
         d2 = (3.4 - 3.0) ** 2
-        assert np.allclose(eigs, [d2, 2.0 + d2], atol=1e-14)
+        assert qm.dim == 5 and qm.active == (0, 1, 2, 3, 4)
+        assert qm.diag.tolist() == [1.0 + 0.25, 1.0 + 0.25, 1.0 + d2, 1.0 + d2, 1.0]
+        assert qm.sub.tolist() == [1.0, 0.0, 1.0, 0.0]
+        # each block [[1+d^2, 1], [1, 1+d^2]] has eigenvalues d^2 and 2+d^2
+        for k, gap2 in ((0, 0.25), (2, d2)):
+            a, b = qm.diag[k], qm.sub[k]
+            assert np.allclose([a - b, a + b], [gap2, 2.0 + gap2], atol=1e-14)
 
     def test_masked_submatrix(self):
         # drop index 3 (partner of lead 2) and index 4
@@ -79,7 +76,7 @@ class TestMatrixForm:
         assert mask.active_indices() == (0, 1, 2, 3)
         qm = q_matrix(CHAIN, mask)
         assert qm.dim == 4
-        assert np.allclose(qm.matrix, full.matrix[:4, :4])
+        assert np.array_equal(qm.diag, full.diag[:4]) and np.array_equal(qm.sub, full.sub[:3])
 
     def test_lone_pair_member_diagonal(self):
         seq = ExponentSequence((0.0, 2.5, 2.9), 1.0, 0.6)
@@ -88,13 +85,13 @@ class TestMatrixForm:
         # threshold = pi/1.05 - 0.5 = 2.4920 -> active {0}
         if mask.active_indices() == (0,):
             qm = q_matrix(seq, mask)
-            assert qm.dim == 1 and qm.matrix[0, 0] == 1.0
+            assert qm.diag.tolist() == [1.0] and qm.sub.tolist() == []
         mask2 = band_mask(seq, delta=1.0)  # threshold 2.6416 -> active {0, 1}
         qm2 = q_matrix(seq, mask2)
         d2 = 0.4**2
         assert qm2.dim == 2
-        assert qm2.matrix[1, 1] == pytest.approx(1.0 + d2)
-        assert qm2.matrix[0, 1] == 0.0
+        assert qm2.diag[1] == pytest.approx(1.0 + d2)
+        assert qm2.sub.tolist() == [0.0]
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=12, max_size=12), st.booleans())
     def test_masked_matrix_is_principal_submatrix(self, seed, flags, keep_lead):
@@ -114,7 +111,9 @@ class TestMatrixForm:
         for _ in range(10):
             seq = block_sequence(rng)
             qm = q_matrix(seq)
-            assert np.linalg.eigvalsh(qm.matrix).min() > 0.0
+            # the pivots of Q's Cholesky factor, from the bands
+            lead = np.append(qm.diag[:1], qm.diag[1:] - qm.sub**2 / qm.diag[:-1])
+            assert lead.min() > 0.0
 
     @given(st.integers(0, 2**32 - 1))
     def test_form_nonnegative(self, seed):
@@ -141,4 +140,19 @@ class TestMatrixForm:
         # a pair below the floor outside the band leaves no block to guard
         seq = ExponentSequence((-0.5, 3.0, 9.0, 9.0 + 1e-13), 1.3, 0.9)
         qm = q_matrix(seq, band_mask(seq, delta=0.5))  # threshold pi/0.5 - 0.65 = 5.63
-        assert qm.active == (0, 1) and np.array_equal(qm.matrix, np.eye(2))
+        assert qm.active == (0, 1) and qm.diag.tolist() == [1.0, 1.0] and qm.sub.tolist() == [0.0]
+
+    def test_dense_matrix_is_derived_and_read_only(self):
+        qm = q_matrix(CHAIN)
+        m = qm.matrix
+        assert np.array_equal(m, m.T) and np.array_equal(m.diagonal(), qm.diag)
+        assert np.array_equal(m.diagonal(-1), qm.sub) and np.count_nonzero(m) == 5 + 2 * 2
+        m[0, 1] = 0.5  # a fresh copy: the bands are untouched
+        assert qm.matrix[0, 1] == 1.0
+        with pytest.raises(AttributeError):
+            qm.matrix = np.eye(5)
+
+    def test_no_active_index(self):
+        mask = BandMask(admissible=(False,) * 5, delta=1.0, threshold=1.0)
+        qm = q_matrix(CHAIN, mask)
+        assert (qm.dim, qm.sub.shape, qm.matrix.shape) == (0, (0,), (0, 0))
