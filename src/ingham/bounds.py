@@ -7,17 +7,19 @@ The two-sided sampled-energy inequality
 
 is made sharp per instance by solving the generalized eigenproblem
 S v = lambda Q v, where S is the sampled Gram matrix of the active
-exponentials and Q the block matrix of the quadratic form: 1 for an
-isolated index and [[1+d^2, 1], [1, 1+d^2]] for a close pair, carried as
-its two bands from `quadforms.q_matrix` to the solver.  Its Cholesky factor
-L, lower bidiagonal, reduces the pencil by congruence to the Hermitian
-L^{-1} S L^{-T}, which LAPACK's divide-and-conquer solver (numpy's eigh)
-diagonalizes; every eigenpair is then checked against the residual gate
-||S v - lambda Q v|| <= 1e-9 ||S||.  L, the congruence, the eigenvectors
-and Q V in the gate are O(n) and O(n^2) recurrences with the operations
-(and so the bits) of dense Cholesky and LU solves.  The congruence
-already gives up the relative accuracy a Jacobi solver would offer, so
-LAPACK loses nothing, and the pencil dimension is limited only by memory.
+exponentials and Q the matrix of the quadratic form.  In the coefficient
+basis Q holds a 2x2 block [[1+d^2, 1], [1, 1+d^2]] per close pair, and
+the Gram's difference direction e_p - e_k shrinks with the gap d, so both
+sides of the pencil cancel to O(d^2).  Every pencil is therefore taken
+in the divided-difference basis of the weakened gap condition,
+u = e_k + e_p and v = (e_p - e_k)/d, where `quadforms.q_matrix` gives Q
+as a diagonal.  The Gram's rows and columns of u and v are formed by
+closed forms that do not cancel as d -> 0 and whose cost does not grow
+with J (`_sampled_pair_basis`, `_continuous_pair_basis`).  Scaling each
+basis function by its Q entry leaves Q = 1 at the pairs, so the pencil
+of a frame is mostly the eigenproblem of the Gram itself, which LAPACK's
+divide-and-conquer solver (numpy's eigh) diagonalizes; every eigenpair is
+then checked against the residual gate ||S v - lambda Q v|| <= 1e-9 ||S||.
 
 One step, `_sampled_pencil`, builds the Gram, solves and applies the singular
 rule for `frame_constants`, `extended_frame_constants`, `continuum_limit_scan`
@@ -156,88 +158,233 @@ def sampled_gram(seq: ExponentSequence, grid: SamplingGrid, mask: BandMask) -> n
     return _gram_from_omegas(omegas, grid)
 
 
-def _bidiagonal_solve(b: np.ndarray, mult: np.ndarray | None, diag: np.ndarray) -> np.ndarray:
-    """L^{-1} b for a lower-bidiagonal L, by the steps of LU without pivoting.
+# 1/3!, -1/5!, 1/7!, ..., 1/19!: the series of x - sin x, whose next term is below 1e-19 of the first for x < 1
+_X_MINUS_SIN = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in range(9))
 
-    The unit lower factor holds mult[k-1] = L[k, k-1] * (1 / L[k-1, k-1]) at
-    row k, and the upper factor is L's diagonal `diag`.  Where no two nonzero
-    subdiagonal entries are adjacent, row k-1 of a nonzero mult[k-1] is still
-    b's own, so the recurrence is one shifted update.  mult None is L = diag.
+
+def _x_minus_sin(x: float) -> float:
+    """x - sin x for x >= 0, below 1 by its series x^3/3! - x^5/5! + ..., which does not cancel."""
+    if x >= 1.0:
+        return x - math.sin(x)
+    x2, total = x * x, 0.0
+    for c in reversed(_X_MINUS_SIN):
+        total = total * x2 + c
+    return total * x2 * x
+
+
+def _pairs_first(omegas, q_diag, leads):
+    """omegas and q_diag reordered to put the pairs at positions `leads` (and
+    leads + 1) first: their leads, then their partners, then every other index."""
+    if not len(leads):
+        return omegas, q_diag
+    first = leads.tolist()
+    paired = set(first) | {i + 1 for i in first}
+    order = first + [i + 1 for i in first] + [i for i in range(len(q_diag)) if i not in paired]
+    return np.asarray(omegas)[order], np.asarray(q_diag)[order]
+
+
+def _pair_factor(q_pairs, gaps, t_shift: float) -> np.ndarray:
+    """The (2p, 2p) inverse Cholesky factor of the pairs' Q in the divided-difference
+    basis, pairs first, where the grid's shift t' has moved into Q.
+
+    S(t') = Phi S(0) Phi^H with Phi = diag(e^{i w t'}), so the pencil
+    (S(t'), Q) is (S(0), Phi^H Q Phi).  Phi leaves 1 and 1 + d^2 alone and
+    turns a pair's block of Q, q_u = 4 + 2d^2 and q_v = 2 on its u and v
+    at t' = 0, into [[q_u - 4 s^2, 2i sin(d t')/d], [., q_v + 4 s^2/d^2]],
+    s = sin(d t'/2), whose determinant stays q_u q_v.  Its factor takes
+    u -> a u and v -> b u + c v; at t' = 0 it is the scaling by q^{-1/2}.
     """
-    if mult is not None:
-        b = b.copy()
-        b[1:] -= mult[:, None] * b[:-1]
-    return b / diag[:, None]
+    p = len(gaps)
+    factor = np.zeros((2 * p, 2 * p), dtype=complex if t_shift else float)
+    for i, (q_u, q_v, d) in enumerate(zip(q_pairs[:p].tolist(), q_pairs[p:].tolist(), gaps.tolist())):
+        s = math.sin(0.5 * t_shift * d)
+        alpha = q_u - 4.0 * (s * s)
+        c = math.sqrt(alpha / (q_u * q_v))
+        factor[i, i], factor[p + i, p + i] = 1.0 / math.sqrt(alpha), c
+        if t_shift:
+            factor[p + i, i] = 2j * math.sin(t_shift * d) / (d * alpha) * c
+    return factor
 
 
-def _band_cholesky(q_diag: np.ndarray, q_sub: np.ndarray):
-    """(diagonal, subdiagonal or None without pairs) of the Cholesky factor L of Q, by
-    L[k+1, k] = q_sub[k] * (1 / L[k, k]) and L[k+1, k+1] = sqrt(q_diag[k+1] - L[k+1, k]^2),
-    LAPACK's operations and so its bits.  Runs under the pencil's np.errstate."""
-    band = q_sub != 0
-    # adjacency by a logical and: a product of two entries near 1e-200 underflows to 0
-    if np.count_nonzero(band[1:] & band[:-1]):
-        raise StructuralError("Q must be diagonal except for isolated 2x2 pair blocks")
-    low, pivots = None, q_diag
-    if np.count_nonzero(band):
-        low = q_sub * (1.0 / np.sqrt(q_diag[:-1]))
-        pivots = q_diag.copy()
-        pivots[1:] -= low * low
-    if not (pivots > 0.0).all():  # written so that a NaN pivot fails
-        raise ValidationError("Q not positive definite")
-    return np.sqrt(pivots), low
+def _into_pair_basis(g, u, v, t, vv, factor) -> None:
+    """Rewrite the Gram g, pairs first (`_pairs_first`), in place in the divided-difference basis.
+
+    u and v are the (p, n) rows <u_P, e_n> and <v_P, e_n> over the plain
+    columns, t the (p, p) <v_P, v_P'> and vv the own <v_P, v_P>, all real
+    (the time grid symmetric about 0); a pair's own <u_P, v_P> is 0, and
+    <u_P, v_P'> is <v_P', u_P>.  The pairs' rows are then taken through
+    `factor` (`_pair_factor`), and their columns through its conjugate, so
+    that Q is 1 at the pairs.  The pairs' block is made Hermitian, the
+    rounding of its triangles averaged.
+    """
+    p, m = len(vv), 2 * len(vv)
+    rows = np.concatenate([u, v])
+    rows[:, :p] += rows[:, p:m]
+    rows[:p, p:m] = rows[p:, :p].T
+    rows[p:, p:m] = t
+    rows[:p, p:m].flat[:: p + 1] = rows[p:, :p].flat[:: p + 1] = 0.0
+    rows[p:, p:m].flat[:: p + 1] = vv
+    rows = factor @ rows
+    pairs = rows[:, :m] @ factor.conj().T
+    rows[:, :m] = 0.5 * (pairs + pairs.conj().T)
+    g[:m] = rows
+    g[:, :m] = rows.conj().T
 
 
-def hermitian_pencil_eig(
-    s: np.ndarray, q_diag: np.ndarray, q_sub: np.ndarray, with_vectors: bool = False
-):
+def _sampled_pair_basis(g, omegas, gaps, q_pairs, grid: SamplingGrid) -> None:
+    """Rewrite the sampled Gram g of omegas, taken at t' = 0, in place, in the
+    divided-difference basis, so that the pencil of the grid's t' is g against 1
+    at the pairs (`_pair_factor`).
+
+    The p pairs come first (`_pairs_first`): the leads k, then the
+    partners p = k + 1, gaps d = w_p - w_k, Q entries `q_pairs`.  A pair
+    trades its columns e_k, e_p for u = e_k + e_p and v = (e_p - e_k)/d.
+    The closed forms below do not cancel as d -> 0 and do not grow with J.
+    With D the Dirichlet kernel, N = 2J+1, x = (m - w_n) delta for the
+    pair's midpoint m, h = d delta/2 and den = sin((x-h)/2) sin((x+h)/2):
+
+        <u, e_n> = delta (D(x - h) + D(x + h)), the sum of the Gram's rows k and p,
+        <v, e_n> = -(delta/d) 4 sum_{j=1}^{J} sin(j x) sin(j h)
+                 = -(delta/d) [2 sin(Jx) sin(Jh)
+                               + (sin(Jx) cos(Jh) sin h - cos(Jx) sin(Jh) sin x) / den],
+        <v, v>   = (2 delta/d^2) (N sin h - sin(N h)) / sin h,
+
+    the last as (Nh - sin Nh) - N (h - sin h), each by `_x_minus_sin`.
+    Two pairs, X = (m - m') delta, A = h, B = h', give
+    <v, v'> = (delta/(d d')) 4 sum_j e^{ijX} sin(jA) sin(jB), the
+    difference in Y = X -+ A of the <v', e_n> form written out:
+
+        4 sin(JB) cos(JX) sin(JA)
+        + [2 cos(JB) sin B cos(JX) sin(JA)
+           - 2 sin(JB) (cos(JX) cos X cos(JA) sin A - sin(JX) sin X sin(JA) cos A)] / den(X+A)
+        - m(X-A) sin X sin A / (den(X+A) den(X-A)),
+
+    m(Y) = sin(JY) cos(JB) sin B - cos(JY) sin(JB) sin Y and
+    den(Y) = sin((Y-B)/2) sin((Y+B)/2).  Every den is a product of sines
+    of half a difference of two frequencies times delta, as in the Gram.
+    A pair's own columns divide 0 by 0; `_into_pair_basis` overwrites them.
+    """
+    p, m = len(gaps), 2 * len(gaps)
+    delta, J = grid.delta, grid.J
+    # (w_k - w_n) delta/2 in the first p rows, (w_p - w_n) delta/2 in the next p
+    half = (omegas[:m, None] - omegas) * (0.5 * delta)
+    sin_half = np.sin(half)
+    sk, sp = sin_half[:p], sin_half[p:]
+    h = (0.5 * delta) * gaps
+    angles = np.array([h, J * h])[:, :, None]  # h and Jh, per pair
+    (s_h, s_jh), (c_h, c_jh) = np.sin(angles), np.cos(angles)
+    cs, sc = c_jh * s_h, s_jh * c_h  # cos(Jh) sin h and sin(Jh) cos h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = half[:p] + half[p:]
+        jx = J * x
+        s_jx = np.sin(jx)
+        v = ((2.0 * s_jh) * s_jx + (cs * s_jx - s_jh * np.cos(jx) * np.sin(x)) / (sk * sp)) * (-delta / gaps)[:, None]
+        xc = 0.5 * (x[:, :p] + x[:, p:m])
+        yc = half[:p, :p] + half[:p, p:m]
+        angles = np.array([J * xc, xc, J * yc, yc])
+        (s_jxc, s_xc, s_jyc, s_yc), (c_jxc, c_xc, c_jyc, _) = np.sin(angles), np.cos(angles)
+        m_y = cs.T * s_jyc - s_jh.T * c_jyc * s_yc
+        den_plus = sp[:, :p] * sp[:, p:m]
+        t = (
+            c_jxc * (s_jh * (4.0 * s_jh.T * den_plus + 2.0 * cs.T) - 2.0 * s_jh.T * c_xc * cs)
+            + s_xc * (2.0 * s_jh.T * s_jxc * sc - m_y * s_h / (sk[:, :p] * sk[:, p:m]))
+        ) * (delta / (den_plus * (gaps[:, None] * gaps)))
+    n = 2 * J + 1
+    vv = [2.0 * delta / (d * d) * (_x_minus_sin(n * z) - n * _x_minus_sin(z)) / math.sin(z)
+          for d, z in zip(gaps.tolist(), h.tolist())]
+    gram = g.real
+    _into_pair_basis(g, gram[:p] + gram[p:m], v, t, vv, _pair_factor(q_pairs, gaps, grid.t_shift))
+
+
+def _continuous_pair_basis(g, omegas, gaps, q_pairs, R: float) -> None:
+    """Rewrite the continuous Gram g of omegas on [-R, R] (`sums.continuous_gram`),
+    pairs first, in place, in the divided-difference basis of `_sampled_pair_basis`.
+
+    With kappa(w) = 2 sin(wR)/w, x = m - w_n, eta = d/2 and the member
+    differences a = w_k - w_n, b = w_p - w_n:
+
+        <u, e_n> = kappa(a) + kappa(b),
+        <v, e_n> = (4 x cos(xR) sin(eta R)/d - 2 sin(xR) cos(eta R)) / (a b),
+        <v, v>   = 4 (dR - sin dR) / d^3,
+        <v, v'>  = (4/(d d')) (q(X+eta) - q(X-eta))
+
+    for X = m - m', with q(Y) = [B sin(YR) cos(BR) - Y cos(YR) sin(BR)] / ((Y-B)(Y+B)),
+    B = eta', written out as its difference:
+
+        [2B cos(BR) cos(XR) sin(eta R) + 2 sin(BR) (X sin(XR) sin(eta R) - eta cos(XR) cos(eta R))] / den(X+eta)
+        - 4 X eta [B sin(YR) cos(BR) - Y cos(YR) sin(BR)]_{Y = X-eta} / (den(X+eta) den(X-eta)),
+
+    den(Y) = (Y-B)(Y+B), each factor a difference of two frequencies.
+    """
+    p, m = len(gaps), 2 * len(gaps)
+    a = omegas[:p, None] - omegas
+    b = omegas[p:m, None] - omegas
+    eta = 0.5 * gaps
+    x = a + eta[:, None]
+    s_e, c_e = np.sin(eta * R), np.cos(eta * R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = g[:p] + g[p:m]
+        v = (4.0 * x * np.cos(x * R) * (s_e / gaps)[:, None] - 2.0 * np.sin(x * R) * c_e[:, None]) / (a * b)
+        xc = 0.5 * (x[:, :p] + x[:, p:m])
+        yc = xc - eta[:, None]
+        s_xc, c_xc = np.sin(xc * R), np.cos(xc * R)
+        m_y = (eta * c_e) * np.sin(yc * R) - yc * np.cos(yc * R) * s_e
+        diff = 2.0 * (eta * c_e) * c_xc * s_e[:, None] + 2.0 * s_e * (
+            xc * s_xc * s_e[:, None] - (eta * c_e)[:, None] * c_xc
+        )
+        den_plus = b[:, :p] * b[:, p:m]
+        den_minus = a[:, :p] * a[:, p:m]
+        t = 4.0 * (diff / den_plus - 4.0 * xc * eta[:, None] * m_y / (den_plus * den_minus)) / (gaps[:, None] * gaps)
+    vv = [4.0 * _x_minus_sin(d * R) / d**3 for d in gaps.tolist()]
+    _into_pair_basis(g, u, v, t, vv, _pair_factor(q_pairs, gaps, 0.0))
+
+
+def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: bool = False):
     """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
 
-    Q is real symmetric, given by its real diagonal `q_diag` (length n) and
-    subdiagonal `q_sub` (length n - 1, also the superdiagonal).  It must be
-    positive definite (else ValidationError) with no two adjacent nonzero
-    couplings (else StructuralError), as every Q this package builds is.
-    The pencil is reduced by congruence with the bidiagonal Cholesky factor
-    L of Q to A = L^{-1} S L^{-T}, and an eigenvector u of A gives
-    v = L^{-T} u, by banded recurrences with the operations, and so the
-    bits, of dense Cholesky and LU solves wherever LU picks no pivot.
+    S is complex Hermitian, or real symmetric, which is solved in real
+    arithmetic.  Q = diag(q_diag) is real, and must be positive (else
+    ValidationError).  For a unit Q the pencil is the eigenproblem of S
+    itself, solved with no copy and no division.  Otherwise S is scaled on
+    both sides by 1/sqrt(q_diag), Cholesky's factor of Q, to
+    A = Q^{-1/2} S Q^{-1/2}, and an eigenvector u of A gives v = Q^{-1/2} u.
+
+    `with_vectors` is keyword-only, so a third positional argument (the
+    subdiagonal this function once took) is refused by Python.
 
     Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
     StructuralError, and so does an ||S|| past the double range, against
     which every residual would pass.
     """
-    s = np.asarray(s, dtype=complex)
+    s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     n = np.size(q_diag)
-    complex_q = np.iscomplexobj(q_diag) or np.iscomplexobj(q_sub)
-    if complex_q or np.ndim(q_diag) != 1 or s.shape != (n, n) or np.shape(q_sub) != (n - 1,):
-        raise StructuralError("pencil S must be n x n, with real Q bands of lengths n and n - 1")
-    q_diag, q_sub = np.asarray(q_diag, dtype=float), np.asarray(q_sub, dtype=float)
+    if np.iscomplexobj(q_diag) or np.ndim(q_diag) != 1 or s.shape != (n, n) or n == 0:
+        raise StructuralError("pencil S must be n x n with n >= 1, and Q a real diagonal of length n")
+    q_diag = np.asarray(q_diag, dtype=float)
+    unit = (q_diag == 1.0).all()
+    if not (unit or (q_diag > 0.0).all()):  # written so that a NaN entry fails
+        raise ValidationError("Q not positive definite")
     # as LAPACK, without a warning: a non-finite A fails the residual gate, and an
     # overflowing ||S|| is refused by name
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        diag, low = _band_cholesky(q_diag, q_sub)
-        pairs = low is not None
-        mult = low * (1.0 / diag[:-1]) if pairs else None
-        a = _bidiagonal_solve(s, mult, diag)
-        a = _bidiagonal_solve(a.conj().T, mult, diag).conj().T
-        a = 0.5 * (a + a.conj().T)
+        if unit:
+            a = s
+        else:
+            scale = np.sqrt(q_diag)
+            a = s / scale[:, None]
+            a = (a.conj().T / scale[:, None]).conj().T
+            a = 0.5 * (a + a.conj().T)
         try:
             vals, u = np.linalg.eigh(a)
         except np.linalg.LinAlgError:
             raise StructuralError("pencil eigensolver did not converge") from None
-        s_norm = math.sqrt(float(np.sum(np.abs(s) ** 2)))
+        s_norm = math.sqrt(float(np.vdot(s, s).real))
         if not math.isfinite(s_norm):
             raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
-        # back substitution in L^T: v[k] = (u[k] - L[k+1, k] v[k+1]) / L[k, k]
-        vecs = u / diag[:, None]
-        if pairs:
-            vecs[:-1] = (u[:-1] - low[:, None] * vecs[1:]) / diag[:-1, None]
-        qv = q_diag[:, None] * vecs
-        if pairs:
-            qv[1:] += q_sub[:, None] * vecs[:-1]
-            qv[:-1] += q_sub[:, None] * vecs[1:]
-    resid = s @ vecs - qv * vals[None, :]
+        vecs = u if unit else u / scale[:, None]
+        qv = vecs if unit else q_diag[:, None] * vecs
+    resid = s @ vecs - qv * vals
     worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
     # written so that a NaN residual fails
     if not worst <= _RESIDUAL_RTOL * max(s_norm, 1e-300):
@@ -247,18 +394,31 @@ def hermitian_pencil_eig(
     return (vals, vecs) if with_vectors else vals
 
 
-def _pencil_extremes(s: np.ndarray, q: tuple) -> tuple[float, float, bool]:
-    """(min_eig, max_eig, singular) of the pencil S v = lambda Q v, q the bands of Q, where
+def _pencil_extremes(s: np.ndarray, q_diag) -> tuple[float, float, bool]:
+    """(min_eig, max_eig, singular) of the pencil S v = lambda diag(q_diag) v, where
     singular means min_eig <= SINGULAR_RTOL * max(max_eig, 0)."""
-    vals = hermitian_pencil_eig(s, *q)
+    vals = hermitian_pencil_eig(s, q_diag)
     min_eig, max_eig = float(vals[0]), float(vals[-1])
     return min_eig, max_eig, min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
 
 
-def _sampled_pencil(omegas: np.ndarray, q: tuple, grid: SamplingGrid):
-    """(min_eig, max_eig, singular, S) of the sampled Gram S of omegas on grid, q Q's bands."""
-    s = _gram_from_omegas(omegas, grid)
-    return (*_pencil_extremes(s, q), s)
+def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
+    """(min_eig, max_eig, singular, G) of the sampled Gram G of omegas on grid against
+    diag(q_diag).  With pairs at positions `leads` (gaps `gaps`), G is the Gram
+    at t' = 0, pairs first (`_pairs_first`), in their divided-difference basis
+    (`_sampled_pair_basis`), against 1 at the pairs; real if t' is 0."""
+    omegas, q_diag = _pairs_first(omegas, q_diag, leads)
+    if not len(leads):
+        g = _gram_from_omegas(omegas, grid)
+        return (*_pencil_extremes(g, q_diag), g)
+    m = 2 * len(leads)
+    g = _gram_from_omegas(omegas, SamplingGrid(grid.delta, grid.J) if grid.t_shift else grid)
+    if not grid.t_shift:
+        g = g.real.copy()
+    _sampled_pair_basis(g, omegas, gaps, q_diag[:m], grid)
+    q_diag = q_diag.copy()
+    q_diag[:m] = 1.0
+    return (*_pencil_extremes(g, q_diag), g)
 
 
 def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
@@ -283,7 +443,7 @@ def _frame_pencil(seq: ExponentSequence, grid: SamplingGrid):
         )
     qm = q_matrix(seq, mask)
     omegas = np.array([seq.omegas[k] for k in active], dtype=float)
-    pencil = _sampled_pencil(omegas, (qm.diag, qm.sub), grid)
+    pencil = _sampled_pencil(omegas, qm.diag, grid, qm.leads, qm.gaps)
     horizon = grid.J * grid.delta
     diagnostics = (
         f"band mask: {len(active)} of {len(seq)} admissible",
@@ -481,9 +641,10 @@ def extended_frame_constants(
             "base pencil is singular; extended constants undefined",
             details={"min_eig": base.min_eig},
         )
-    q_ext = (np.append(qm.diag, 1.0), np.append(qm.sub, 0.0))
     grid_ext = SamplingGrid(grid.delta, grid.J + plan.J_prime, grid.t_shift)
-    pencil = _sampled_pencil(np.append(omegas, plan.omega_prime), q_ext, grid_ext)
+    pencil = _sampled_pencil(
+        np.append(omegas, plan.omega_prime), np.append(qm.diag, 1.0), grid_ext, qm.leads, qm.gaps
+    )
     j, jp = grid.J, plan.J_prime
     # (jp delta)^2 cannot overflow: the pencil above refuses an ||S|| past the double
     # range, and delta (2j + 2jp + 1), a diagonal entry of S, exceeds 2 jp delta
@@ -523,7 +684,8 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     to the continuous-energy Gram and the extreme pencil eigenvalues
     follow.  Rows flag changes of the active set (the band mask depends
     on delta).  The continuous pencil depends only on the active omegas,
-    their Q and R, so it is solved once per distinct active set.  Every J
+    their Q and R, so it is solved once per distinct active set, in the
+    pairs' divided-difference basis (`_continuous_pair_basis`).  Every J
     must be a positive integer.
     """
     R = positive(R, "R")
@@ -540,8 +702,14 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
         delta = R / J
         report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         if active not in continuous:
-            gram = continuous_gram(omegas, R)
-            continuous[active] = _pencil_extremes(gram, (qm.diag, qm.sub))[:2]
+            first, q_diag = _pairs_first(omegas, qm.diag, qm.leads)
+            gram = continuous_gram(first, R)
+            if len(qm.leads):  # in the pairs' basis, against 1 at the pairs
+                m = 2 * len(qm.leads)
+                _continuous_pair_basis(gram, first, qm.gaps, q_diag[:m], R)
+                q_diag = q_diag.copy()
+                q_diag[:m] = 1.0
+            continuous[active] = _pencil_extremes(gram, q_diag)[:2]
         c1c, c2c = continuous[active]
         if report.singular or c1c <= 0.0:
             rel = math.inf

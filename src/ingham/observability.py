@@ -511,7 +511,7 @@ def verify_observability(
         # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
         # per +- branch of each mode
         nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
-    min_eig, _, singular, gram = _sampled_pencil(seq.omegas, (nu, np.zeros(len(nu) - 1)), grid)
+    min_eig, _, singular, gram = _sampled_pencil(seq.omegas, nu, grid)
     c_pencil = math.inf if singular else 1.0 / min_eig
     ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))

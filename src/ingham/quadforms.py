@@ -8,11 +8,13 @@ The coefficient-side energy replacing sum |x_k|^2 is
 
 with the grouping fixed by the direct-inequality chain: both the paired
 modulus and the gap-weighted sum sit inside the A2 term.  Q'(x) adds
-|x'|^2 for one augmented exponent.  The matrix form is block diagonal:
-scalar 1 for A1 indices and the 2x2 block [[1+d^2, 1], [1, 1+d^2]] with
-d = omega_{k+1} - omega_k for each A2 pair (eigenvalues d^2 and 2+d^2),
-held as its diagonal and subdiagonal.  Band-masked indices are excluded,
-which amounts to the principal submatrix on the active set.
+|x'|^2 for one augmented exponent.  In the coefficient basis each A2 pair
+is the 2x2 block [[1+d^2, 1], [1, 1+d^2]], d = omega_{k+1} - omega_k.  In
+the divided-difference basis u = e_k + e_{k+1}, v = (e_{k+1} - e_k)/d of
+the weakened gap condition, x = a u + b v gives x_k + x_{k+1} = 2a and
+|x_k|^2 + |x_{k+1}|^2 = 2|a|^2 + 2|b|^2/d^2, so Q is diagonal: 4 + 2d^2
+and 2 for a pair, 1 for an A1 index, and 1 + d^2 for a pair member whose
+partner is band-masked out.  `q_matrix` returns that diagonal.
 """
 
 from __future__ import annotations
@@ -56,29 +58,27 @@ def q_prime(aug: AugmentedExpSum) -> float:
 
 @dataclass(eq=False)
 class QMatrix:
-    """Q on the active indices as its bands: `sub[i]` couples positions i and i + 1 of a pair."""
+    """Q on the active indices in the divided-difference basis: its diagonal `diag`,
+    and each pair with both members active by the position `leads[i]` of its u
+    (its v follows at leads[i] + 1) and its gap `gaps[i]`, in ascending position."""
 
     diag: np.ndarray
-    sub: np.ndarray
+    leads: np.ndarray
+    gaps: np.ndarray
     active: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.diag)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense symmetric matrix of the bands, formed on each read."""
-        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sub, 1)
-
 
 def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
-    """Assemble the bands of Q over the active (band-admissible) indices.
+    """Assemble Q over the active (band-admissible) indices.
 
-    Starting from the identity, each pair adds d^2 to the diagonal entry of
-    each active member, and the coupling 1 where both are active: the
-    principal submatrix of the full form.  A pair with both members active
-    and d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
+    A pair with both members active takes 4 + 2d^2 and 2 at the positions
+    of its u and v; a member whose partner is masked out takes 1 + d^2,
+    and every other index 1.  A pair with both members active and
+    d < PAIR_GAP_FLOOR raises ValidationError naming its lead.
     """
     cls = seq.classification
     if mask is None:
@@ -89,7 +89,7 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
         active = mask.active_indices()
     pos = {k: i for i, k in enumerate(active)}
     diag = np.ones(len(active))
-    sub = np.zeros(max(len(active) - 1, 0))
+    pairs = []
     for k in cls.a2_leads:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
@@ -100,8 +100,13 @@ def q_matrix(seq: ExponentSequence, mask: BandMask | None = None) -> QMatrix:
                     "QMatrix numerically singular: pair gap below 1e-12",
                     details={"lead": k, "gap": d},
                 )
-            sub[i] = 1.0
-        for e in (i, j):
-            if e is not None:
-                diag[e] += d * d
-    return QMatrix(diag=diag, sub=sub, active=active)
+            diag[i], diag[j] = 4.0 + 2.0 * (d * d), 2.0
+            pairs.append((i, d))
+        else:
+            for e in (i, j):
+                if e is not None:
+                    diag[e] += d * d
+    pairs.sort()
+    leads = np.array([i for i, _ in pairs], dtype=np.intp)
+    gaps = np.array([d for _, d in pairs], dtype=float)
+    return QMatrix(diag=diag, leads=leads, gaps=gaps, active=active)

@@ -99,3 +99,33 @@ def random_coeffs(rng: np.random.Generator, n: int, l1: float | None = None) -> 
     if l1 is not None:
         c = c * (l1 / np.sum(np.abs(c)))
     return tuple(c)
+
+
+def dense_block_q(seq: ExponentSequence, mask=None) -> np.ndarray:
+    """Q in the coefficient basis over the active indices, as a dense matrix:
+    1 per A1 index, the block [[1+d^2, 1], [1, 1+d^2]] per pair with both
+    members active, and 1 + d^2 for a member whose partner is masked out."""
+    cls = seq.classification
+    active = tuple(range(len(seq))) if mask is None else mask.active_indices()
+    pos = {k: i for i, k in enumerate(active)}
+    q = np.eye(len(active))
+    for k in cls.a2_leads:
+        p = cls.partners[k]
+        d = seq.omegas[p] - seq.omegas[k]
+        i, j = pos.get(k), pos.get(p)
+        for e in (i, j):
+            if e is not None:
+                q[e, e] += d * d
+        if i is not None and j is not None:
+            q[i, j] = q[j, i] = 1.0
+    return q
+
+
+def pair_basis(qm) -> np.ndarray:
+    """The real matrix B whose columns are the divided-difference basis of a QMatrix:
+    e_n for a single, u = e_k + e_p and v = (e_p - e_k)/d for a pair at (lead, lead + 1)."""
+    b = np.eye(qm.dim)
+    for i, d in zip(qm.leads.tolist(), qm.gaps.tolist()):
+        b[i + 1, i] = 1.0
+        b[i, i + 1], b[i + 1, i + 1] = -1.0 / d, 1.0 / d
+    return b

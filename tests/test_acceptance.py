@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from helpers import (
     admissible_grid,
     block_sequence,
+    dense_block_q,
     poisson_delta,
     random_coeffs,
     uniform_disc,
@@ -47,7 +48,6 @@ from ingham import (
     plan_haraux,
     poisson_sides,
     q_form,
-    q_matrix,
     reconstruct,
     sampled_gram,
     trace_jump_sum,
@@ -106,7 +106,7 @@ def test_criterion_02_two_sided_sandwich(say):
             assert rep.min_eig > 0.0 and not rep.singular
             mask = band_mask(seq, grid.delta)
             gram = sampled_gram(seq, grid, mask)
-            qm = q_matrix(seq, mask).matrix
+            qm = dense_block_q(seq, mask)
             n = len(seq)
             x = rng.normal(size=(n, 1000)) + 1j * rng.normal(size=(n, 1000))
             energy = np.einsum("ij,ij->j", x.conj(), gram @ x).real

@@ -1,0 +1,32 @@
+"""`tests/bench_accuracy.py`: the committed accuracy record, its J = 16 references
+recomputed from the Gram summed sample by sample."""
+
+import json
+import sys
+from pathlib import Path
+
+import mpmath as mp
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import bench_accuracy  # noqa: E402
+
+RECORD = json.loads((bench_accuracy.ROOT / "ACCURACY_31.json").read_text())
+
+
+def test_record_holds_every_instance():
+    assert [e["id"] for e in RECORD["instances"]] == [case_id for case_id, _, _ in bench_accuracy.INSTANCES]
+    assert all(e["config"] == cfg for e, (_, _, cfg) in zip(RECORD["instances"], bench_accuracy.INSTANCES))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in RECORD["instances"] if e["command"] == "frame" and e["config"]["J"] == 16],
+    ids=lambda e: e["id"],
+)
+def test_stored_references_at_j16(entry):
+    # 60 digits leave more than 30 past the 1e22 condition of Q at d = 1e-11
+    with mp.workdps(60):
+        again = bench_accuracy.references("frame", entry["config"], summed=True)
+        for name, value in again.items():
+            assert abs(mp.mpf(entry["reference"][name]) - value) <= mp.mpf(10) ** -30 * abs(value)

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import io
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -13,8 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import admissible_grid, block_sequence, random_coeffs, uniform_disc
+import bench_accuracy
+from helpers import admissible_grid, block_sequence, dense_block_q, random_coeffs, uniform_disc
 import ingham
+import ingham.cli
 from ingham import (
     AugmentedExpSum,
     ExponentSequence,
@@ -36,44 +40,28 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _PI_PARTS, _band_cholesky, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing, _upper_pairs
+from ingham.bounds import _PI_PARTS, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing, _upper_pairs
 from ingham.cli import _sanitize
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
 
 def block_q(rng, n):
-    """Bands (diag, sub) of a Q of `q_matrix`'s form: pair blocks
-    [[1+d^2, 1], [1, 1+d^2]] with d in 1e-3..1, one of them ending at the
-    last index, singles 1, and pair members whose partner is masked out, 1+d^2."""
-    diag, sub = np.ones(n), np.zeros(n - 1)
+    """A Q diagonal of `q_matrix`'s form in the divided-difference basis: 4+2d^2
+    and 2 per pair, with d in 1e-3..1 and one pair ending at the last index,
+    1 per single, and 1+d^2 for a pair member whose partner is masked out."""
+    diag = np.ones(n)
     k = 0
     while k < n:
         d2 = (10.0 ** rng.uniform(-3.0, 0.0)) ** 2
         if k == n - 2 or (k < n - 3 and rng.uniform() < 0.5):
-            diag[k] = diag[k + 1] = 1.0 + d2
-            sub[k] = 1.0
+            diag[k], diag[k + 1] = 4.0 + 2.0 * d2, 2.0
             k += 2
         else:
             if rng.uniform() < 0.3:
                 diag[k] = 1.0 + d2
             k += 1
-    return diag, sub
-
-
-def real_blocks(rng, n):
-    """Bands of a random positive definite Q of 2x2 blocks [[a, b], [b, c]],
-    b^2 < ac, the first at index 0, and singles, every entry a random double."""
-    diag, sub = rng.uniform(0.1, 4.0, size=n), np.zeros(n - 1)
-    leads = np.arange(0, n - 1, 2)
-    leads = leads[(rng.uniform(size=len(leads)) < 0.7) | (leads == 0)]
-    sub[leads] = rng.uniform(-0.99, 0.99, size=len(leads)) * np.sqrt(diag[leads] * diag[leads + 1])
-    return diag, sub
-
-
-def dense_q(diag, sub):
-    """The symmetric matrix of the bands (diag, sub)."""
-    return np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1)
+    return diag
 
 
 def random_spd(rng, n):
@@ -83,7 +71,7 @@ def random_spd(rng, n):
 
 
 def random_pencil(rng, n):
-    """A random Hermitian S and the bands of a Q of `q_matrix`'s form, with a pair block from n = 2."""
+    """A random Hermitian S and a Q diagonal of `q_matrix`'s form, with a pair from n = 2."""
     s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (s + s.conj().T), block_q(rng, n)
 
@@ -114,36 +102,36 @@ class TestPencil:
     def test_matches_characteristic_polynomial(self, n, rng):
         for _ in range(10):
             s, q = random_pencil(rng, n)
-            chol = np.linalg.cholesky(dense_q(*q))
+            chol = np.linalg.cholesky(np.diag(q))
             a = np.linalg.solve(chol, s)
             a = np.linalg.solve(chol, a.conj().T).conj().T
             expected = charpoly_eigs(0.5 * (a + a.conj().T))
-            got = hermitian_pencil_eig(s, *q)
+            got = hermitian_pencil_eig(s, q)
             assert np.allclose(got, expected, atol=1e-9 * max(1.0, np.linalg.norm(s)))
 
     @pytest.mark.parametrize("n", [4, 6, 12, 25])
     def test_matches_library_solver(self, n, rng):
         s, q = random_pencil(rng, n)
-        expected = scipy.linalg.eigh(s, dense_q(*q), eigvals_only=True)
-        got = hermitian_pencil_eig(s, *q)
+        expected = scipy.linalg.eigh(s, np.diag(q), eigvals_only=True)
+        got = hermitian_pencil_eig(s, q)
         assert np.allclose(got, expected, atol=1e-9 * np.linalg.norm(s))
 
     def test_vectors_solve_the_pencil(self, rng):
         s, q = random_pencil(rng, 8)
-        vals, vecs = hermitian_pencil_eig(s, *q, with_vectors=True)
+        vals, vecs = hermitian_pencil_eig(s, q, with_vectors=True)
         for i in range(8):
-            r = s @ vecs[:, i] - vals[i] * (dense_q(*q) @ vecs[:, i])
+            r = s @ vecs[:, i] - vals[i] * (q * vecs[:, i])
             assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(s) * np.linalg.norm(vecs[:, i])
 
     def test_ascending_order(self, rng):
         s, q = random_pencil(rng, 9)
-        vals = hermitian_pencil_eig(s, *q)
+        vals = hermitian_pencil_eig(s, q)
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_rayleigh_extremality(self, rng):
         s, q = random_pencil(rng, 7)
-        vals = hermitian_pencil_eig(s, *q)
-        q = dense_q(*q)
+        vals = hermitian_pencil_eig(s, q)
+        q = np.diag(q)
         for _ in range(50):
             z = rng.normal(size=7) + 1j * rng.normal(size=7)
             ratio = (z.conj() @ s @ z).real / (z.conj() @ q @ z).real
@@ -151,45 +139,34 @@ class TestPencil:
 
     def test_q_not_positive_definite(self):
         with pytest.raises(ValidationError, match="^Q not positive definite$"):
-            hermitian_pencil_eig(np.eye(2, dtype=complex), [1.0, -1.0], [0.0])
+            hermitian_pencil_eig(np.eye(2, dtype=complex), [1.0, -1.0])
 
-    @pytest.mark.parametrize(
-        "q_diag, q_sub",
-        [([1.0, 1.0], [1.0]), ([1.0, 1.0], [-2.0]), ([1.0, 1e-300], [1e-100])],
-        ids=["zero-pivot", "negative-pivot", "tiny-partner"],
-    )
-    def test_pair_pivot_not_positive_definite(self, q_diag, q_sub):
-        # every pivot is checked, with no numpy warning (the suite turns warnings into errors)
-        with pytest.raises(ValidationError, match="^Q not positive definite$"):
-            hermitian_pencil_eig(np.eye(2, dtype=complex), q_diag, q_sub)
-
-    SHAPE = r"^pencil S must be n x n, with real Q bands of lengths n and n - 1$"
+    SHAPE = r"^pencil S must be n x n with n >= 1, and Q a real diagonal of length n$"
 
     def test_shape_mismatch(self):
         with pytest.raises(StructuralError, match=self.SHAPE):
-            hermitian_pencil_eig(np.eye(2), np.ones(3), np.zeros(2))
+            hermitian_pencil_eig(np.eye(2), np.ones(3))
+
+    def test_subdiagonal_argument_refused(self):
+        # Q is a diagonal: a third positional argument, once the subdiagonal, is not read as with_vectors
+        with pytest.raises(TypeError):
+            hermitian_pencil_eig(np.eye(2), np.ones(2), np.zeros(1))
 
     @pytest.mark.parametrize(
-        "s, q_diag, q_sub",
+        "s, q_diag",
         [
-            (np.eye(3), np.ones(3), np.zeros(3)),
-            (np.eye(3), np.ones(3), np.zeros(1)),
-            (np.eye(3), np.ones(3), np.zeros((2, 1))),
-            (np.eye(3), np.eye(3), np.zeros(2)),
-            (np.ones((3, 2)), np.ones(3), np.zeros(2)),
-            (np.eye(1), np.ones(1), np.zeros(1)),
-            (np.zeros((0, 0)), np.ones(0), np.zeros(0)),
-            (np.eye(1), 1.0, np.zeros(0)),
-            (np.eye(2), np.ones(2), np.array([0.5j])),
-            (np.eye(2), np.array([2.0, 1.0 + 0j]), np.zeros(1)),
+            (np.eye(3), np.eye(3)),
+            (np.ones((3, 2)), np.ones(3)),
+            (np.zeros((0, 0)), np.ones(0)),
+            (np.eye(1), 1.0),
+            (np.eye(2), np.array([2.0, 1.0 + 0j])),
         ],
-        ids=["sub-too-long", "sub-too-short", "sub-2d", "dense-q", "s-not-square", "sub-of-one",
-             "empty", "scalar-diag", "complex-coupling", "complex-diag"],
+        ids=["dense-q", "s-not-square", "empty", "scalar-diag", "complex-diag"],
     )
-    def test_malformed_bands_refused(self, s, q_diag, q_sub):
-        # a complex coupling is refused by name, not cast to its real part
+    def test_malformed_bands_refused(self, s, q_diag):
+        # a complex diagonal is refused by name, not cast to its real part
         with pytest.raises(StructuralError, match=self.SHAPE):
-            hermitian_pencil_eig(s, q_diag, q_sub)
+            hermitian_pencil_eig(s, q_diag)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
@@ -197,21 +174,21 @@ class TestPencil:
         s = np.eye(3, dtype=complex)
         s[entry] = s[entry[::-1]] = bad
         with pytest.raises(StructuralError):
-            hermitian_pencil_eig(s, np.ones(3), np.zeros(2))
+            hermitian_pencil_eig(s, np.ones(3))
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_overflowing_s_norm_refused(self, scale):
         # finite entries whose ||S|| overflows: 1e-9 ||S|| = inf would pass any residual
         s = scale * np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(StructuralError, match=r"pencil residual gate undefined: \|\|S\|\| = inf"):
-            hermitian_pencil_eig(s, np.ones(2), np.zeros(1))
+            hermitian_pencil_eig(s, np.ones(2))
 
     def test_residual_gate(self, rng):
         # a Q eigenvalue of 1e-14 amplifies the congruence's rounding past 1e-9 ||S||
         s = random_spd(rng, 6)
         q_diag = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-14])
         with pytest.raises(StructuralError, match=r"pencil residual .* exceeds 1e-09 \* \|\|S\|\|"):
-            hermitian_pencil_eig(s, q_diag, np.zeros(5))
+            hermitian_pencil_eig(s, q_diag)
 
     def test_dimension_above_200(self, rng):
         # 250 active exponents: the pencil dimension has no cap of its own
@@ -222,14 +199,14 @@ class TestPencil:
         # Gram summed sample by sample, against scipy's generalized solver
         v = np.exp(1j * np.multiply.outer(grid.times(), seq.omegas))
         s = grid.delta * (v.T @ v.conj())
-        q = q_matrix(seq, band_mask(seq, grid.delta)).matrix
+        q = dense_block_q(seq, band_mask(seq, grid.delta))
         expected = scipy.linalg.eigh(s, q, eigvals_only=True)
         tol = 1e-9 * np.linalg.norm(s)
         assert rep.c_lower == pytest.approx(expected[0], abs=tol)
         assert rep.c_upper == pytest.approx(expected[-1], abs=tol)
 
     def test_diagonal_input(self):
-        vals, vecs = hermitian_pencil_eig(np.diag([3.0, -1.0, 2.0]), np.ones(3), np.zeros(2), with_vectors=True)
+        vals, vecs = hermitian_pencil_eig(np.diag([3.0, -1.0, 2.0]), np.ones(3), with_vectors=True)
         assert np.allclose(vals, [-1.0, 2.0, 3.0])
         assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
@@ -248,91 +225,86 @@ class TestPencil:
             a = np.linalg.solve(chol, s)
             a = np.linalg.solve(chol, a.conj().T).conj().T
             expected = np.linalg.eigh(0.5 * (a + a.conj().T))[0]
-            got = hermitian_pencil_eig(s, q_diag, np.zeros(n - 1))
+            got = hermitian_pencil_eig(s, q_diag)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_diagonal_q_vectors_solve_the_pencil(self, rng):
         s, q_diag = self.diagonal_pencil(rng, 12)
-        vals, vecs = hermitian_pencil_eig(s, q_diag, np.zeros(11), with_vectors=True)
+        vals, vecs = hermitian_pencil_eig(s, q_diag, with_vectors=True)
         r = s @ vecs - (q_diag[:, None] * vecs) * vals
         assert np.all(np.linalg.norm(r, axis=0) <= 1e-9 * np.linalg.norm(s) * np.linalg.norm(vecs, axis=0))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, math.nan])
     def test_diagonal_q_not_positive_definite(self, bad):
         with pytest.raises(ValidationError, match="^Q not positive definite$"):
-            hermitian_pencil_eig(np.eye(3), [2.0, bad, 1.0], [0.0, 0.0])
+            hermitian_pencil_eig(np.eye(3), [2.0, bad, 1.0])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("where", [0, 1], ids=["lead", "partner"])
     def test_pair_q_not_positive_definite(self, bad, where):
-        q_diag = np.array([2.0, 2.0, 1.0])
+        # a pair's u and v entries, 4 + 2d^2 and 2, are each checked
+        q_diag = np.array([4.5, 2.0, 1.0])
         q_diag[where] = bad
         with pytest.raises(ValidationError, match="^Q not positive definite$"):
-            hermitian_pencil_eig(np.eye(3), q_diag, [1.0, 0.0])
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 40, 100, 257])
-    def test_factor_matches_lapack_bitwise(self, n, rng):
-        # L[k+1, k] = q_sub[k] * (1 / L[k, k]) keeps the bits of LAPACK's factor, real
-        # and complex; q_sub[k] / L[k, k] would not.  Equal nonzero doubles are equal
-        # bit for bit; LAPACK's blocked update leaves -0.0 below some singles
-        for make in (block_q, real_blocks):
-            for _ in range(5):
-                q_diag, q_sub = make(rng, n)
-                diag, low = _band_cholesky(q_diag, q_sub)
-                for chol in (np.linalg.cholesky(dense_q(q_diag, q_sub)),
-                             np.linalg.cholesky(dense_q(q_diag, q_sub).astype(complex)).real):
-                    assert np.array_equal(diag, chol.diagonal())
-                    assert np.array_equal(low, chol.diagonal(-1))
+            hermitian_pencil_eig(np.eye(3), q_diag)
 
     @staticmethod
-    def lu_pencil(s, q_diag, q_sub):
-        """Eigenpairs by Cholesky and np.linalg.solve on the dense Q, the reference of the banded path."""
-        chol = np.linalg.cholesky(dense_q(q_diag, q_sub).astype(complex))
+    def lu_pencil(s, q_diag):
+        """Eigenpairs by Cholesky and np.linalg.solve on the dense Q, in S's field, the reference
+        of the scaled path."""
+        chol = np.linalg.cholesky(np.diag(q_diag).astype(s.dtype))
         a = np.linalg.solve(chol, s)
         a = np.linalg.solve(chol, a.conj().T).conj().T
         vals, u = np.linalg.eigh(0.5 * (a + a.conj().T))
         return vals, np.linalg.solve(chol.conj().T, u)
 
-    def assert_matches_lu(self, s, q):
-        expected, expected_vecs = self.lu_pencil(s, *q)
-        vals, vecs = hermitian_pencil_eig(s, *q, with_vectors=True)
+    def assert_matches_lu(self, s, q_diag):
+        expected, expected_vecs = self.lu_pencil(s, q_diag)
+        vals, vecs = hermitian_pencil_eig(s, q_diag, with_vectors=True)
         assert np.array_equal(vals.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(vecs, expected_vecs)
-        r = s @ vecs - (dense_q(*q) @ vecs) * vals
+        r = s @ vecs - (q_diag[:, None] * vecs) * vals
         assert np.all(np.linalg.norm(r, axis=0) <= 1e-9 * np.linalg.norm(s) * np.linalg.norm(vecs, axis=0))
 
     @pytest.mark.parametrize("n", [2, 3, 17, 40, 100])
     def test_block_q_matches_lu_bitwise(self, n, rng):
-        # a Q of 2x2 pair blocks is applied as a banded operator, by the operations
-        # of the LU solves: the eigenvalues keep every bit, the vectors every value
+        # a Q of `q_matrix`'s form is applied as a scaling, by the operations of the
+        # dense Cholesky and LU solves: the eigenvalues keep every bit, the vectors every value
         for _ in range(5):
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             self.assert_matches_lu(g @ g.conj().T, block_q(rng, n))
 
-    def test_q_matrix_pencils_match_lu_bitwise(self, rng):
+    def test_q_matrix_pencils_match_lu_bitwise(self, rng, monkeypatch):
+        # the frame pencils as frame_constants builds them, real at t' = 0 and complex
+        # otherwise: the Gram in the divided-difference basis against q_matrix's Q
+        pencils = []
+        monkeypatch.setattr(ingham.bounds, "hermitian_pencil_eig",
+                            lambda s, q: pencils.append((s, q)) or hermitian_pencil_eig(s, q))
         pairs = 0
-        for _ in range(12):
+        for case in range(12):
             seq = block_sequence(rng, nmin=4, nmax=30)
             grid = admissible_grid(seq, rng)
-            mask = band_mask(seq, grid.delta)
-            qm = q_matrix(seq, mask)
-            pairs += np.count_nonzero(qm.sub)
-            self.assert_matches_lu(sampled_gram(seq, grid, mask), (qm.diag, qm.sub))
-        assert pairs > 0
+            grid = SamplingGrid(grid.delta, grid.J, float(rng.uniform(-1.0, 1.0)) if case % 2 else 0.0)
+            pairs += len(q_matrix(seq, band_mask(seq, grid.delta)).leads)
+            frame_constants(seq, grid)
+        assert pairs > 0 and len(pencils) == 12
+        assert {np.iscomplexobj(s) for s, _ in pencils} == {False, True}
+        for s, q in pencils:
+            self.assert_matches_lu(s, q)
 
     def test_block_q_is_factored(self, rng, monkeypatch):
-        # the factor comes from the bands: no Cholesky and no LU solve, paired or diagonal
+        # a diagonal Q is its own factor: no Cholesky and no LU solve, for q_matrix's form or any other
         cholesky = mock.Mock(side_effect=np.linalg.cholesky)
         solve = mock.Mock(side_effect=np.linalg.solve)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "solve", solve)
         s, q = random_pencil(rng, 6)
-        hermitian_pencil_eig(s, *q, with_vectors=True)
-        hermitian_pencil_eig(s, rng.uniform(0.5, 2.0, size=6), np.zeros(5), with_vectors=True)
+        hermitian_pencil_eig(s, q, with_vectors=True)
+        hermitian_pencil_eig(s, rng.uniform(0.5, 2.0, size=6), with_vectors=True)
         assert (cholesky.call_count, solve.call_count) == (0, 0)
 
     def test_package_pencils_make_no_lu_solve(self, rng, monkeypatch):
-        # the frame, Haraux and scan pencils all take the banded path
+        # the frame, Haraux and scan pencils all take the scaled path
         cholesky = mock.Mock(side_effect=np.linalg.cholesky)
         solve = mock.Mock(side_effect=np.linalg.solve)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
@@ -344,23 +316,6 @@ class TestPencil:
         continuum_limit_scan(CHAIN, 4.0, [20, 40])
         assert (cholesky.call_count, solve.call_count) == (0, 0)
 
-    FORM = "^Q must be diagonal except for isolated 2x2 pair blocks$"
-
-    def test_adjacent_tiny_subdiagonal_is_refused(self, rng):
-        # two adjacent couplings of 1e-200, whose product underflows to 0:
-        # the Q is tridiagonal, not of 2x2 blocks
-        s, _ = random_pencil(rng, 5)
-        with pytest.raises(StructuralError, match=self.FORM):
-            hermitian_pencil_eig(s, [2.0, 1.0, 3.0, 1.5, 1.0], [1e-200, 1e-200, 0.0, 0.0])
-
-    @pytest.mark.parametrize("where", [0, 2], ids=["first", "last"])
-    def test_adjacent_couplings_refused(self, where, rng):
-        s, _ = random_pencil(rng, 5)
-        q_sub = np.zeros(4)
-        q_sub[where:where + 2] = 0.5
-        with pytest.raises(StructuralError, match=self.FORM):
-            hermitian_pencil_eig(s, [2.0, 1.0, 3.0, 1.5, 1.0], q_sub)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 3)])
     def test_non_finite_s_with_block_q(self, bad, entry, rng):
@@ -368,7 +323,7 @@ class TestPencil:
         s = np.eye(4, dtype=complex)
         s[entry] = s[entry[::-1]] = bad
         with pytest.raises(StructuralError):
-            hermitian_pencil_eig(s, *block_q(rng, 4))
+            hermitian_pencil_eig(s, block_q(rng, 4))
 
 
 class TestSampledGram:
@@ -595,12 +550,9 @@ class TestFrameConstants:
         rep = frame_constants(seq, grid)
         mask = band_mask(seq, grid.delta)
         s = sampled_gram(seq, grid, mask)
-        qm = q_matrix(seq, mask)
-        vals, vecs = hermitian_pencil_eig(s, qm.diag, qm.sub, with_vectors=True)
-        z = vecs[:, 0]
-        qz = qm.diag * z
-        qz[1:] += qm.sub * z[:-1]
-        qz[:-1] += qm.sub * z[1:]
+        q = dense_block_q(seq, mask)
+        z = scipy.linalg.eigh(s, q)[1][:, 0]
+        qz = q @ z
         ratio = float((z.conj() @ s @ z).real / (z.conj() @ qz).real)
         assert ratio == pytest.approx(rep.c_lower, rel=1e-10)
 
@@ -649,6 +601,83 @@ class TestFrameConstants:
         rep = frame_constants(seq, grid)
         assert rep.c_upper >= rep.c_lower >= 0.0
         assert rep.c_upper > 0.0
+
+
+def _near_pair(d, J=16, t_shift=0.0):
+    """(seq, grid, config) of the frame instance whose pair gap d closes (`bench_accuracy._near_pair`)."""
+    cfg = bench_accuracy._near_pair(d, J, t_shift)
+    seq = ExponentSequence(tuple(cfg["omegas"]), cfg["gamma"], cfg["gamma0"])
+    return seq, SamplingGrid(cfg["delta"], cfg["J"], cfg["t_shift"]), cfg
+
+
+class TestNearPairs:
+    """A closing pair against mpmath: the Gram summed in 60 digits on the same doubles, against
+    the block Q of the coefficient basis."""
+
+    @pytest.mark.parametrize("t_shift", [0.0, 0.37])
+    @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-11])
+    def test_constants_match_mpmath(self, d, t_shift):
+        seq, grid, cfg = _near_pair(d, t_shift=t_shift)
+        rep = frame_constants(seq, grid)
+        with mp.workdps(60):
+            ref = bench_accuracy.references("frame", cfg)
+        assert rep.c_lower == pytest.approx(float(ref["c_lower"]), rel=1e-12, abs=0.0)
+        assert rep.c_upper == pytest.approx(float(ref["c_upper"]), rel=1e-12, abs=0.0)
+
+    def test_at_j_1e5(self, tmp_path):
+        # refused by the residual gate in the coefficient basis; c_lower is the extreme
+        # with the condition number (about 5e7) times eps in its error
+        seq, grid, cfg = _near_pair(1e-7, J=10**5)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with mock.patch("sys.stdout", io.StringIO()) as out:
+            assert ingham.cli.main(["frame", "--input", str(path)]) == 0
+        report = json.loads(out.getvalue())["report"]
+        with mp.workdps(60):
+            ref = bench_accuracy.references("frame", cfg)
+        assert report["c_upper"] == pytest.approx(float(ref["c_upper"]), rel=1e-12, abs=0.0)
+        assert report["c_lower"] == pytest.approx(float(ref["c_lower"]), rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("t_shift", [0.0, 0.37])
+    def test_band_split_pair_beside_a_near_pair(self, t_shift):
+        # 17.0 is past the band, so 16.5 keeps 1 + 0.5^2 and the pencil is not unit
+        cfg = dict(bench_accuracy._near_pair(1e-6, 16, t_shift), omegas=[-3.5, -0.5, -0.5 + 1e-6, 2.8, 16.5, 17.0])
+        seq = ExponentSequence(tuple(cfg["omegas"]), cfg["gamma"], cfg["gamma0"])
+        assert q_matrix(seq, band_mask(seq, cfg["delta"])).diag[-1] == 1.25
+        rep = frame_constants(seq, SamplingGrid(cfg["delta"], cfg["J"], t_shift))
+        with mp.workdps(60):
+            ref = bench_accuracy.references("frame", cfg)
+        assert rep.c_lower == pytest.approx(float(ref["c_lower"]), rel=1e-12, abs=0.0)
+        assert rep.c_upper == pytest.approx(float(ref["c_upper"]), rel=1e-12, abs=0.0)
+
+    def test_pair_at_j_2p52(self):
+        # closed forms: the cost does not grow with J, so a pair at J = 2^52 returns
+        rep = frame_constants(CHAIN, SamplingGrid(0.25, 2**52))
+        assert 0.0 < rep.c_lower <= rep.c_upper < math.inf and not rep.singular
+
+    @given(st.floats(-9.5, -4.0), st.floats(0.01, 1.0), st.floats(-1.0, 1.0))
+    def test_constants_continuous_as_gap_closes(self, log_d, ratio, t_shift):
+        # down to the 1e-12 floor, a change of the gap moves the constants by about
+        # as much as the gap moved, and never by a jump
+        d = 10.0**log_d
+        a = frame_constants(*_near_pair(d, t_shift=t_shift)[:2])
+        b = frame_constants(*_near_pair(d * ratio, t_shift=t_shift)[:2])
+        for x, y in ((a.c_lower, b.c_lower), (a.c_upper, b.c_upper)):
+            assert abs(x - y) <= 10.0 * d * (1.0 - ratio) * abs(x) + 1e-12 * abs(x)
+
+    def test_continuum_row_matches_mpmath_quad(self):
+        # the discrete pencil and the continuous one, whose Gram mpmath integrates by
+        # quadrature, with a pair of gap 1e-4
+        cfg = {"task": "continuum", "base": {"omegas": [-3.1, -0.4, -0.4 + 1e-4, 2.6, 5.6], "gamma": 1.2,
+                                             "gamma0": 0.8, "R": 4.0},
+               "axes": [{"name": "J", "values": [32]}]}
+        base = cfg["base"]
+        (row,) = continuum_limit_scan(ExponentSequence(tuple(base["omegas"]), base["gamma"], base["gamma0"]),
+                                      base["R"], [32])
+        with mp.workdps(30):
+            ref = bench_accuracy.references("scan", cfg)
+        for name in ("c1_discrete", "c2_discrete", "c1_continuous", "c2_continuous"):
+            assert getattr(row, name) == pytest.approx(float(ref[f"J=32 {name}"]), rel=1e-14, abs=0.0)
 
 
 class TestEpsilonK:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import block_sequence, random_coeffs
+from helpers import block_sequence, dense_block_q, pair_basis, random_coeffs
 from ingham import (
     AugmentedExpSum,
     ExponentSequence,
@@ -50,33 +50,38 @@ class TestScalarForm:
 
 class TestMatrixForm:
     def test_matches_scalar_form(self, rng):
+        # in the divided-difference basis Q is diagonal: q_form(B y) = sum diag |y|^2
         for _ in range(20):
             seq = block_sequence(rng)
             qm = q_matrix(seq)
-            x = np.array(random_coeffs(rng, len(seq)))
-            # x^H Q x from the bands: the diagonal, and each coupling twice
-            quad = float(np.sum(qm.diag * np.abs(x) ** 2) + 2.0 * np.sum(qm.sub * (x[:-1].conj() * x[1:]).real))
+            y = np.array(random_coeffs(rng, len(seq)))
+            x = pair_basis(qm) @ y
+            quad = float(np.sum(qm.diag * np.abs(y) ** 2))
             assert quad == pytest.approx(q_form(seq, x), rel=1e-12, abs=1e-12)
 
     def test_block_structure_and_eigenvalues(self):
         qm = q_matrix(CHAIN)
-        d2 = (3.4 - 3.0) ** 2
+        d = 3.4 - 3.0
         assert qm.dim == 5 and qm.active == (0, 1, 2, 3, 4)
-        assert qm.diag.tolist() == [1.0 + 0.25, 1.0 + 0.25, 1.0 + d2, 1.0 + d2, 1.0]
-        assert qm.sub.tolist() == [1.0, 0.0, 1.0, 0.0]
-        # each block [[1+d^2, 1], [1, 1+d^2]] has eigenvalues d^2 and 2+d^2
-        for k, gap2 in ((0, 0.25), (2, d2)):
-            a, b = qm.diag[k], qm.sub[k]
-            assert np.allclose([a - b, a + b], [gap2, 2.0 + gap2], atol=1e-14)
+        assert qm.diag.tolist() == [4.0 + 2.0 * 0.25, 2.0, 4.0 + 2.0 * (d * d), 2.0, 1.0]
+        assert qm.leads.tolist() == [0, 2] and qm.gaps.tolist() == [0.5, d]
+        # B^T Q B of the coefficient-basis blocks [[1+d^2, 1], [1, 1+d^2]], whose
+        # eigenvalues are d^2 and 2+d^2
+        b = pair_basis(qm)
+        assert np.allclose(b.T @ dense_block_q(CHAIN) @ b, np.diag(qm.diag), rtol=0.0, atol=1e-14)
+        for k, gap in ((0, 0.5), (2, d)):
+            block = dense_block_q(CHAIN)[k:k + 2, k:k + 2]
+            assert np.allclose(np.linalg.eigvalsh(block), [gap * gap, 2.0 + gap * gap], atol=1e-14)
 
     def test_masked_submatrix(self):
-        # drop index 3 (partner of lead 2) and index 4
+        # drop index 4; both members of each pair stay active
         full = q_matrix(CHAIN)
         mask = band_mask(CHAIN, delta=0.75)  # threshold pi/0.75 - 0.5 = 3.689
         assert mask.active_indices() == (0, 1, 2, 3)
         qm = q_matrix(CHAIN, mask)
         assert qm.dim == 4
-        assert np.array_equal(qm.diag, full.diag[:4]) and np.array_equal(qm.sub, full.sub[:3])
+        assert np.array_equal(qm.diag, full.diag[:4])
+        assert np.array_equal(qm.leads, full.leads) and np.array_equal(qm.gaps, full.gaps)
 
     def test_lone_pair_member_diagonal(self):
         seq = ExponentSequence((0.0, 2.5, 2.9), 1.0, 0.6)
@@ -85,17 +90,18 @@ class TestMatrixForm:
         # threshold = pi/1.05 - 0.5 = 2.4920 -> active {0}
         if mask.active_indices() == (0,):
             qm = q_matrix(seq, mask)
-            assert qm.diag.tolist() == [1.0] and qm.sub.tolist() == []
+            assert qm.diag.tolist() == [1.0] and qm.leads.tolist() == []
         mask2 = band_mask(seq, delta=1.0)  # threshold 2.6416 -> active {0, 1}
         qm2 = q_matrix(seq, mask2)
         d2 = 0.4**2
         assert qm2.dim == 2
         assert qm2.diag[1] == pytest.approx(1.0 + d2)
-        assert qm2.sub.tolist() == [0.0]
+        assert qm2.leads.tolist() == [] and qm2.gaps.tolist() == []
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=12, max_size=12), st.booleans())
     def test_masked_matrix_is_principal_submatrix(self, seed, flags, keep_lead):
-        # any mask, contiguous or not; the first pair always has one member in and one out
+        # any mask, contiguous or not; the first pair always has one member in and one out.
+        # The masked Q is the principal submatrix of the full one, taken to the basis of its pairs
         seq = block_sequence(np.random.default_rng(seed), chain_prob=0.9)
         flags = flags[: len(seq)]
         leads = sorted(seq.classification.a2_leads)
@@ -105,15 +111,15 @@ class TestMatrixForm:
         active = mask.active_indices()
         qm = q_matrix(seq, mask)
         assert qm.active == active
-        assert np.array_equal(qm.matrix, q_matrix(seq).matrix[np.ix_(active, active)])
+        b = pair_basis(qm)
+        sub = dense_block_q(seq)[np.ix_(active, active)]
+        assert np.allclose(b.T @ sub @ b, np.diag(qm.diag), rtol=0.0, atol=1e-13)
 
     def test_positive_definite_when_gaps_positive(self, rng):
         for _ in range(10):
             seq = block_sequence(rng)
             qm = q_matrix(seq)
-            # the pivots of Q's Cholesky factor, from the bands
-            lead = np.append(qm.diag[:1], qm.diag[1:] - qm.sub**2 / qm.diag[:-1])
-            assert lead.min() > 0.0
+            assert qm.diag.min() > 0.0
 
     @given(st.integers(0, 2**32 - 1))
     def test_form_nonnegative(self, seed):
@@ -137,22 +143,12 @@ class TestMatrixForm:
         assert err.value.details == {"lead": lead, "gap": seq.omegas[lead + 1] - seq.omegas[lead]}
 
     def test_pair_gap_floor_needs_both_members_active(self):
-        # a pair below the floor outside the band leaves no block to guard
+        # a pair below the floor outside the band leaves no pair to guard
         seq = ExponentSequence((-0.5, 3.0, 9.0, 9.0 + 1e-13), 1.3, 0.9)
         qm = q_matrix(seq, band_mask(seq, delta=0.5))  # threshold pi/0.5 - 0.65 = 5.63
-        assert qm.active == (0, 1) and qm.diag.tolist() == [1.0, 1.0] and qm.sub.tolist() == [0.0]
-
-    def test_dense_matrix_is_derived_and_read_only(self):
-        qm = q_matrix(CHAIN)
-        m = qm.matrix
-        assert np.array_equal(m, m.T) and np.array_equal(m.diagonal(), qm.diag)
-        assert np.array_equal(m.diagonal(-1), qm.sub) and np.count_nonzero(m) == 5 + 2 * 2
-        m[0, 1] = 0.5  # a fresh copy: the bands are untouched
-        assert qm.matrix[0, 1] == 1.0
-        with pytest.raises(AttributeError):
-            qm.matrix = np.eye(5)
+        assert qm.active == (0, 1) and qm.diag.tolist() == [1.0, 1.0] and qm.leads.tolist() == []
 
     def test_no_active_index(self):
         mask = BandMask(admissible=(False,) * 5, delta=1.0, threshold=1.0)
         qm = q_matrix(CHAIN, mask)
-        assert (qm.dim, qm.sub.shape, qm.matrix.shape) == (0, (0,), (0, 0))
+        assert (qm.dim, qm.leads.shape, qm.gaps.shape) == (0, (0,), (0,))
