@@ -15,15 +15,18 @@ in the divided-difference basis of the weakened gap condition,
 u = e_k + e_p and v = (e_p - e_k)/d, where `quadforms.q_matrix` gives Q
 as a diagonal.  The Gram's rows and columns of u and v are formed by
 closed forms that do not cancel as d -> 0 and whose cost does not grow
-with J (`_sampled_pair_basis`, `_continuous_pair_basis`).  Scaling each
-basis function by its Q entry leaves Q = 1 at the pairs, so the pencil
-of a frame is mostly the eigenproblem of the Gram itself, which LAPACK's
-divide-and-conquer solver (numpy's eigh) diagonalizes; every eigenpair is
-then checked against the residual gate ||S v - lambda Q v|| <= 1e-9 ||S||.
+with J (`_pair_basis`, for the sampled Gram and for the continuous one on
+[-R, R], its zero-step limit).  Scaling each basis function by its Q
+entry leaves Q = 1 at the pairs, so the pencil of a frame is mostly the
+eigenproblem of the Gram itself, which LAPACK's divide-and-conquer solver
+(numpy's eigh) diagonalizes; every eigenpair is then checked against the
+residual gate ||S v - lambda Q v|| <= 1e-9 ||S||.
 
-One step, `_sampled_pencil`, builds the Gram, solves and applies the singular
-rule for `frame_constants`, `extended_frame_constants`, `continuum_limit_scan`
-and `observability.verify_observability`.
+One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
+the singular rule for `frame_constants`, `extended_frame_constants`, the
+discrete rows of `continuum_limit_scan` and
+`observability.verify_observability`; it and the continuous pencil of
+`continuum_limit_scan` share `_pair_pencil`.
 
 The augmentation machinery follows the averaging filter
 
@@ -174,7 +177,8 @@ def _x_minus_sin(x: float) -> float:
 
 def _pairs_first(omegas, q_diag, leads):
     """omegas and q_diag reordered to put the pairs at positions `leads` (and
-    leads + 1) first: their leads, then their partners, then every other index."""
+    leads + 1) first: their leads, then their partners, then every other index.
+    With pairs, both are new arrays."""
     if not len(leads):
         return omegas, q_diag
     first = leads.tolist()
@@ -196,7 +200,7 @@ def _pair_factor(q_pairs, gaps, t_shift: float) -> np.ndarray:
     """
     p = len(gaps)
     factor = np.zeros((2 * p, 2 * p), dtype=complex if t_shift else float)
-    for i, (q_u, q_v, d) in enumerate(zip(q_pairs[:p].tolist(), q_pairs[p:].tolist(), gaps.tolist())):
+    for i, (q_u, q_v, d) in enumerate(zip(q_pairs[:p], q_pairs[p:], gaps.tolist())):
         s = math.sin(0.5 * t_shift * d)
         alpha = q_u - 4.0 * (s * s)
         c = math.sqrt(alpha / (q_u * q_v))
@@ -206,42 +210,22 @@ def _pair_factor(q_pairs, gaps, t_shift: float) -> np.ndarray:
     return factor
 
 
-def _into_pair_basis(g, u, v, t, vv, factor) -> None:
-    """Rewrite the Gram g, pairs first (`_pairs_first`), in place in the divided-difference basis.
-
-    u and v are the (p, n) rows <u_P, e_n> and <v_P, e_n> over the plain
-    columns, t the (p, p) <v_P, v_P'> and vv the own <v_P, v_P>, all real
-    (the time grid symmetric about 0); a pair's own <u_P, v_P> is 0, and
-    <u_P, v_P'> is <v_P', u_P>.  The pairs' rows are then taken through
-    `factor` (`_pair_factor`), and their columns through its conjugate, so
-    that Q is 1 at the pairs.  The pairs' block is made Hermitian, the
-    rounding of its triangles averaged.
-    """
-    p, m = len(vv), 2 * len(vv)
-    rows = np.concatenate([u, v])
-    rows[:, :p] += rows[:, p:m]
-    rows[:p, p:m] = rows[p:, :p].T
-    rows[p:, p:m] = t
-    rows[:p, p:m].flat[:: p + 1] = rows[p:, :p].flat[:: p + 1] = 0.0
-    rows[p:, p:m].flat[:: p + 1] = vv
-    rows = factor @ rows
-    pairs = rows[:, :m] @ factor.conj().T
-    rows[:, :m] = 0.5 * (pairs + pairs.conj().T)
-    g[:m] = rows
-    g[:, :m] = rows.conj().T
+# `_pair_basis`'s kernel (sine, cosine, x - sin x, endpoint weight): the sampled Gram's, and its zero-step limit
+_SAMPLED = (np.sin, np.cos, _x_minus_sin, 1.0)
+_CONTINUUM = (lambda z: z, lambda z: 1.0, lambda z: 0.0, 0.0)
 
 
-def _sampled_pair_basis(g, omegas, gaps, q_pairs, grid: SamplingGrid) -> None:
-    """Rewrite the sampled Gram g of omegas, taken at t' = 0, in place, in the
-    divided-difference basis, so that the pencil of the grid's t' is g against 1
-    at the pairs (`_pair_factor`).
+def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kernel) -> None:
+    """Rewrite the Gram g of omegas, taken at t' = 0 with the pairs first
+    (`_pairs_first`), in place in the divided-difference basis, so that the
+    pencil of the shift t' is g against 1 at the pairs (`_pair_factor`).
 
-    The p pairs come first (`_pairs_first`): the leads k, then the
-    partners p = k + 1, gaps d = w_p - w_k, Q entries `q_pairs`.  A pair
-    trades its columns e_k, e_p for u = e_k + e_p and v = (e_p - e_k)/d.
-    The closed forms below do not cancel as d -> 0 and do not grow with J.
-    With D the Dirichlet kernel, N = 2J+1, x = (m - w_n) delta for the
-    pair's midpoint m, h = d delta/2 and den = sin((x-h)/2) sin((x+h)/2):
+    The p pairs come first: the leads k, then the partners p = k + 1, gaps
+    d = w_p - w_k, Q entries `q_pairs`.  A pair trades its columns e_k, e_p
+    for u = e_k + e_p and v = (e_p - e_k)/d.  The closed forms below do not
+    cancel as d -> 0 and do not grow with J.  With D the Dirichlet kernel,
+    N = 2J+1, x = (m - w_n) delta for the pair's midpoint m, h = d delta/2
+    and den = sin((x-h)/2) sin((x+h)/2):
 
         <u, e_n> = delta (D(x - h) + D(x + h)), the sum of the Gram's rows k and p,
         <v, e_n> = -(delta/d) 4 sum_{j=1}^{J} sin(j x) sin(j h)
@@ -262,81 +246,63 @@ def _sampled_pair_basis(g, omegas, gaps, q_pairs, grid: SamplingGrid) -> None:
     m(Y) = sin(JY) cos(JB) sin B - cos(JY) sin(JB) sin Y and
     den(Y) = sin((Y-B)/2) sin((Y+B)/2).  Every den is a product of sines
     of half a difference of two frequencies times delta, as in the Gram.
-    A pair's own columns divide 0 by 0; `_into_pair_basis` overwrites them.
+
+    `kernel` gives the sine, cosine and x - sin x of the angles not times J
+    or N, and the weight of the endpoint terms 2 sin(Jx) sin(Jh) and
+    4 sin(JB) cos(JX) sin(JA): `_SAMPLED`, or `_CONTINUUM` for the Gram of
+    `sums.continuous_gram` on [-R, R], the zero-step limit at delta 1 and
+    J = R, where sin z and cos z become z and 1, N becomes 2J and the
+    endpoint terms drop out.
+
+    A pair's own <u, v> is 0 (the grid is symmetric about 0), its own
+    columns above (0 by 0) are overwritten, and <u, v'> is <v', u>.  The
+    pairs' rows are taken through `_pair_factor` and their columns through
+    its conjugate, their block made Hermitian by averaging its triangles.
     """
+    sin, cos, x_minus_sin, ends = kernel
     p, m = len(gaps), 2 * len(gaps)
-    delta, J = grid.delta, grid.J
     # (w_k - w_n) delta/2 in the first p rows, (w_p - w_n) delta/2 in the next p
     half = (omegas[:m, None] - omegas) * (0.5 * delta)
-    sin_half = np.sin(half)
+    sin_half = sin(half)
     sk, sp = sin_half[:p], sin_half[p:]
-    h = (0.5 * delta) * gaps
-    angles = np.array([h, J * h])[:, :, None]  # h and Jh, per pair
-    (s_h, s_jh), (c_h, c_jh) = np.sin(angles), np.cos(angles)
-    cs, sc = c_jh * s_h, s_jh * c_h  # cos(Jh) sin h and sin(Jh) cos h
+    h = ((0.5 * delta) * gaps)[:, None]
+    s_h, jh = sin(h), J * h
+    s_jh, c_jh = np.sin(jh), np.cos(jh)
+    cs, sc = c_jh * s_h, s_jh * cos(h)  # cos(Jh) sin h and sin(Jh) cos h
     with np.errstate(divide="ignore", invalid="ignore"):
         x = half[:p] + half[p:]
         jx = J * x
         s_jx = np.sin(jx)
-        v = ((2.0 * s_jh) * s_jx + (cs * s_jx - s_jh * np.cos(jx) * np.sin(x)) / (sk * sp)) * (-delta / gaps)[:, None]
+        v = ((2.0 * ends) * s_jh * s_jx + (cs * s_jx - s_jh * np.cos(jx) * sin(x)) / (sk * sp)) * (-delta / gaps)[:, None]
         xc = 0.5 * (x[:, :p] + x[:, p:m])
         yc = half[:p, :p] + half[:p, p:m]
-        angles = np.array([J * xc, xc, J * yc, yc])
-        (s_jxc, s_xc, s_jyc, s_yc), (c_jxc, c_xc, c_jyc, _) = np.sin(angles), np.cos(angles)
+        small = np.array([xc, yc])
+        big = J * small
+        (s_xc, s_yc), c_xc = sin(small), cos(xc)
+        (s_jxc, s_jyc), (c_jxc, c_jyc) = np.sin(big), np.cos(big)
+        two_s_jb = 2.0 * s_jh.T
         m_y = cs.T * s_jyc - s_jh.T * c_jyc * s_yc
         den_plus = sp[:, :p] * sp[:, p:m]
         t = (
-            c_jxc * (s_jh * (4.0 * s_jh.T * den_plus + 2.0 * cs.T) - 2.0 * s_jh.T * c_xc * cs)
-            + s_xc * (2.0 * s_jh.T * s_jxc * sc - m_y * s_h / (sk[:, :p] * sk[:, p:m]))
+            c_jxc * (s_jh * ((4.0 * ends) * s_jh.T * den_plus + 2.0 * cs.T) - two_s_jb * c_xc * cs)
+            + s_xc * (two_s_jb * s_jxc * sc - m_y * s_h / (sk[:, :p] * sk[:, p:m]))
         ) * (delta / (den_plus * (gaps[:, None] * gaps)))
-    n = 2 * J + 1
-    vv = [2.0 * delta / (d * d) * (_x_minus_sin(n * z) - n * _x_minus_sin(z)) / math.sin(z)
-          for d, z in zip(gaps.tolist(), h.tolist())]
+    n = 2 * J + ends
+    vv = [2.0 * delta / (d * d) * (_x_minus_sin(n * z) - n * x_minus_sin(z)) / s
+          for d, (z,), (s,) in zip(gaps.tolist(), h.tolist(), s_h.tolist())]
+    factor = _pair_factor(q_pairs, gaps, t_shift)
     gram = g.real
-    _into_pair_basis(g, gram[:p] + gram[p:m], v, t, vv, _pair_factor(q_pairs, gaps, grid.t_shift))
-
-
-def _continuous_pair_basis(g, omegas, gaps, q_pairs, R: float) -> None:
-    """Rewrite the continuous Gram g of omegas on [-R, R] (`sums.continuous_gram`),
-    pairs first, in place, in the divided-difference basis of `_sampled_pair_basis`.
-
-    With kappa(w) = 2 sin(wR)/w, x = m - w_n, eta = d/2 and the member
-    differences a = w_k - w_n, b = w_p - w_n:
-
-        <u, e_n> = kappa(a) + kappa(b),
-        <v, e_n> = (4 x cos(xR) sin(eta R)/d - 2 sin(xR) cos(eta R)) / (a b),
-        <v, v>   = 4 (dR - sin dR) / d^3,
-        <v, v'>  = (4/(d d')) (q(X+eta) - q(X-eta))
-
-    for X = m - m', with q(Y) = [B sin(YR) cos(BR) - Y cos(YR) sin(BR)] / ((Y-B)(Y+B)),
-    B = eta', written out as its difference:
-
-        [2B cos(BR) cos(XR) sin(eta R) + 2 sin(BR) (X sin(XR) sin(eta R) - eta cos(XR) cos(eta R))] / den(X+eta)
-        - 4 X eta [B sin(YR) cos(BR) - Y cos(YR) sin(BR)]_{Y = X-eta} / (den(X+eta) den(X-eta)),
-
-    den(Y) = (Y-B)(Y+B), each factor a difference of two frequencies.
-    """
-    p, m = len(gaps), 2 * len(gaps)
-    a = omegas[:p, None] - omegas
-    b = omegas[p:m, None] - omegas
-    eta = 0.5 * gaps
-    x = a + eta[:, None]
-    s_e, c_e = np.sin(eta * R), np.cos(eta * R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = g[:p] + g[p:m]
-        v = (4.0 * x * np.cos(x * R) * (s_e / gaps)[:, None] - 2.0 * np.sin(x * R) * c_e[:, None]) / (a * b)
-        xc = 0.5 * (x[:, :p] + x[:, p:m])
-        yc = xc - eta[:, None]
-        s_xc, c_xc = np.sin(xc * R), np.cos(xc * R)
-        m_y = (eta * c_e) * np.sin(yc * R) - yc * np.cos(yc * R) * s_e
-        diff = 2.0 * (eta * c_e) * c_xc * s_e[:, None] + 2.0 * s_e * (
-            xc * s_xc * s_e[:, None] - (eta * c_e)[:, None] * c_xc
-        )
-        den_plus = b[:, :p] * b[:, p:m]
-        den_minus = a[:, :p] * a[:, p:m]
-        t = 4.0 * (diff / den_plus - 4.0 * xc * eta[:, None] * m_y / (den_plus * den_minus)) / (gaps[:, None] * gaps)
-    vv = [4.0 * _x_minus_sin(d * R) / d**3 for d in gaps.tolist()]
-    _into_pair_basis(g, u, v, t, vv, _pair_factor(q_pairs, gaps, 0.0))
+    rows = np.concatenate([gram[:p] + gram[p:m], v])
+    rows[:, :p] += rows[:, p:m]
+    rows[:p, p:m] = rows[p:, :p].T
+    rows[p:, p:m] = t
+    rows[:p, p:m].flat[:: p + 1] = rows[p:, :p].flat[:: p + 1] = 0.0
+    rows[p:, p:m].flat[:: p + 1] = vv
+    rows = factor @ rows
+    pairs = rows[:, :m] @ factor.conj().T
+    rows[:, :m] = 0.5 * (pairs + pairs.conj().T)
+    g[:m] = rows
+    g[:, :m] = rows.conj().T
 
 
 def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: bool = False):
@@ -402,23 +368,36 @@ def _pencil_extremes(s: np.ndarray, q_diag) -> tuple[float, float, bool]:
     return min_eig, max_eig, min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
 
 
+def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kernel):
+    """(min_eig, max_eig, singular, g) of the Gram g of omegas against diag(q_diag), both
+    from `_pairs_first`: with pairs, g is rewritten by `_pair_basis` and q_diag
+    set to 1 at the pairs, in place."""
+    m = 2 * len(gaps)
+    if m:
+        q_pairs = q_diag[:m].tolist()
+        q_diag[:m] = 1.0
+        _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
+    return (*_pencil_extremes(g, q_diag), g)
+
+
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
     """(min_eig, max_eig, singular, G) of the sampled Gram G of omegas on grid against
     diag(q_diag).  With pairs at positions `leads` (gaps `gaps`), G is the Gram
-    at t' = 0, pairs first (`_pairs_first`), in their divided-difference basis
-    (`_sampled_pair_basis`), against 1 at the pairs; real if t' is 0."""
+    at t' = 0 in their divided-difference basis (`_pair_pencil`), real if t' is 0.
+    A t' whose product with the span of omegas is not finite is refused."""
+    if grid.t_shift and not math.isfinite(grid.t_shift * (float(max(omegas)) - float(min(omegas)))):
+        raise ValidationError(
+            "t_shift times the span of the frequencies is not finite",
+            details={"t_shift": grid.t_shift},
+        )
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)
     if not len(leads):
         g = _gram_from_omegas(omegas, grid)
-        return (*_pencil_extremes(g, q_diag), g)
-    m = 2 * len(leads)
-    g = _gram_from_omegas(omegas, SamplingGrid(grid.delta, grid.J) if grid.t_shift else grid)
-    if not grid.t_shift:
-        g = g.real.copy()
-    _sampled_pair_basis(g, omegas, gaps, q_diag[:m], grid)
-    q_diag = q_diag.copy()
-    q_diag[:m] = 1.0
-    return (*_pencil_extremes(g, q_diag), g)
+    elif grid.t_shift:  # moved into Q by `_pair_factor`
+        g = _gram_from_omegas(omegas, SamplingGrid(grid.delta, grid.J))
+    else:
+        g = _gram_from_omegas(omegas, grid).real.copy()
+    return _pair_pencil(g, omegas, q_diag, gaps, grid.delta, grid.J, grid.t_shift, _SAMPLED)
 
 
 def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
@@ -685,8 +664,9 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
     follow.  Rows flag changes of the active set (the band mask depends
     on delta).  The continuous pencil depends only on the active omegas,
     their Q and R, so it is solved once per distinct active set, in the
-    pairs' divided-difference basis (`_continuous_pair_basis`).  Every J
-    must be a positive integer.
+    pairs' divided-difference basis, by the sampled closed forms at their
+    zero-step limit (`_pair_pencil` with `_CONTINUUM`).  Every J must be a
+    positive integer.
     """
     R = positive(R, "R")
     if not R > math.pi / seq.gamma:
@@ -703,13 +683,8 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
         report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         if active not in continuous:
             first, q_diag = _pairs_first(omegas, qm.diag, qm.leads)
-            gram = continuous_gram(first, R)
-            if len(qm.leads):  # in the pairs' basis, against 1 at the pairs
-                m = 2 * len(qm.leads)
-                _continuous_pair_basis(gram, first, qm.gaps, q_diag[:m], R)
-                q_diag = q_diag.copy()
-                q_diag[:m] = 1.0
-            continuous[active] = _pencil_extremes(gram, q_diag)[:2]
+            pencil = _pair_pencil(continuous_gram(first, R), first, q_diag, qm.gaps, 1.0, R, 0.0, _CONTINUUM)
+            continuous[active] = pencil[:2]
         c1c, c2c = continuous[active]
         if report.singular or c1c <= 0.0:
             rel = math.inf

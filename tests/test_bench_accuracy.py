@@ -1,5 +1,5 @@
-"""`tests/bench_accuracy.py`: the committed accuracy record, its J = 16 references
-recomputed from the Gram summed sample by sample."""
+"""`tests/bench_accuracy.py`: the newest committed accuracy record, `ACCURACY_<n>.json`
+of the highest n, its J = 16 references recomputed from the Gram summed sample by sample."""
 
 import json
 import sys
@@ -11,7 +11,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_accuracy  # noqa: E402
 
-RECORD = json.loads((bench_accuracy.ROOT / "ACCURACY_31.json").read_text())
+RECORD = json.loads(
+    max(bench_accuracy.ROOT.glob("ACCURACY_*.json"), key=lambda path: int(path.stem.split("_")[1])).read_text()
+)
 
 
 def test_record_holds_every_instance():

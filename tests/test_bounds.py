@@ -585,6 +585,24 @@ class TestFrameConstants:
             call(seq, SamplingGrid(0.18, 16))
         assert err.value.details["lead"] == 1
 
+    @pytest.mark.parametrize("omegas", [(-30.0, -5.0, 0.0, 30.0), (-30.0, -5.0, 10.0, 30.0)], ids=["pair", "no-pair"])
+    @pytest.mark.parametrize("t_shift", [1e308, -1e308, 3e306])
+    def test_t_shift_past_the_span_refused(self, omegas, t_shift):
+        # t' (w_max - w_min) past the double range is refused by name before any Gram
+        # is formed: no math domain error in a pair's factor, no numpy overflow warning
+        seq = ExponentSequence(omegas, 10.0, 9.0)
+        assert len(q_matrix(seq).leads) == (omegas[2] == 0.0)
+        with mock.patch("ingham.bounds._gram_from_omegas", side_effect=AssertionError("Gram formed")):
+            with pytest.raises(ValidationError, match="^t_shift times the span") as err:
+                frame_constants(seq, SamplingGrid(0.05, 80, t_shift))
+        assert err.value.details == {"t_shift": t_shift}
+
+    @pytest.mark.parametrize("omegas", [(-30.0, -5.0, 0.0, 30.0), (-30.0, -5.0, 10.0, 30.0)], ids=["pair", "no-pair"])
+    def test_t_shift_within_the_span_solves(self, omegas):
+        # t' times the span 60 is 6e307, finite: the pencil is solved
+        rep = frame_constants(ExponentSequence(omegas, 10.0, 9.0), SamplingGrid(0.05, 80, 1e306))
+        assert 0.0 < rep.c_lower <= rep.c_upper < math.inf
+
     def test_report_dict_keys(self):
         rep = frame_constants(CHAIN, SamplingGrid(0.25, 16))
         d = _sanitize(rep)
@@ -665,16 +683,18 @@ class TestNearPairs:
         for x, y in ((a.c_lower, b.c_lower), (a.c_upper, b.c_upper)):
             assert abs(x - y) <= 10.0 * d * (1.0 - ratio) * abs(x) + 1e-12 * abs(x)
 
-    def test_continuum_row_matches_mpmath_quad(self):
+    @pytest.mark.parametrize("d", [0.6, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_continuum_row_matches_mpmath_quad(self, d):
         # the discrete pencil and the continuous one, whose Gram mpmath integrates by
-        # quadrature, with a pair of gap 1e-4
-        cfg = {"task": "continuum", "base": {"omegas": [-3.1, -0.4, -0.4 + 1e-4, 2.6, 5.6], "gamma": 1.2,
+        # quadrature, with a pair of gap d; 60 digits leave 40 past the 1e20 condition
+        # of the coefficient-basis Q at d = 1e-10
+        cfg = {"task": "continuum", "base": {"omegas": [-3.1, -0.4, -0.4 + d, 2.6, 5.6], "gamma": 1.2,
                                              "gamma0": 0.8, "R": 4.0},
                "axes": [{"name": "J", "values": [32]}]}
         base = cfg["base"]
         (row,) = continuum_limit_scan(ExponentSequence(tuple(base["omegas"]), base["gamma"], base["gamma0"]),
                                       base["R"], [32])
-        with mp.workdps(30):
+        with mp.workdps(60):
             ref = bench_accuracy.references("scan", cfg)
         for name in ("c1_discrete", "c2_discrete", "c1_continuous", "c2_continuous"):
             assert getattr(row, name) == pytest.approx(float(ref[f"J=32 {name}"]), rel=1e-14, abs=0.0)
@@ -1084,7 +1104,8 @@ def _pencil_uses(path: Path) -> set[tuple[str, str]]:
 
 
 def test_one_sampled_pencil_step():
-    # every sampled pencil is bounds._sampled_pencil, or its (S, Q) form for the continuum
+    # every sampled pencil's Gram is formed in bounds._sampled_pencil, and every pencil,
+    # sampled or continuous, is solved in bounds._pencil_extremes, from bounds._pair_pencil
     package = Path(ingham.__file__).resolve().parent
     uses = set().union(*(_pencil_uses(path) for path in package.glob("*.py")))
     assert uses == {

@@ -39,6 +39,9 @@ math.fsum (`poisson_overflow_fsum`).  Two pin refusals reached without
 a numpy warning: non-finite samples of frequencies near the double range with
 the band check off (`poisson_band_off_huge`), and an inverse kernel's
 G(0) overflowing to -inf at a subnormal gamma (`kernel_inverse_gamma_tiny`).
+Two pin the refusal of a t' whose product with the frequency span
+overflows, for a frame with a pair (`frame_t_shift_huge`) and for a
+junction (`string_t_shift_huge`).
 One pins the round trip of a 1001-sample
 trace (`string_j500`), whose fields are the same under one and two
 OpenBLAS threads (at J = 1000 the least-squares fields are not).
@@ -125,6 +128,8 @@ CASES = {
     "poisson_overflow_fsum": ("poisson", (), 2),
     "poisson_band_off_huge": ("poisson", (), 2),
     "kernel_inverse_gamma_tiny": ("kernel", (), 2),
+    "frame_t_shift_huge": ("frame", (), 2),
+    "string_t_shift_huge": ("string", (), 2),
 }
 
 

@@ -460,6 +460,14 @@ class TestVerifyObservability:
             ratio = initial_data_energy(trial, 0.05) / observe(trial, grid).energy()
             assert ratio <= rep.c_pencil * (1.0 + 1e-9)
 
+    def test_t_shift_past_the_span_refused(self):
+        # the junction's pencil is `bounds._sampled_pencil`, which refuses a t' whose
+        # product with the span of the frequencies overflows, with no numpy warning
+        sys, grid = self.string_instance()
+        with pytest.raises(ValidationError, match="^t_shift times the span") as err:
+            verify_observability(sys, SamplingGrid(grid.delta, grid.J, 1e308), epsilon=0.05, trials=0)
+        assert err.value.details == {"t_shift": 1e308}
+
     def test_trials_zero(self):
         sys, grid = self.string_instance()
         rep = verify_observability(sys, grid, epsilon=0.05, trials=0)
