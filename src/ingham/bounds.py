@@ -22,6 +22,12 @@ eigenproblem of the Gram itself, which LAPACK's divide-and-conquer solver
 (numpy's eigh) diagonalizes; every eigenpair is then checked against the
 residual gate ||S v - lambda Q v|| <= 1e-9 ||S||.
 
+The grid's shift t' is the similarity S(t') = Phi S(0) Phi^H, Phi = diag(e^{i w t'}):
+every Gram is formed real on the unshifted grid (`_gram_from_omegas`), a pencil
+against a diagonal Q is real at every t', and t' enters only the pairs' Q
+(`_pair_factor`) and, as a unit phase `sums._phasors(t', w)` per coefficient,
+`sampled_gram` and `observability`.
+
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule for `frame_constants`, `extended_frame_constants`, the
 discrete rows of `continuum_limit_scan` and
@@ -55,7 +61,7 @@ import numpy as np
 from .errors import StructuralError, ValidationError, count, finite, positive
 from .exponents import BandMask, ExponentSequence, band_mask
 from .quadforms import q_matrix
-from .sums import AugmentedExpSum, ExpSum, SamplingGrid, continuous_gram
+from .sums import AugmentedExpSum, ExpSum, SamplingGrid, _phasors, continuous_gram
 
 # min_eig at or below this fraction of max_eig marks the pencil singular
 SINGULAR_RTOL = 1e-10
@@ -114,23 +120,21 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper
 
 
-def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
-    """Sampled Gram S_{kn} = delta sum_j e^{i(w_k - w_n)(t' + j delta)}.
+def _gram_from_omegas(omegas: np.ndarray, delta: float, J: int) -> np.ndarray:
+    """Real Gram S_{kn} = delta sum_{j=-J}^{J} e^{i(w_k - w_n) j delta} of the unshifted grid.
 
-    The upper triangle is the Dirichlet kernel sum_{j=-J}^{J} e^{i j theta}
-    = sin((2J+1) h) / sin h, h = theta/2, times delta e^{i(w_k - w_n) t'}; the
-    lower triangle is its conjugate.  Where |sin h| < 1e-8 the same quotient
-    is taken at r = h - k pi, the distance to the nearest multiple of pi (2J+1
-    at r = 0).  The operations are those of the scalar formula
-    `delta * complex(cos, sin) * d`, in its order, so every entry is the same
-    double, signed zeros included, it would be entry by entry.
+    The upper triangle is delta times the Dirichlet kernel sum_{j=-J}^{J}
+    e^{i j theta} = sin((2J+1) h) / sin h, h = theta/2, and the lower
+    triangle its mirror.  Where |sin h| < 1e-8 the same quotient is taken at
+    r = h - k pi, the distance to the nearest multiple of pi (2J+1 at
+    r = 0).  The operations are those of the scalar formula `delta * d`, so
+    every entry is the same double, signed zeros included, it would be entry
+    by entry.
     """
     omegas = np.asarray(omegas)
     n = len(omegas)
-    delta, J = grid.delta, grid.J
     upper = _upper_pairs(n)
-    diff = omegas[upper[0]] - omegas[upper[1]]
-    half = 0.5 * (diff * delta)
+    half = 0.5 * ((omegas[upper[0]] - omegas[upper[1]]) * delta)
     sin_half = np.sin(half)
     # written so that a NaN sine, like a small one, is near
     near = ~(np.abs(sin_half) >= 1e-8)
@@ -141,24 +145,19 @@ def _gram_from_omegas(omegas: np.ndarray, grid: SamplingGrid) -> np.ndarray:
             k = np.rint(h / np.pi)
             r = h - k * _PI_PARTS[0] - k * _PI_PARTS[1] - k * _PI_PARTS[2]
             d[near] = np.where(r == 0.0, 2 * J + 1, np.sin((2 * J + 1) * r) / np.sin(r))
-    arg = diff * grid.t_shift
-    phase = np.empty(len(diff), dtype=complex)
-    phase.real = np.cos(arg)
-    phase.imag = np.sin(arg)
-    vals = (delta * phase) * d
-    s = np.empty((n, n), dtype=complex)
-    s[upper] = vals
-    s[upper[::-1]] = vals.conj()
+    s = np.empty((n, n))
+    s[upper] = s[upper[::-1]] = delta * d
     np.fill_diagonal(s, delta * (2 * J + 1))
     return s
 
 
 def sampled_gram(seq: ExponentSequence, grid: SamplingGrid, mask: BandMask) -> np.ndarray:
-    """Gram matrix of the sampled exponentials over the active indices."""
+    """Gram matrix of the sampled exponentials over the active indices, at t'."""
     if len(mask.admissible) != len(seq):
         raise StructuralError("band mask length does not match sequence")
     omegas = np.array([seq.omegas[k] for k in mask.active_indices()], dtype=float)
-    return _gram_from_omegas(omegas, grid)
+    phase = _phasors(grid.t_shift, omegas)
+    return phase[:, None] * _gram_from_omegas(omegas, grid.delta, grid.J) * phase.conj()
 
 
 # 1/3!, -1/5!, 1/7!, ..., 1/19!: the series of x - sin x, whose next term is below 1e-19 of the first for x < 1
@@ -191,8 +190,7 @@ def _pair_factor(q_pairs, gaps, t_shift: float) -> np.ndarray:
     """The (2p, 2p) inverse Cholesky factor of the pairs' Q in the divided-difference
     basis, pairs first, where the grid's shift t' has moved into Q.
 
-    S(t') = Phi S(0) Phi^H with Phi = diag(e^{i w t'}), so the pencil
-    (S(t'), Q) is (S(0), Phi^H Q Phi).  Phi leaves 1 and 1 + d^2 alone and
+    The pencil (S(t'), Q) is (S(0), Phi^H Q Phi).  Phi leaves 1 and 1 + d^2 alone and
     turns a pair's block of Q, q_u = 4 + 2d^2 and q_v = 2 on its u and v
     at t' = 0, into [[q_u - 4 s^2, 2i sin(d t')/d], [., q_v + 4 s^2/d^2]],
     s = sin(d t'/2), whose determinant stays q_u q_v.  Its factor takes
@@ -215,10 +213,11 @@ _SAMPLED = (np.sin, np.cos, _x_minus_sin, 1.0)
 _CONTINUUM = (lambda z: z, lambda z: 1.0, lambda z: 0.0, 0.0)
 
 
-def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kernel) -> None:
-    """Rewrite the Gram g of omegas, taken at t' = 0 with the pairs first
-    (`_pairs_first`), in place in the divided-difference basis, so that the
-    pencil of the shift t' is g against 1 at the pairs (`_pair_factor`).
+def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kernel) -> np.ndarray:
+    """The real Gram g of omegas, taken at t' = 0 with the pairs first
+    (`_pairs_first`), in the divided-difference basis, so that the pencil of
+    the shift t' is the result against 1 at the pairs (`_pair_factor`): g
+    rewritten in place, or a complex copy of it where t' is not 0.
 
     The p pairs come first: the leads k, then the partners p = k + 1, gaps
     d = w_p - w_k, Q entries `q_pairs`.  A pair trades its columns e_k, e_p
@@ -291,8 +290,7 @@ def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kerne
     vv = [2.0 * delta / (d * d) * (_x_minus_sin(n * z) - n * x_minus_sin(z)) / s
           for d, (z,), (s,) in zip(gaps.tolist(), h.tolist(), s_h.tolist())]
     factor = _pair_factor(q_pairs, gaps, t_shift)
-    gram = g.real
-    rows = np.concatenate([gram[:p] + gram[p:m], v])
+    rows = np.concatenate([g[:p] + g[p:m], v])
     rows[:, :p] += rows[:, p:m]
     rows[:p, p:m] = rows[p:, :p].T
     rows[p:, p:m] = t
@@ -301,8 +299,10 @@ def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kerne
     rows = factor @ rows
     pairs = rows[:, :m] @ factor.conj().T
     rows[:, :m] = 0.5 * (pairs + pairs.conj().T)
+    g = g.astype(rows.dtype, copy=False)
     g[:m] = rows
     g[:, :m] = rows.conj().T
+    return g
 
 
 def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: bool = False):
@@ -370,20 +370,20 @@ def _pencil_extremes(s: np.ndarray, q_diag) -> tuple[float, float, bool]:
 
 def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kernel):
     """(min_eig, max_eig, singular, g) of the Gram g of omegas against diag(q_diag), both
-    from `_pairs_first`: with pairs, g is rewritten by `_pair_basis` and q_diag
-    set to 1 at the pairs, in place."""
+    from `_pairs_first`: with pairs, g is taken to their basis by `_pair_basis` and
+    q_diag set to 1 at the pairs, in place."""
     m = 2 * len(gaps)
     if m:
         q_pairs = q_diag[:m].tolist()
         q_diag[:m] = 1.0
-        _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
+        g = _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
     return (*_pencil_extremes(g, q_diag), g)
 
 
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
     """(min_eig, max_eig, singular, G) of the sampled Gram G of omegas on grid against
-    diag(q_diag).  With pairs at positions `leads` (gaps `gaps`), G is the Gram
-    at t' = 0 in their divided-difference basis (`_pair_pencil`), real if t' is 0.
+    diag(q_diag), on the unshifted grid, real unless pairs at positions `leads` (gaps
+    `gaps`) take t' into their divided-difference basis (`_pair_pencil`).
     A t' whose product with the span of omegas is not finite is refused."""
     if grid.t_shift and not math.isfinite(grid.t_shift * (float(max(omegas)) - float(min(omegas)))):
         raise ValidationError(
@@ -391,12 +391,7 @@ def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), ga
             details={"t_shift": grid.t_shift},
         )
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)
-    if not len(leads):
-        g = _gram_from_omegas(omegas, grid)
-    elif grid.t_shift:  # moved into Q by `_pair_factor`
-        g = _gram_from_omegas(omegas, SamplingGrid(grid.delta, grid.J))
-    else:
-        g = _gram_from_omegas(omegas, grid).real.copy()
+    g = _gram_from_omegas(omegas, grid.delta, grid.J)
     return _pair_pencil(g, omegas, q_diag, gaps, grid.delta, grid.J, grid.t_shift, _SAMPLED)
 
 

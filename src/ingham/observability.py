@@ -16,6 +16,9 @@ the sampled jump energy (observability) and recoverable from it
 
 The right-side basis uses the shifted argument (x - a)/(1 - a): the
 unshifted sin(m pi x/(1 - a)) would not vanish at both x = a and x = 1.
+
+The grid's shift t' is a unit phase e^{i w t'} on each coefficient, never a
+sample time, with an error of about eps |w t'| per exponent.
 """
 
 from __future__ import annotations
@@ -272,15 +275,14 @@ def trace_jump_sum(sys: CoupledSystem) -> ExpSum:
 
 
 def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
-    """Sample the junction jump on the grid (caps checked first).
-
-    A grid whose 2J+1 samples cannot be allocated is refused with a
-    ValidationError.
-    """
+    """Sample the junction jump on the grid (caps checked first): the jump sum phased
+    by e^{i w t'} at the offsets j delta.  A grid whose 2J+1 samples cannot be
+    allocated is refused with a ValidationError."""
     check_caps(sys, grid.delta)
     s = trace_jump_sum(sys)
+    phased = ExpSum(s.seq, tuple(np.array(s.coeffs) * _phasors(grid.t_shift, s.seq.omegas)))
     try:
-        return ObservationTrace(grid, eval_sum(s, grid.times()))
+        return ObservationTrace(grid, eval_sum(phased, SamplingGrid(grid.delta, grid.J).times()))
     except MemoryError:
         raise ValidationError(
             "observation trace needs more samples than memory allows",
@@ -416,20 +418,20 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _trial_ratios(
-    sys: CoupledSystem, gram: np.ndarray, epsilon: float, trials: int, seed: int
+    sys: CoupledSystem, gram: np.ndarray, t_shift: float, epsilon: float, trials: int, seed: int
 ) -> np.ndarray:
     """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
 
     Trial k carries the amplitudes that the k-th of repeated
     with_amplitudes calls on default_rng(seed) would draw.  Its ratio is
-    initial_data_energy over the sampled jump energy, which for exponent
-    coefficients c is the quadratic form c^T S conj(c) in the Gram S of
-    the merged exponents (c^H S c would be the energy of the time-reversed
-    samples).  Both agree with the time-domain fsum path to rounding.  A
-    chunk's ratios are formed in one array operation, the same doubles as
-    _ratio: num / den, and inf where den <= 0 or is NaN.
+    initial_data_energy over the sampled jump energy, c^T S conj(c) in the
+    real unshifted Gram S for the exponent coefficients c phased by e^{i w t'}
+    (the conjugate phase would time-reverse the samples).  Both agree with
+    the time-domain fsum path to rounding.  A chunk's ratios are formed in
+    one array operation, the same doubles as _ratio: num / den, and inf
+    where den <= 0 or is NaN.
     """
-    _, _, cols, weights = sys._layout
+    seq, _, cols, weights = sys._layout
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
     f0, f1 = _sobolev_factors(sys, spec0), _sobolev_factors(sys, spec1)
     rng = np.random.default_rng(seed)
@@ -438,8 +440,8 @@ def _trial_ratios(
         amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(f0))
         plus, minus = amps[..., 0], amps[..., 1]
         num = f0 * _coef_sq(sys, plus, minus, "u0") + f1 * _coef_sq(sys, plus, minus, "u1")
-        coeffs = weights * amps.reshape(len(amps), -1)[:, cols]
-        den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram.T).real
+        coeffs = weights * _phasors(t_shift, seq.omegas) * amps.reshape(len(amps), -1)[:, cols]
+        den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram).real
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios[start:start + len(amps)] = np.where(den > 0.0, num.sum(axis=1) / den, math.inf)
     return ratios
@@ -513,7 +515,7 @@ def verify_observability(
         nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
     min_eig, _, singular, gram = _sampled_pencil(seq.omegas, nu, grid)
     c_pencil = math.inf if singular else 1.0 / min_eig
-    ratios = _trial_ratios(sys, gram, epsilon, trials, seed)
+    ratios = _trial_ratios(sys, gram, grid.t_shift, epsilon, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))
     trace = observe(trial, grid)
     if trials:
@@ -565,26 +567,27 @@ class ReconstructionResult:
 def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionResult:
     """Recover modal amplitudes from jump samples by least squares.
 
-    Solves sample_j = sum_k c_k e^{i omega_k t_j} with an orthogonal
-    factorization (numpy lstsq, SVD based) rather than normal equations;
-    amplitudes follow by dividing out the jump weights.  Rank deficiency
-    (including fewer samples than exponents) is an error: the recovered
-    values would be arbitrary along the null space.
+    Fits sample_j = sum_k b_k e^{i omega_k j delta}, b_k = c_k e^{i omega_k t'},
+    with an orthogonal factorization (numpy lstsq, SVD based) rather than
+    normal equations; amplitudes follow from c by dividing out the jump
+    weights.  Rank deficiency (including fewer samples than exponents) is
+    an error: the recovered values would be arbitrary along the null space.
     """
     seq, _, cols, weights = sys._layout
-    design = _phasors(trace.grid.times(), seq.omegas)
+    design = _phasors(SamplingGrid(trace.grid.delta, trace.grid.J).times(), seq.omegas)
     if design.shape[0] < design.shape[1]:
         raise ValidationError(
             "rank-deficient reconstruction: fewer samples than exponents",
             details={"samples": design.shape[0], "exponents": design.shape[1]},
         )
-    coeffs, _, rank, svals = np.linalg.lstsq(design, trace.samples, rcond=None)
+    phased, _, rank, svals = np.linalg.lstsq(design, trace.samples, rcond=None)
     if rank < design.shape[1] or svals[-1] <= _RANK_RTOL * svals[0]:
         raise ValidationError(
             "rank-deficient reconstruction",
             details={"min_eig": float(svals[-1] ** 2), "rank": int(rank)},
         )
-    fit = design @ coeffs
+    fit = design @ phased
+    coeffs = phased * _phasors(trace.grid.t_shift, seq.omegas).conj()
     scale = float(np.linalg.norm(trace.samples))
     residual = float(np.linalg.norm(fit - trace.samples)) / (scale if scale > 0.0 else 1.0)
     # real and imaginary parts divided apart: complex / float as Python divides it

@@ -60,6 +60,9 @@ INSTANCES = (
       for d in (1e-2, 1e-4, 1e-6, 1e-7, 1e-9, 1e-11) for t in (0.0, 0.37)),
     ("near-pair d=1e-07 J=1e4", "frame", _near_pair(1e-7, 10**4)),
     ("near-pair d=1e-07 J=1e5", "frame", _near_pair(1e-7, 10**5)),
+    # no pair, so the constants do not depend on t'; a phase e^{i w t'} per exponent cannot move them
+    ("no pair t'=1e12", "frame", {"omegas": [-3.0, -0.5, 1.2, 2.8, 5.9], "gamma": 1.3, "gamma0": 0.9,
+                                   "delta": 0.18, "J": 16, "t_shift": 1e12}),
     *((f"junction e={e:g}", "string", _junction(e)) for e in (1e-3, 1e-5, 1e-7)),
     ("haraux chain", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=25)),
     ("continuum scan", "scan", {"task": "continuum",

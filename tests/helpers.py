@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -101,31 +102,40 @@ def random_coeffs(rng: np.random.Generator, n: int, l1: float | None = None) -> 
     return tuple(c)
 
 
-def dense_block_q(seq: ExponentSequence, mask=None) -> np.ndarray:
+def _identity(n: int, exact: bool) -> np.ndarray:
+    """The n x n identity, as floats or as an object array of Python ints (exact)."""
+    return np.identity(n, dtype=int).astype(object) if exact else np.eye(n)
+
+
+def dense_block_q(seq: ExponentSequence, mask=None, exact: bool = False) -> np.ndarray:
     """Q in the coefficient basis over the active indices, as a dense matrix:
     1 per A1 index, the block [[1+d^2, 1], [1, 1+d^2]] per pair with both
-    members active, and 1 + d^2 for a member whose partner is masked out."""
+    members active, and 1 + d^2 for a member whose partner is masked out.
+    With `exact`, an object array of Fractions of the double gaps, unrounded."""
     cls = seq.classification
     active = tuple(range(len(seq))) if mask is None else mask.active_indices()
     pos = {k: i for i, k in enumerate(active)}
-    q = np.eye(len(active))
+    q = _identity(len(active), exact)
     for k in cls.a2_leads:
         p = cls.partners[k]
         d = seq.omegas[p] - seq.omegas[k]
+        d = Fraction(d) if exact else d
         i, j = pos.get(k), pos.get(p)
         for e in (i, j):
             if e is not None:
                 q[e, e] += d * d
         if i is not None and j is not None:
-            q[i, j] = q[j, i] = 1.0
+            q[i, j] = q[j, i] = 1
     return q
 
 
-def pair_basis(qm) -> np.ndarray:
+def pair_basis(qm, exact: bool = False) -> np.ndarray:
     """The real matrix B whose columns are the divided-difference basis of a QMatrix:
-    e_n for a single, u = e_k + e_p and v = (e_p - e_k)/d for a pair at (lead, lead + 1)."""
-    b = np.eye(qm.dim)
+    e_n for a single, u = e_k + e_p and v = (e_p - e_k)/d for a pair at (lead, lead + 1).
+    With `exact`, an object array of Fractions of the double gaps, unrounded."""
+    b = _identity(qm.dim, exact)
     for i, d in zip(qm.leads.tolist(), qm.gaps.tolist()):
-        b[i + 1, i] = 1.0
-        b[i, i + 1], b[i + 1, i + 1] = -1.0 / d, 1.0 / d
+        d = Fraction(d) if exact else d
+        b[i + 1, i] = 1
+        b[i, i + 1], b[i + 1, i + 1] = -1 / d, 1 / d
     return b

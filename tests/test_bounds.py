@@ -375,8 +375,8 @@ class TestSampledGram:
         for theta in rng.uniform(0.1, 3.0, size=10):
             for J in (1, 4, 9):
                 direct = float(np.sum(np.cos(theta * np.arange(-J, J + 1))))
-                # delta 1, no shift: the entry is the Dirichlet kernel at theta
-                s = _gram_from_omegas(np.array([float(theta), 0.0]), SamplingGrid(1.0, J))
+                # delta 1: the entry is the Dirichlet kernel at theta
+                s = _gram_from_omegas(np.array([float(theta), 0.0]), 1.0, J)
                 assert s[0, 1] == pytest.approx(direct, abs=1e-11)
 
     def test_index_pairs_are_cached_read_only(self):
@@ -403,18 +403,14 @@ def _dirichlet(theta, J):
     return float(2 * J + 1) if r == 0.0 else math.sin((2 * J + 1) * r) / math.sin(r)
 
 
-def _gram_loop(omegas, grid):
-    """The entry-by-entry Gram assembly that `_gram_from_omegas` replaced."""
+def _gram_loop(omegas, delta, J):
+    """The entry-by-entry assembly of the unshifted Gram that `_gram_from_omegas` replaced."""
     n = len(omegas)
-    s = np.empty((n, n), dtype=complex)
+    s = np.empty((n, n))
     for k in range(n):
-        s[k, k] = grid.delta * (2 * grid.J + 1)
+        s[k, k] = delta * (2 * J + 1)
         for m in range(k + 1, n):
-            diff = omegas[k] - omegas[m]
-            d = _dirichlet(diff * grid.delta, grid.J)
-            val = grid.delta * complex(math.cos(diff * grid.t_shift), math.sin(diff * grid.t_shift)) * d
-            s[k, m] = val
-            s[m, k] = val.conjugate()
+            s[k, m] = s[m, k] = delta * _dirichlet((omegas[k] - omegas[m]) * delta, J)
     return s
 
 
@@ -434,19 +430,23 @@ def test_gram_matches_loop():
             omegas[m] = omegas[k] + (2.0 * math.pi / delta if case % 2 else 0.0)
         if case % 2 == 0:
             omegas.sort()
-        grid = SamplingGrid(delta, J, t_shift)
-        s = _gram_from_omegas(omegas, grid)
-        expected = _gram_loop(omegas, grid)
-        # bit for bit, signed zeros included
+        s = _gram_from_omegas(omegas, delta, J)
+        expected = _gram_loop(omegas, delta, J)
+        # real, and bit for bit, signed zeros included
+        assert s.dtype == np.float64
         assert np.array_equal(s.view(np.uint64), expected.view(np.uint64)), case
         theta = np.subtract.outer(omegas, omegas) * delta
         near += int(np.sum(np.triu(np.abs(np.sin(0.5 * theta)) < 1e-8, 1)))
+        # independent oracle: the Gram at t' summed sample by sample; `sampled_gram`
+        # phases the unshifted Gram, under a band mask that keeps every omega
+        grid = SamplingGrid(delta, J, t_shift)
+        v = np.exp(1j * np.multiply.outer(grid.times(), omegas))
+        brute = delta * (v.T @ v.conj())
+        tol = 1e-12 * np.linalg.norm(brute)
+        seq = ExponentSequence(tuple(omegas.tolist()), 1.0, 1.0)
+        assert np.max(np.abs(sampled_gram(seq, grid, band_mask(seq, 1e-3)) - brute)) <= tol, case
         if case % 10 == 0:
-            # independent oracle: the Gram summed sample by sample, scipy's eigh
-            v = np.exp(1j * np.multiply.outer(grid.times(), omegas))
-            brute = delta * (v.T @ v.conj())
-            tol = 1e-9 * np.linalg.norm(brute)
-            assert np.max(np.abs(s - brute)) <= tol
+            # scipy's eigh of the sample sum: the shift leaves the spectrum alone
             assert np.allclose(
                 np.linalg.eigvalsh(s), scipy.linalg.eigh(brute, eigvals_only=True), rtol=0.0, atol=tol
             )
@@ -454,8 +454,8 @@ def test_gram_matches_loop():
 
 
 def _kernel_entry(half, J):
-    """The Gram entry of omegas (2 half, 0) at delta 1 and no shift: the Dirichlet kernel at 2 half."""
-    return _gram_from_omegas(np.array([2.0 * half, 0.0]), SamplingGrid(1.0, J))[0, 1]
+    """The Gram entry of omegas (2 half, 0) at delta 1: the Dirichlet kernel at 2 half."""
+    return _gram_from_omegas(np.array([2.0 * half, 0.0]), 1.0, J)[0, 1]
 
 
 def test_pi_parts():
@@ -483,8 +483,7 @@ def test_near_resonant_entries_match_mpmath(k):
                 h = mp.mpf(half)
                 exact = mp.mpf(n) if h == 0 else mp.sin(n * h) / mp.sin(h)
                 entry = _kernel_entry(half, J)
-                assert entry.imag == 0.0
-                assert abs(entry.real - exact) <= 4 * 2.0**-53 * n, (k, J, r)
+                assert abs(entry - exact) <= 4 * 2.0**-53 * n, (k, J, r)
             checked += 1
     assert checked >= 80
 
@@ -496,7 +495,7 @@ def test_near_resonant_entry_allocates_nothing_of_size_j():
     def peak(J):
         tracemalloc.start()
         try:
-            _gram_from_omegas(omegas, SamplingGrid(0.5, J))
+            _gram_from_omegas(omegas, 0.5, J)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,6 +601,21 @@ class TestFrameConstants:
         # t' times the span 60 is 6e307, finite: the pencil is solved
         rep = frame_constants(ExponentSequence(omegas, 10.0, 9.0), SamplingGrid(0.05, 80, 1e306))
         assert 0.0 < rep.c_lower <= rep.c_upper < math.inf
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_no_pair_constants_do_not_see_the_shift(self, seed):
+        # against a diagonal Q the shift is a unitary similarity of the Gram, so the
+        # pencil takes the real unshifted Gram and its constants are the same doubles at every t'
+        rng = np.random.default_rng(seed)
+        seq = block_sequence(rng, chain_prob=0.0)
+        grid = admissible_grid(seq, rng)
+        assert not len(q_matrix(seq).leads)
+
+        def constants(t_shift):
+            rep = frame_constants(seq, SamplingGrid(grid.delta, grid.J, t_shift))
+            return rep.c_lower, rep.c_upper, rep.min_eig, rep.max_eig
+
+        assert all(constants(t) == constants(0.0) for t in (0.37, 1e4, 1e12))
 
     def test_report_dict_keys(self):
         rep = frame_constants(CHAIN, SamplingGrid(0.25, 16))

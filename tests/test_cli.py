@@ -349,6 +349,22 @@ class TestObservabilityCommands:
         assert rep["roundtrip"]["amplitude_error"] < 1e-8
         assert rep["c_empirical"] <= rep["c_pencil"] * (1 + 1e-9)
 
+    @pytest.mark.parametrize("t_shift", [0.37, 1e4, 1e12, 1e17])
+    @pytest.mark.parametrize("command", ["string", "beam"])
+    def test_golden_junction_at_any_shift(self, tmp_path, command, t_shift):
+        # t' is a phase on each coefficient, not a sample time: the golden junction exits 0
+        # where t' + j delta rounds to one double for every j, its round trip stays exact,
+        # and its pencil and design constants are the bytes of the unshifted golden
+        golden = Path(__file__).resolve().parent / "golden"
+        cfg = json.loads((golden / f"{command}.json").read_text())
+        code, text, _ = run_cli(tmp_path, command, dict(cfg, t_shift=t_shift))
+        assert code == 0, text
+        rep = json.loads(text)["report"]
+        at_zero = json.loads((golden / f"{command}.out").read_text())["report"]
+        assert rep["roundtrip"]["amplitude_error"] <= 1e-13
+        assert (rep["c_pencil"], rep["min_eig"]) == (at_zero["c_pencil"], at_zero["min_eig"])
+        assert rep["roundtrip"]["min_singular_value"] == at_zero["roundtrip"]["min_singular_value"]
+
     def test_underflowing_sobolev_weight_refused_by_name(self, tmp_path):
         # lambda^(-1e300) underflows to 0: the pencil's weights go through SobolevSpec.weight
         code, text, _ = run_cli(tmp_path, "string", dict(STRING_CFG, epsilon=1e300))

@@ -41,7 +41,10 @@ the band check off (`poisson_band_off_huge`), and an inverse kernel's
 G(0) overflowing to -inf at a subnormal gamma (`kernel_inverse_gamma_tiny`).
 Two pin the refusal of a t' whose product with the frequency span
 overflows, for a frame with a pair (`frame_t_shift_huge`) and for a
-junction (`string_t_shift_huge`).
+junction (`string_t_shift_huge`); two pin that a large finite t' is a
+phase on each coefficient, not a sample time: the golden string at
+t' = 1e4 (`string_t_shift_1e4`) and a frame without pairs at t' = 1e12,
+whose constants are those of t' = 0 (`frame_t_shift_1e12`).
 One pins the round trip of a 1001-sample
 trace (`string_j500`), whose fields are the same under one and two
 OpenBLAS threads (at J = 1000 the least-squares fields are not).
@@ -130,6 +133,8 @@ CASES = {
     "kernel_inverse_gamma_tiny": ("kernel", (), 2),
     "frame_t_shift_huge": ("frame", (), 2),
     "string_t_shift_huge": ("string", (), 2),
+    "string_t_shift_1e4": ("string", (), 0),
+    "frame_t_shift_1e12": ("frame", (), 0),
 }
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ingham import observability
 from ingham import (
@@ -261,6 +263,17 @@ class TestObserve:
                 sys = full_string(A_IRR, 0.2, rng)
                 assert observe(sys, grid).energy() == sampled_energy(trace_jump_sum(sys), grid)
 
+    @pytest.mark.parametrize("t_shift", [0.37, -2.5])
+    def test_shifted_trace_is_the_sum_at_the_shifted_times(self, rng, t_shift):
+        # the jump sum phased by e^{i w t'} at the offsets j delta is the sum at t' + j delta
+        grid = SamplingGrid(0.2, 50, t_shift)
+        for _ in range(10):
+            sys = full_string(A_IRR, 0.2, rng)
+            trace = observe(sys, grid)
+            direct = trace_jump_sum(sys).eval(grid.times())
+            assert np.max(np.abs(trace.samples - direct)) <= 1e-13 * np.max(np.abs(direct))
+            assert trace.energy() == pytest.approx(sampled_energy(trace_jump_sum(sys), grid), rel=1e-13)
+
     def test_trace_holds_one_complex_per_sample(self, rng):
         sys = full_string(A_IRR, 0.2, rng)
         grid = SamplingGrid(0.2, 10**5)
@@ -515,7 +528,7 @@ class TestVerifyObservability:
             (full_string(A_IRR, 0.2), SamplingGrid(0.2, 8)),
             (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29)),
             (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30)),
-            # a nonzero t_shift tells c^T S conj(c) from the time-reversed c^H S c
+            # a nonzero t_shift tells the phase e^{i w t'} from its time-reversed conjugate
             (full_string(A_IRR, 0.05), SamplingGrid(0.05, 29, 0.37)),
             (full_beam(A_IRR, 8.0, 0.015), SamplingGrid(0.015, 30, -1.9)),
         ],
@@ -561,7 +574,7 @@ class TestVerifyObservability:
         # a Gram of zeros, of -1 or of NaN makes every sampled energy 0, -|sum c|^2 or NaN
         sys = full_string(A_IRR, 0.2)
         n = len(sys._layout[0])
-        ratios = observability._trial_ratios(sys, np.full((n, n), fill), 0.05, 5, 3)
+        ratios = observability._trial_ratios(sys, np.full((n, n), fill), 0.0, 0.05, 5, 3)
         assert ratios.tolist() == [math.inf] * 5
 
     @pytest.mark.parametrize(
@@ -683,3 +696,31 @@ class TestReconstruct:
         with pytest.raises(ValidationError) as err:
             reconstruct(trace, sys)
         assert "rank-deficient" in str(err.value)
+
+
+class TestShift:
+    """The grid's shift t' is a unit phase on each coefficient, never a sample time."""
+
+    @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.integers(0, 2**32 - 1))
+    def test_pencil_and_round_trip_do_not_see_the_shift(self, kind, a, seed):
+        # the pencil takes the real unshifted Gram and the fit the unshifted design, so
+        # c_pencil, min_eig and min_singular_value are the same doubles at every t', and the
+        # trial-0 witness and the round trip hold even where t' + j delta is one double
+        rng = np.random.default_rng(seed)
+        delta = 0.2 if kind == STRING else 0.015
+        sys = full_string(a, delta, rng) if kind == STRING else full_beam(a, 8.0, delta, rng)
+        try:
+            sys._layout
+        except ValidationError:  # a resonant a, or a beam spectrum that breaks the gap condition
+            assume(False)
+
+        def constants(t_shift):
+            grid = SamplingGrid(delta, 30, t_shift)
+            rep = verify_observability(sys, grid, 0.05, trials=3, seed=seed, enforce_horizon=False)
+            trial, trace = rep._witness
+            rec = reconstruct(trace, trial)
+            for got, want in zip(rec.left + rec.right, trial.left + trial.right):
+                assert abs(got.plus - want.plus) <= 1e-12 and abs(got.minus - want.minus) <= 1e-12
+            return rep.c_pencil, rep.min_eig, rep.singular, rec.min_singular_value
+
+        assert all(constants(t) == constants(0.0) for t in (0.37, 1e4, 1e12, 1e17))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import block_sequence, dense_block_q, pair_basis, random_coeffs
@@ -99,6 +99,7 @@ class TestMatrixForm:
         assert qm2.leads.tolist() == [] and qm2.gaps.tolist() == []
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=12, max_size=12), st.booleans())
+    @example(seed=22457, flags=[False] * 5 + [True, True] + [False] * 5, keep_lead=False)
     def test_masked_matrix_is_principal_submatrix(self, seed, flags, keep_lead):
         # any mask, contiguous or not; the first pair always has one member in and one out.
         # The masked Q is the principal submatrix of the full one, taken to the basis of its pairs
@@ -111,9 +112,13 @@ class TestMatrixForm:
         active = mask.active_indices()
         qm = q_matrix(seq, mask)
         assert qm.active == active
-        b = pair_basis(qm)
-        sub = dense_block_q(seq)[np.ix_(active, active)]
-        assert np.allclose(b.T @ sub @ b, np.diag(qm.diag), rtol=0.0, atol=1e-13)
+        # B^T Q B in exact rationals of the double gaps, each entry then correctly rounded:
+        # a rounded 1 + d^2 scaled by 1/d would cancel past any fixed tolerance
+        b = pair_basis(qm, exact=True)
+        sub = dense_block_q(seq, exact=True)[np.ix_(active, active)]
+        want = np.array((b.T @ sub @ b).tolist(), dtype=float)
+        # within 1 ulp, and exactly 0 off the diagonal
+        assert np.all(np.abs(np.diag(qm.diag) - want) <= np.spacing(np.abs(want)))
 
     def test_positive_definite_when_gaps_positive(self, rng):
         for _ in range(10):
