@@ -29,10 +29,11 @@ against a diagonal Q is real at every t', and t' enters only the pairs' Q
 `sampled_gram` and `observability`.
 
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
-the singular rule for `frame_constants`, `extended_frame_constants`, the
-discrete rows of `continuum_limit_scan` and
+the singular rule (`_singular`) for `frame_constants`,
+`extended_frame_constants`, the discrete rows of `continuum_limit_scan` and
 `observability.verify_observability`; it and the continuous pencil of
-`continuum_limit_scan` share `_pair_pencil`.
+`continuum_limit_scan` share `_pair_pencil`.  `observability.reconstruct`
+solves its normal equations from the same Gram, eigensolver and rule.
 
 The augmentation machinery follows the averaging filter
 
@@ -151,13 +152,20 @@ def _gram_from_omegas(omegas: np.ndarray, delta: float, J: int) -> np.ndarray:
     return s
 
 
+def _check_shift(omegas, t_shift: float) -> None:
+    """Refuse a t' whose product with the span of omegas is not finite."""
+    if t_shift and len(omegas) and not math.isfinite(t_shift * (float(max(omegas)) - float(min(omegas)))):
+        raise ValidationError("t_shift times the span of the frequencies is not finite", details={"t_shift": t_shift})
+
+
 def sampled_gram(seq: ExponentSequence, grid: SamplingGrid, mask: BandMask) -> np.ndarray:
-    """Gram matrix of the sampled exponentials over the active indices, at t'."""
+    """Gram matrix of the sampled exponentials over the active indices, at t': Phi S Phi^H as
+    S_kn e^{i(w_k - w_n)t'}, finite where t' w is not, and Hermitian to the bit."""
     if len(mask.admissible) != len(seq):
         raise StructuralError("band mask length does not match sequence")
     omegas = np.array([seq.omegas[k] for k in mask.active_indices()], dtype=float)
-    phase = _phasors(grid.t_shift, omegas)
-    return phase[:, None] * _gram_from_omegas(omegas, grid.delta, grid.J) * phase.conj()
+    _check_shift(omegas, grid.t_shift)
+    return _gram_from_omegas(omegas, grid.delta, grid.J) * _phasors(grid.t_shift, omegas[:, None] - omegas)
 
 
 # 1/3!, -1/5!, 1/7!, ..., 1/19!: the series of x - sin x, whose next term is below 1e-19 of the first for x < 1
@@ -360,36 +368,31 @@ def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: boo
     return (vals, vecs) if with_vectors else vals
 
 
-def _pencil_extremes(s: np.ndarray, q_diag) -> tuple[float, float, bool]:
-    """(min_eig, max_eig, singular) of the pencil S v = lambda diag(q_diag) v, where
-    singular means min_eig <= SINGULAR_RTOL * max(max_eig, 0)."""
-    vals = hermitian_pencil_eig(s, q_diag)
-    min_eig, max_eig = float(vals[0]), float(vals[-1])
-    return min_eig, max_eig, min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
+def _singular(min_eig: float, max_eig: float) -> bool:
+    """The singular rule of every pencil: min_eig <= SINGULAR_RTOL * max(max_eig, 0)."""
+    return min_eig <= SINGULAR_RTOL * max(max_eig, 0.0)
 
 
 def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kernel):
-    """(min_eig, max_eig, singular, g) of the Gram g of omegas against diag(q_diag), both
-    from `_pairs_first`: with pairs, g is taken to their basis by `_pair_basis` and
-    q_diag set to 1 at the pairs, in place."""
+    """(min_eig, max_eig, singular, g) of the pencil of the Gram g of omegas against
+    diag(q_diag), both from `_pairs_first`, singular by `_singular`: with pairs, g is taken
+    to their basis by `_pair_basis` and q_diag set to 1 at the pairs, in place."""
     m = 2 * len(gaps)
     if m:
         q_pairs = q_diag[:m].tolist()
         q_diag[:m] = 1.0
         g = _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
-    return (*_pencil_extremes(g, q_diag), g)
+    vals = hermitian_pencil_eig(g, q_diag)
+    min_eig, max_eig = float(vals[0]), float(vals[-1])
+    return min_eig, max_eig, _singular(min_eig, max_eig), g
 
 
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
     """(min_eig, max_eig, singular, G) of the sampled Gram G of omegas on grid against
     diag(q_diag), on the unshifted grid, real unless pairs at positions `leads` (gaps
     `gaps`) take t' into their divided-difference basis (`_pair_pencil`).
-    A t' whose product with the span of omegas is not finite is refused."""
-    if grid.t_shift and not math.isfinite(grid.t_shift * (float(max(omegas)) - float(min(omegas)))):
-        raise ValidationError(
-            "t_shift times the span of the frequencies is not finite",
-            details={"t_shift": grid.t_shift},
-        )
+    A t' whose product with the span of omegas is not finite is refused (`_check_shift`)."""
+    _check_shift(omegas, grid.t_shift)
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)
     g = _gram_from_omegas(omegas, grid.delta, grid.J)
     return _pair_pencil(g, omegas, q_diag, gaps, grid.delta, grid.J, grid.t_shift, _SAMPLED)

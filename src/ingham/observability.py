@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import _sampled_pencil
+from .bounds import _gram_from_omegas, _sampled_pencil, _singular, hermitian_pencil_eig
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, _exact_sum, _phasors, eval_sum
@@ -41,7 +41,6 @@ BEAM = "beam"
 _COLLISION_RTOL = 1e-9
 # rounding guard: a two-step gap this close to 2*gamma counts as equal
 _GAP_ULP_RTOL = 1e-13
-_RANK_RTOL = 1e-10
 # trials drawn and evaluated together, so the default 100 trials take one batch;
 # a batch peaks near 70 bytes per trial and exponent (tracemalloc), 0.86 MB
 # at 98 exponents, whatever the trial count
@@ -564,32 +563,42 @@ class ReconstructionResult:
         return CoupledSystem(template.kind, template.a, self.left, self.right, template.gamma)
 
 
+def _norm(z: np.ndarray) -> float:
+    """||z|| of a contiguous complex vector by einsum, which no BLAS thread splits."""
+    return math.sqrt(np.einsum("i,i->", z.view(float), z.view(float)))
+
+
 def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionResult:
     """Recover modal amplitudes from jump samples by least squares.
 
-    Fits sample_j = sum_k b_k e^{i omega_k j delta}, b_k = c_k e^{i omega_k t'},
-    with an orthogonal factorization (numpy lstsq, SVD based) rather than
-    normal equations; amplitudes follow from c by dividing out the jump
-    weights.  Rank deficiency (including fewer samples than exponents) is
-    an error: the recovered values would be arbitrary along the null space.
+    Fits sample_j = sum_k b_k e^{i omega_k j delta}, b_k = c_k e^{i omega_k t'}, on the design E
+    of the unshifted offsets.  E^H E is the real Gram S / delta, whose eigenpairs solve the normal
+    equations, then once more for the residual y - E b (corrected semi-normal equations); every
+    product with E is an einsum, which no BLAS thread splits.  Amplitudes are c over the jump
+    weights.  Fewer samples than exponents, or an S singular by `bounds._singular`, is an error.
+    min_singular_value is ||E v|| for the unit eigenvector v of lambda_min(S): sqrt(lambda_min /
+    delta) without the digits that the square root of a small eigenvalue loses.
     """
     seq, _, cols, weights = sys._layout
-    design = _phasors(SamplingGrid(trace.grid.delta, trace.grid.J).times(), seq.omegas)
-    if design.shape[0] < design.shape[1]:
-        raise ValidationError(
-            "rank-deficient reconstruction: fewer samples than exponents",
-            details={"samples": design.shape[0], "exponents": design.shape[1]},
-        )
-    phased, _, rank, svals = np.linalg.lstsq(design, trace.samples, rcond=None)
-    if rank < design.shape[1] or svals[-1] <= _RANK_RTOL * svals[0]:
-        raise ValidationError(
-            "rank-deficient reconstruction",
-            details={"min_eig": float(svals[-1] ** 2), "rank": int(rank)},
-        )
-    fit = design @ phased
+    delta, J, n = trace.grid.delta, trace.grid.J, len(seq)
+    if 2 * J + 1 < n:
+        raise ValidationError("rank-deficient reconstruction: fewer samples than exponents",
+                              details={"samples": 2 * J + 1, "exponents": n})
+    vals, vecs = hermitian_pencil_eig(_gram_from_omegas(seq.omegas, delta, J), np.ones(n), with_vectors=True)
+    if _singular(vals[0], vals[-1]):
+        rank = sum(not _singular(v, vals[-1]) for v in vals.tolist())
+        raise ValidationError("rank-deficient reconstruction", details={"min_eig": float(vals[0]) / delta, "rank": rank})
+    design, y = _phasors(SamplingGrid(delta, J).times(), seq.omegas), trace.samples
+
+    def solve(r):  # (E^H E)^{-1} E^H r, the vector conjugated rather than the design
+        rhs = np.einsum("jk,j->k", design, r.conj()).conj()
+        return delta * np.einsum("kn,n->k", vecs, np.einsum("kn,k->n", vecs, rhs) / vals)
+
+    phased = solve(y)
+    phased += solve(y - np.einsum("jk,k->j", design, phased))
     coeffs = phased * _phasors(trace.grid.t_shift, seq.omegas).conj()
-    scale = float(np.linalg.norm(trace.samples))
-    residual = float(np.linalg.norm(fit - trace.samples)) / (scale if scale > 0.0 else 1.0)
+    scale = _norm(y)
+    residual = _norm(np.einsum("jk,k->j", design, phased) - y) / (scale if scale > 0.0 else 1.0)
     # real and imaginary parts divided apart: complex / float as Python divides it
     amps = np.empty(coeffs.shape, dtype=complex)
     amps.real[cols] = coeffs.real / weights
@@ -600,5 +609,5 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
         right=found.right,
         residual=residual,
         coeffs=tuple(complex(c) for c in coeffs),
-        min_singular_value=float(svals[-1]),
+        min_singular_value=_norm(np.einsum("jk,k->j", design, vecs[:, 0])),
     )

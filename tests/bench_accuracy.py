@@ -11,7 +11,10 @@ tree's `src/` alone, with one BLAS thread.  The --out file holds, per
 instance, its command and config, the reference of each constant as a
 50-digit decimal string, and per tree the exit code, each reported constant
 and its relative error against the reference (null where the run did not
-report it).
+report it).  A junction also records its round trip: `min_singular_value`
+against sqrt(lambda_min / delta) of the reference Gram, and
+`amplitude_error`, an error already, whose reference is the drawn
+amplitudes of the witness: it is stored under rel_error as reported.
 
 The references are mpmath values on the same doubles (`references`): the
 sampled Gram in closed form, delta e^{i theta t'} sin(N theta delta/2) /
@@ -81,7 +84,7 @@ def constants(command: str, report: dict) -> dict[str, float]:
         return {"c_lower": ext["c_lower"], "c_upper": ext["c_upper"],
                 "c1_base": ext["companions"]["c1_base"], "c2_base": ext["companions"]["c2_base"]}
     if command == "string":
-        return {"c_pencil": report["c_pencil"]}
+        return {"c_pencil": report["c_pencil"], "min_singular_value": report["roundtrip"]["min_singular_value"]}
     return {f"J={row['J']} {k}": row[k] for row in report["rows"]
             for k in ("c1_discrete", "c2_discrete", "c1_continuous", "c2_continuous")}
 
@@ -191,8 +194,10 @@ def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mp
 
     if command == "string":
         omegas, nu, grid = _junction_pencil(cfg)
-        low, _ = mp_pencil(mp_sampled_gram(omegas, grid.delta, grid.J, 0.0), mp.diag([mp.mpf(v) for v in nu]))
-        return {"c_pencil": 1 / low}
+        gram = mp_sampled_gram(omegas, grid.delta, grid.J, 0.0)
+        low, _ = mp_pencil(gram, mp.diag([mp.mpf(v) for v in nu]))
+        gram_low, _ = mp_pencil(gram, mp.eye(len(omegas)))
+        return {"c_pencil": 1 / low, "min_singular_value": mp.sqrt(gram_low / mp.mpf(grid.delta))}
     base = cfg["base"] if command == "scan" else cfg
     seq = ExponentSequence(tuple(base["omegas"]), base["gamma"], base["gamma0"])
     if command == "frame":
@@ -285,8 +290,10 @@ def main(argv=None) -> int:
         for name, results in runs.items():
             code, report = results[case_id]
             values = constants(command, report) if report is not None else dict.fromkeys(refs)
-            entry[name] = {"exit": code, "constants": values,
-                           "rel_error": {k: rel_error(values[k], refs[k]) for k in refs}}
+            errors = {k: rel_error(values[k], refs[k]) for k in refs}
+            if command == "string":
+                errors["amplitude_error"] = None if report is None else report["roundtrip"]["amplitude_error"]
+            entry[name] = {"exit": code, "constants": values, "rel_error": errors}
         record.append(entry)
         print(f"{case_id}: " + ", ".join(
             f"{name} exit {entry[name]['exit']} worst "

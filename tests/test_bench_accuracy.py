@@ -32,3 +32,15 @@ def test_stored_references_at_j16(entry):
         again = bench_accuracy.references("frame", entry["config"], summed=True)
         for name, value in again.items():
             assert abs(mp.mpf(entry["reference"][name]) - value) <= mp.mpf(10) ** -30 * abs(value)
+
+
+@pytest.mark.parametrize("entry", [e for e in RECORD["instances"] if e["command"] == "string"], ids=lambda e: e["id"])
+def test_junction_records_its_round_trip(entry):
+    # min_singular_value against sqrt(lambda_min / delta) of the reference Gram, recomputed;
+    # amplitude_error, whose reference is the drawn amplitudes, as reported
+    with mp.workdps(60):
+        again = bench_accuracy.references("string", entry["config"])["min_singular_value"]
+        assert abs(mp.mpf(entry["reference"]["min_singular_value"]) - again) <= mp.mpf(10) ** -30 * again
+    for side in ("parent", "change"):
+        if side in entry:
+            assert set(entry[side]["rel_error"]) == {"c_pencil", "min_singular_value", "amplitude_error"}

@@ -386,6 +386,26 @@ class TestSampledGram:
         with pytest.raises(ValueError, match="read-only"):
             upper[0][0] = 1
 
+    def test_large_shift_is_finite_and_hermitian(self):
+        # t' w is past the double range but t' (w_k - w_n) is not: each entry's phase sees
+        # only the difference, so the Gram is finite, with no numpy overflow warning, and
+        # Hermitian to the bit
+        seq = ExponentSequence((1e6, 1e6 + 3.0), 2.0, 2.0)
+        grid = SamplingGrid(1e-7, 5, 1e303)
+        s = sampled_gram(seq, grid, band_mask(seq, grid.delta))
+        assert np.isfinite(s).all() and np.array_equal(s, s.conj().T)
+        phase = np.exp(1j * (grid.t_shift * (seq.omegas[0] - seq.omegas[1])))
+        assert s[0, 1] == _gram_from_omegas(np.array(seq.omegas), grid.delta, grid.J)[0, 1] * phase
+
+    @pytest.mark.parametrize("t_shift", [1e308, -1e308])
+    def test_shift_past_the_span_refused(self, t_shift):
+        # the refusal and message of the pencils, before any Gram is formed
+        seq = ExponentSequence((1e6, 1e6 + 3.0), 2.0, 2.0)
+        with mock.patch("ingham.bounds._gram_from_omegas", side_effect=AssertionError("Gram formed")):
+            with pytest.raises(ValidationError, match="^t_shift times the span of the frequencies is not finite$") as err:
+                sampled_gram(seq, SamplingGrid(1e-7, 5, t_shift), band_mask(seq, 1e-7))
+        assert err.value.details == {"t_shift": t_shift}
+
     def test_mask_length_mismatch(self):
         other = ExponentSequence((0.0, 3.0), 1.0, 1.0)
         with pytest.raises(StructuralError):
@@ -1119,14 +1139,19 @@ def _pencil_uses(path: Path) -> set[tuple[str, str]]:
 
 def test_one_sampled_pencil_step():
     # every sampled pencil's Gram is formed in bounds._sampled_pencil, and every pencil,
-    # sampled or continuous, is solved in bounds._pencil_extremes, from bounds._pair_pencil
+    # sampled or continuous, is solved in bounds._pair_pencil;
+    # the round trip solves its normal equations from the same Gram and eigensolver
     package = Path(ingham.__file__).resolve().parent
     uses = set().union(*(_pencil_uses(path) for path in package.glob("*.py")))
     assert uses == {
         ("__init__.py:import", "hermitian_pencil_eig"),
-        ("bounds.py:_pencil_extremes", "hermitian_pencil_eig"),
+        ("bounds.py:_pair_pencil", "hermitian_pencil_eig"),
         ("bounds.py:_sampled_pencil", "_gram_from_omegas"),
         ("bounds.py:sampled_gram", "_gram_from_omegas"),
+        ("observability.py:import", "_gram_from_omegas"),
+        ("observability.py:import", "hermitian_pencil_eig"),
+        ("observability.py:reconstruct", "_gram_from_omegas"),
+        ("observability.py:reconstruct", "hermitian_pencil_eig"),
     }
     assert not [path.name for path in package.glob("*.py") if "pencil_singular" in path.read_text()]
 
@@ -1155,9 +1180,30 @@ def _is_pow_of_s(node) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.right, "attr", None) == "s"
 
 
+def _np_linalg_call(node) -> str | None:
+    """The function name of a call np.linalg.<name>(...), else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        if isinstance(owner, ast.Attribute) and owner.attr == "linalg" and getattr(owner.value, "id", None) == "np":
+            return node.func.attr
+    return None
+
+
 def test_each_numerical_rule_stated_once():
     modules = {path.name: path for path in Path(ingham.__file__).resolve().parent.glob("*.py")}
     texts = {name: path.read_text() for name, path in modules.items()}
+    # one factorization: np.linalg serves norm, and eigh inside hermitian_pencil_eig alone
+    called = {_np_linalg_call(node) for text in texts.values() for node in ast.walk(ast.parse(text))}
+    assert called - {None} == {"norm", "eigh"}
+    eighs = {name: where for name, path in modules.items()
+             if (where := _functions_with(path, lambda node: _np_linalg_call(node) == "eigh"))}
+    assert eighs == {"bounds.py": {"hermitian_pencil_eig"}}
+    # the singular rule and the refusal of an unbounded shift each live in one function
+    assert _functions_with(modules["bounds.py"], lambda node: getattr(node, "id", None) == "SINGULAR_RTOL") == {
+        "<module>", "_singular"}
+    assert not [name for name, text in texts.items() if name != "bounds.py" and "SINGULAR_RTOL" in text]
+    shifts = {name: text.count("span of the frequencies is not finite") for name, text in texts.items()}
+    assert {name: n for name, n in shifts.items() if n} == {"bounds.py": 1}
     # the period refusal lives in kernels, the pair-gap floor beside the Q block it guards
     periods = {name: text.count("window exceeds period") for name, text in texts.items()}
     assert {name: n for name, n in periods.items() if n} == {"kernels.py": 1}

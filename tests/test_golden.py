@@ -46,10 +46,12 @@ phase on each coefficient, not a sample time: the golden string at
 t' = 1e4 (`string_t_shift_1e4`) and a frame without pairs at t' = 1e12,
 whose constants are those of t' = 0 (`frame_t_shift_1e12`).
 One pins the round trip of a 1001-sample
-trace (`string_j500`), whose fields are the same under one and two
-OpenBLAS threads (at J = 1000 the least-squares fields are not).
+trace (`string_j500`).
 
-The outputs pin the numerics of one numpy/LAPACK build. After a
+The outputs pin the numerics of one numpy/LAPACK build, under one or two
+OpenBLAS threads: the round trip solves from the Gram through the pencils'
+eigensolver and forms its products with the design by einsum, so no
+field depends on how BLAS splits its work. After a
 deliberate change of the output, or on a platform whose libm or LAPACK
 rounds differently, regenerate them with
 

@@ -31,6 +31,7 @@ from ingham import (
     verify_observability,
     with_amplitudes,
 )
+from ingham.bounds import _gram_from_omegas
 from ingham.cli import _sanitize, _system_from
 
 A_IRR = math.sqrt(2.0) / 2.0
@@ -686,16 +687,35 @@ class TestReconstruct:
             reconstruct(trace, sys)
         assert "fewer samples" in str(err.value)
 
-    def test_aliased_exponents_rank_deficient(self):
-        # omega separation 4 pi equals 2 pi/delta at delta = 1/2: identical
-        # design columns despite enough samples
-        sys = CoupledSystem(STRING, 0.5, left=(Mode(1, 1.0, 1.0), Mode(3, 0.5, 0.5)))
-        grid = SamplingGrid(0.5, 5)
-        s = trace_jump_sum(sys)
-        trace = ObservationTrace(grid, tuple(s.eval(grid.times())))
-        with pytest.raises(ValidationError) as err:
+    @pytest.mark.parametrize(
+        "a, delta, J, left, right, rank, positive",
+        [
+            (0.5, 0.5, 5, (1, 3), (), 1, False),
+            (0.5, 0.5, 6, (1, 2), (), 2, True),
+            (0.5, 0.25, 4, (1,), (2,), 3, True),
+            (0.5, 0.2, 6, (1, 3), (2,), 4, True),
+        ],
+        ids=["four-alike", "two-pairs", "cross-side", "six-of-four"],
+    )
+    def test_aliased_exponents_rank_deficient(self, a, delta, J, left, right, rank, positive):
+        # frequencies a multiple of 2 pi/delta apart give identical design columns
+        # despite enough samples.  Where the Gram's zero eigenvalue comes out of the
+        # eigensolver positive, its square root is about 1e-8 of the largest singular
+        # value: a rule of 1e-10 on singular values would accept the design, and the
+        # refusal is the pencils' rule on the eigenvalue ratio
+        sys = CoupledSystem(STRING, a, left=tuple(Mode(n, 1.0, 0.5) for n in left),
+                            right=tuple(Mode(n, 0.5, 1.0) for n in right))
+        grid = SamplingGrid(delta, J)
+        trace = ObservationTrace(grid, tuple(trace_jump_sum(sys).eval(grid.times())))
+        assert 2 * J + 1 >= len(sys._layout[0])
+        with pytest.raises(ValidationError, match="^rank-deficient reconstruction$") as err:
             reconstruct(trace, sys)
-        assert "rank-deficient" in str(err.value)
+        assert err.value.details["rank"] == rank
+        min_eig = err.value.details["min_eig"]
+        assert (min_eig > 0.0) == positive
+        if positive:
+            largest = np.linalg.eigvalsh(_gram_from_omegas(sys._layout[0].omegas, delta, J))[-1] / delta
+            assert 1e-10 < math.sqrt(min_eig / largest) < 1e-7
 
 
 class TestShift:
