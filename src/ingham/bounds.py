@@ -30,10 +30,10 @@ against a diagonal Q is real at every t', and t' enters only the pairs' Q
 
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule (`_singular`) for `frame_constants`,
-`extended_frame_constants`, the discrete rows of `continuum_limit_scan` and
-`observability.verify_observability`; it and the continuous pencil of
-`continuum_limit_scan` share `_pair_pencil`.  `observability.reconstruct`
-solves its normal equations from the same Gram, eigensolver and rule.
+`extended_frame_constants`, the discrete rows of `continuum_limit_scan`,
+`observability.verify_observability` and, against a unit Q, the normal
+equations of `observability.reconstruct`; it and the continuous pencil of
+`continuum_limit_scan` share `_pair_pencil`.
 
 The augmentation machinery follows the averaging filter
 
@@ -313,8 +313,9 @@ def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kerne
     return g
 
 
-def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: bool = False):
-    """Eigenvalues of the Hermitian-definite pencil S v = lambda Q v, ascending.
+def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray):
+    """(vals, vecs) of the Hermitian-definite pencil S v = lambda Q v, ascending, vecs[:, i]
+    the eigenvector of vals[i].
 
     S is complex Hermitian, or real symmetric, which is solved in real
     arithmetic.  Q = diag(q_diag) is real, and must be positive (else
@@ -322,9 +323,6 @@ def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: boo
     itself, solved with no copy and no division.  Otherwise S is scaled on
     both sides by 1/sqrt(q_diag), Cholesky's factor of Q, to
     A = Q^{-1/2} S Q^{-1/2}, and an eigenvector u of A gives v = Q^{-1/2} u.
-
-    `with_vectors` is keyword-only, so a third positional argument (the
-    subdiagonal this function once took) is refused by Python.
 
     Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
     eigensolve or residual check (for example NaN or inf in S) raises
@@ -365,7 +363,7 @@ def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray, *, with_vectors: boo
         raise StructuralError(
             f"pencil residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * ||S||"
         )
-    return (vals, vecs) if with_vectors else vals
+    return vals, vecs
 
 
 def _singular(min_eig: float, max_eig: float) -> bool:
@@ -374,21 +372,20 @@ def _singular(min_eig: float, max_eig: float) -> bool:
 
 
 def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kernel):
-    """(min_eig, max_eig, singular, g) of the pencil of the Gram g of omegas against
-    diag(q_diag), both from `_pairs_first`, singular by `_singular`: with pairs, g is taken
-    to their basis by `_pair_basis` and q_diag set to 1 at the pairs, in place."""
+    """(vals, vecs, singular, g) of the pencil of the Gram g of omegas against diag(q_diag),
+    both from `_pairs_first`, singular by `_singular`: with pairs, g (and so vecs) is taken to
+    their basis by `_pair_basis` and q_diag set to 1 at the pairs, in place."""
     m = 2 * len(gaps)
     if m:
         q_pairs = q_diag[:m].tolist()
         q_diag[:m] = 1.0
         g = _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
-    vals = hermitian_pencil_eig(g, q_diag)
-    min_eig, max_eig = float(vals[0]), float(vals[-1])
-    return min_eig, max_eig, _singular(min_eig, max_eig), g
+    vals, vecs = hermitian_pencil_eig(g, q_diag)
+    return vals, vecs, _singular(float(vals[0]), float(vals[-1])), g
 
 
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
-    """(min_eig, max_eig, singular, G) of the sampled Gram G of omegas on grid against
+    """(vals, vecs, singular, G) of the sampled Gram G of omegas on grid against
     diag(q_diag), on the unshifted grid, real unless pairs at positions `leads` (gaps
     `gaps`) take t' into their divided-difference basis (`_pair_pencil`).
     A t' whose product with the span of omegas is not finite is refused (`_check_shift`)."""
@@ -400,7 +397,8 @@ def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), ga
 
 def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:
     """Report of a `_sampled_pencil` result; a singular pencil has c_lower = 0."""
-    min_eig, max_eig, singular, s = pencil
+    vals, _, singular, s = pencil
+    min_eig, max_eig = float(vals[0]), float(vals[-1])
     return FrameBoundReport(
         c_lower=0.0 if singular else min_eig, c_upper=max_eig, pencil_dim=len(s),
         min_eig=min_eig, max_eig=max_eig, singular=singular,
@@ -681,8 +679,8 @@ def continuum_limit_scan(seq: ExponentSequence, R: float, J_list) -> tuple[Conti
         report, active, omegas, qm = _frame_pencil(seq, SamplingGrid(delta, J, 0.0))
         if active not in continuous:
             first, q_diag = _pairs_first(omegas, qm.diag, qm.leads)
-            pencil = _pair_pencil(continuous_gram(first, R), first, q_diag, qm.gaps, 1.0, R, 0.0, _CONTINUUM)
-            continuous[active] = pencil[:2]
+            vals = _pair_pencil(continuous_gram(first, R), first, q_diag, qm.gaps, 1.0, R, 0.0, _CONTINUUM)[0]
+            continuous[active] = float(vals[0]), float(vals[-1])
         c1c, c2c = continuous[active]
         if report.singular or c1c <= 0.0:
             rel = math.inf

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import _gram_from_omegas, _sampled_pencil, _singular, hermitian_pencil_eig
+from .bounds import _check_shift, _sampled_pencil, _singular
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, _exact_sum, _phasors, eval_sum
@@ -176,7 +176,8 @@ class ObservationTrace:
         return self.grid.delta * _exact_sum(np.abs(self.samples) ** 2)
 
     def rows(self):
-        """(j, t, re, im) per sample, for table export."""
+        """(j, t, re, im) per sample, for table export.  The labels t, the doubles t' + j delta,
+        coincide once |t'| >> J delta; the samples are exact, at the offsets j delta (`observe`)."""
         times = self.grid.times().tolist()
         for j, (t, v) in enumerate(zip(times, self.samples.tolist()), -self.grid.J):
             yield j, t, v.real, v.imag
@@ -275,10 +276,11 @@ def trace_jump_sum(sys: CoupledSystem) -> ExpSum:
 
 def observe(sys: CoupledSystem, grid: SamplingGrid) -> ObservationTrace:
     """Sample the junction jump on the grid (caps checked first): the jump sum phased
-    by e^{i w t'} at the offsets j delta.  A grid whose 2J+1 samples cannot be
-    allocated is refused with a ValidationError."""
+    by e^{i w t'} at the offsets j delta.  An unbounded t' (`bounds._check_shift`) and a
+    grid whose 2J+1 samples cannot be allocated are refused with a ValidationError."""
     check_caps(sys, grid.delta)
     s = trace_jump_sum(sys)
+    _check_shift(s.seq.omegas, grid.t_shift)
     phased = ExpSum(s.seq, tuple(np.array(s.coeffs) * _phasors(grid.t_shift, s.seq.omegas)))
     try:
         return ObservationTrace(grid, eval_sum(phased, SamplingGrid(grid.delta, grid.J).times()))
@@ -458,6 +460,23 @@ def _median(x: np.ndarray) -> float:
     return (mid[0] + mid[-1]) / 2.0 if n % 2 == 0 else mid[0]
 
 
+def _pencil_weights(sys: CoupledSystem, epsilon: float) -> list[float]:
+    """N = diag(nu) of the observability pencil, per merged exponent: the initial-data
+    energy is sum nu_k |c_k|^2 over the coefficients c of `trace_jump_sum`."""
+    seq, tags, _, weights = sys._layout
+    spec0, spec1 = _energy_specs(sys.kind, epsilon)
+    nu = []
+    for tag, w in zip(tags, weights):
+        lam = sys.spatial_eigenvalue(tag.side, tag.n)
+        omega = sys.mode_frequency(tag.side, tag.n)
+        length = sys.side_length(tag.side)
+        # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
+        # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
+        # per +- branch of each mode
+        nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
+    return nu
+
+
 def verify_observability(
     sys: CoupledSystem,
     grid: SamplingGrid,
@@ -481,8 +500,8 @@ def verify_observability(
     and its ratio recomputed in the time domain; a relative disagreement
     above _WITNESS_RTOL raises StructuralError.  The CLI's round trip
     reconstructs this same trial 0 from its trace (the report's `_witness`).
-    Independently, the pencil of the sampled Gram against the diagonal of
-    Sobolev weights over squared jump weights certifies finiteness: its
+    Independently, the pencil of the sampled Gram against N, the diagonal of
+    Sobolev weights over squared jump weights (`_pencil_weights`), certifies finiteness: its
     smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
     bound for every ratio.  The pencil is `bounds._sampled_pencil`, the one
     step that `frame_constants`, `extended_frame_constants` and
@@ -501,18 +520,9 @@ def verify_observability(
             "time horizon too short for the observability estimate",
             details={"J_delta": horizon, "required_above": threshold},
         )
-    seq, tags, _, weights = sys._layout
-    spec0, spec1 = _energy_specs(sys.kind, epsilon)
-    nu = []
-    for tag, w in zip(tags, weights):
-        lam = sys.spatial_eigenvalue(tag.side, tag.n)
-        omega = sys.mode_frequency(tag.side, tag.n)
-        length = sys.side_length(tag.side)
-        # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
-        # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
-        # per +- branch of each mode
-        nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
-    min_eig, _, singular, gram = _sampled_pencil(seq.omegas, nu, grid)
+    seq = sys._layout[0]
+    vals, _, singular, gram = _sampled_pencil(seq.omegas, _pencil_weights(sys, epsilon), grid)
+    min_eig = float(vals[0])
     c_pencil = math.inf if singular else 1.0 / min_eig
     ratios = _trial_ratios(sys, gram, grid.t_shift, epsilon, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))
@@ -572,10 +582,11 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     """Recover modal amplitudes from jump samples by least squares.
 
     Fits sample_j = sum_k b_k e^{i omega_k j delta}, b_k = c_k e^{i omega_k t'}, on the design E
-    of the unshifted offsets.  E^H E is the real Gram S / delta, whose eigenpairs solve the normal
-    equations, then once more for the residual y - E b (corrected semi-normal equations); every
-    product with E is an einsum, which no BLAS thread splits.  Amplitudes are c over the jump
-    weights.  Fewer samples than exponents, or an S singular by `bounds._singular`, is an error.
+    of the unshifted offsets.  E^H E is the real Gram S / delta, whose eigenpairs, from the pencil
+    (S, I) of `bounds._sampled_pencil`, solve the normal equations, then once more for the residual
+    y - E b (corrected semi-normal equations); every product with E is an einsum, which no BLAS
+    thread splits.  Amplitudes are c over the jump weights.  Fewer samples than exponents, an
+    unbounded t' (`bounds._check_shift`), or an S singular by `bounds._singular`, is an error.
     min_singular_value is ||E v|| for the unit eigenvector v of lambda_min(S): sqrt(lambda_min /
     delta) without the digits that the square root of a small eigenvalue loses.
     """
@@ -584,8 +595,8 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     if 2 * J + 1 < n:
         raise ValidationError("rank-deficient reconstruction: fewer samples than exponents",
                               details={"samples": 2 * J + 1, "exponents": n})
-    vals, vecs = hermitian_pencil_eig(_gram_from_omegas(seq.omegas, delta, J), np.ones(n), with_vectors=True)
-    if _singular(vals[0], vals[-1]):
+    vals, vecs, singular, _ = _sampled_pencil(seq.omegas, np.ones(n), trace.grid)
+    if singular:
         rank = sum(not _singular(v, vals[-1]) for v in vals.tolist())
         raise ValidationError("rank-deficient reconstruction", details={"min_eig": float(vals[0]) / delta, "rank": rank})
     design, y = _phasors(SamplingGrid(delta, J).times(), seq.omegas), trace.samples

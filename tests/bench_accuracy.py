@@ -6,8 +6,9 @@ Usage, from the root of the repository:
 
 Every instance of INSTANCES is run through `ingham.cli.main` of this tree,
 and of DIR if given (another checkout, for example the parent commit
-unpacked with `git archive`), in a fresh interpreter that imports that
-tree's `src/` alone, with one BLAS thread.  The --out file holds, per
+unpacked with `git archive`), by the worker of `tests/bench_identity.py`:
+a fresh interpreter that imports that tree's `src/` alone, with one BLAS
+thread and `-W error::RuntimeWarning`.  The --out file holds, per
 instance, its command and config, the reference of each constant as a
 50-digit decimal string, and per tree the exit code, each reported constant
 and its relative error against the reference (null where the run did not
@@ -21,7 +22,7 @@ sampled Gram in closed form, delta e^{i theta t'} sin(N theta delta/2) /
 sin(theta delta/2) with N = 2J+1 (`mp_sampled_gram`, which also sums it
 sample by sample), the continuous Gram by quadrature of cos(theta t) over
 [-R, R], Q in the coefficient basis (`mp_block_q`) or the junction's
-diagonal N as `verify_observability` forms it, and the extreme eigenvalues
+diagonal N of `observability._pencil_weights`, and the extreme eigenvalues
 of each pencil by a Cholesky congruence and `mp.eighe`, at DPS digits.
 """
 
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import mpmath as mp
+
+from bench_identity import start_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 DPS = 100
@@ -166,25 +167,13 @@ def _frame(seq, omegas, delta, J, t_shift, extra=None, summed=False) -> tuple:
 
 
 def _junction_pencil(cfg: dict):
-    """The sampled Gram's omegas, grid and N = diag(nu) that `verify_observability` forms."""
-    import ingham.observability as obs
+    """The merged omegas, the grid and N = diag(nu) of the junction's pencil."""
     from ingham import SamplingGrid
     from ingham.cli import _system_from
+    from ingham.observability import _pencil_weights
 
-    seen = []
-    original = obs._sampled_pencil
-
-    def record(omegas, q_diag, grid, *args):
-        seen.append((list(omegas), list(q_diag), grid))
-        return original(omegas, q_diag, grid, *args)
-
-    obs._sampled_pencil = record
-    try:
-        obs.verify_observability(_system_from(dict(cfg, kind="string")),
-                                 SamplingGrid(cfg["delta"], cfg["J"]), cfg["epsilon"], trials=0)
-    finally:
-        obs._sampled_pencil = original
-    return seen[0]
+    system = _system_from(dict(cfg, kind="string"))
+    return list(system._layout[0].omegas), _pencil_weights(system, cfg["epsilon"]), SamplingGrid(cfg["delta"], cfg["J"])
 
 
 def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mpf]:
@@ -222,27 +211,9 @@ def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mp
     return out
 
 
-# runs in a fresh interpreter: argv is the tree's src/, the instance file and the result file
-_WORKER = r"""
-import contextlib, io, json, sys
-from pathlib import Path
-src, instances_path, out_path = sys.argv[1:]
-sys.path.insert(0, src)
-import ingham.cli
-if Path(ingham.cli.__file__).resolve().parent != Path(src, "ingham").resolve():
-    sys.exit(f"imported ingham from {ingham.cli.__file__}, not from {src}")
-results = {}
-for case_id, argv in json.loads(Path(instances_path).read_text()):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = ingham.cli.main(argv)
-    results[case_id] = [code, buf.getvalue()]
-Path(out_path).write_text(json.dumps(results))
-"""
-
-
 def run_tree(tree: Path, workdir: Path) -> dict:
-    """{instance id: (exit code, report or None)} of every instance, run by tree's `ingham.cli`."""
+    """{instance id: (exit code, report or None)} of every instance, run by tree's `ingham.cli`;
+    the exit code is None where the call raised."""
     cases = []
     for i, (case_id, command, cfg) in enumerate(INSTANCES):
         path = workdir / f"{i:02d}.json"
@@ -250,10 +221,8 @@ def run_tree(tree: Path, workdir: Path) -> dict:
         cases.append((case_id, [command, "--input", str(path)]))
     (workdir / "cases.json").write_text(json.dumps(cases))
     out = workdir / "results.json"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
-    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    subprocess.run([sys.executable, "-c", _WORKER, str(tree / "src"), str(workdir / "cases.json"), str(out)],
-                   env=env, cwd=tree, check=True)
+    if start_worker(tree, 1, workdir / "cases.json", out).wait() != 0:
+        sys.exit(f"error: the worker failed on {tree}")
     results = {}
     for case_id, (code, text) in json.loads(out.read_text()).items():
         results[case_id] = (code, json.loads(text)["report"] if code == 0 else None)

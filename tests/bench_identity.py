@@ -18,6 +18,10 @@ its exit code or the bytes it writes to stdout differ; a call that raises,
 a numpy warning included, is recorded by its exception type and message.
 The tool prints one line per differing case and a summary, and exits 1 if
 any case differs, else 0.
+
+The worker (`start_worker`) and the environment it runs in (`tree_env`)
+serve `tests/bench_accuracy.py` too, and `tree_env` serves
+`tests/bench_pairs.py`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # runs in a fresh interpreter: argv is the tree's src/, the case list and the result file
 _WORKER = r"""
-import contextlib, hashlib, io, json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 src, cases_path, out_path = sys.argv[1:]
 sys.path.insert(0, src)
@@ -50,7 +54,7 @@ for case_id, argv in json.loads(Path(cases_path).read_text()):
         text = buf.getvalue()
     except (Exception, SystemExit) as exc:
         code, text = None, f"{type(exc).__name__}: {exc}"
-    results[case_id] = [code, hashlib.sha256(text.encode()).hexdigest()]
+    results[case_id] = [code, text]
 Path(out_path).write_text(json.dumps(results))
 """
 
@@ -71,13 +75,21 @@ def _cases(seeds, workdir: Path) -> list[tuple[str, list[str]]]:
     return cases
 
 
-def _start(tree: Path, threads: int, cases_path: Path, out_path: Path) -> subprocess.Popen:
+def tree_env(threads: int) -> dict[str, str]:
+    """The environment a tree runs in: no PYTHONPATH and no INGHAM_* variable, so that it
+    imports its own `src/` with no setting of the caller's, and `threads` BLAS threads."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
     env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return env
+
+
+def start_worker(tree: Path, threads: int, cases_path: Path, out_path: Path) -> subprocess.Popen:
+    """Run the (case id, argv) list at cases_path through tree's `ingham.cli.main` in a fresh
+    interpreter; out_path receives {case id: [exit code or None, stdout or the exception]}."""
     # as in the test suite, a numpy warning is an error, so a case that starts to warn differs
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _WORKER,
             str(tree / "src"), str(cases_path), str(out_path)]
-    return subprocess.Popen(argv, env=env, cwd=tree)
+    return subprocess.Popen(argv, env=tree_env(threads), cwd=tree)
 
 
 def _thread_pair(text: str) -> tuple[int, int]:
@@ -104,7 +116,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         cases = _cases(seeds, workdir)
         (workdir / "cases.json").write_text(json.dumps(cases))
-        procs = [_start(tree, threads, workdir / "cases.json", workdir / f"run{k}.json")
+        procs = [start_worker(tree, threads, workdir / "cases.json", workdir / f"run{k}.json")
                  for k, (tree, threads) in enumerate(runs)]
         if any([proc.wait() != 0 for proc in procs]):
             print("error: a worker failed", file=sys.stderr)

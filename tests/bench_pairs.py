@@ -12,9 +12,11 @@ benchmark.  For each workload of `BENCHMARK.json`, each of PAIRS pairs runs
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0 --out FILE
 
 once in DIR and once in this tree, S being the benchmark's `run_seconds`,
-each with its own tree as the working directory, so each run imports its
-own `src/`.  The order is ABBA: even pairs run DIR first, odd pairs this
-tree first, so that a slow spell of the host falls on both trees alike.
+each with its own tree as the working directory and in the environment of
+`bench_identity.tree_env` at one BLAS thread, as `run.py` sets itself, so
+each run imports its own `src/`.  The order is ABBA: even pairs run DIR
+first, odd pairs this tree first, so that a slow spell of the host falls
+on both trees alike.
 
 Each end-to-end metric of `BENCHMARK.json` is judged on the values `run.py`
 reports, by the rule of the acceptance check (see `judge`): "gain",
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from bench_identity import tree_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
@@ -103,10 +106,9 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, out: Path) -> tuple[int, dict]:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("INGHAM_")}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0", "--out", str(out)]
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+    proc = subprocess.run(argv, cwd=tree, env=tree_env(1), capture_output=True, text=True,
                           timeout=20 * seconds + 600)
     if not out.is_file():
         sys.exit(f"error: no record from {tree}: {proc.stderr.strip()[-2000:]}")

@@ -474,6 +474,20 @@ class TestVerifyObservability:
             ratio = initial_data_energy(trial, 0.05) / observe(trial, grid).energy()
             assert ratio <= rep.c_pencil * (1.0 + 1e-9)
 
+    @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.floats(0.01, 0.9), st.integers(0, 2**32 - 1))
+    def test_pencil_weights_are_the_energy(self, kind, a, eps, seed):
+        # N = diag(nu) of the pencil is the initial-data energy in the coefficients c of the
+        # jump sum: sum nu |c|^2, the + and - branches decoupled by the parallelogram identity
+        rng = np.random.default_rng(seed)
+        sys = full_string(a, 0.2, rng) if kind == STRING else full_beam(a, 8.0, 0.015, rng)
+        try:
+            nu = np.array(observability._pencil_weights(sys, eps))
+        except ValidationError:  # a resonant a, or a beam spectrum that breaks the gap condition
+            assume(False)
+        c = np.array(trace_jump_sum(sys).coeffs)
+        energy = initial_data_energy(sys, eps)
+        assert abs(energy - math.fsum(nu * np.abs(c) ** 2)) <= 1e-13 * energy
+
     def test_t_shift_past_the_span_refused(self):
         # the junction's pencil is `bounds._sampled_pencil`, which refuses a t' whose
         # product with the span of the frequencies overflows, with no numpy warning
@@ -744,3 +758,23 @@ class TestShift:
             return rep.c_pencil, rep.min_eig, rep.singular, rec.min_singular_value
 
         assert all(constants(t) == constants(0.0) for t in (0.37, 1e4, 1e12, 1e17))
+
+    TWO_MODES = CoupledSystem(STRING, A_IRR, left=(Mode(1, 0.3, 0.2),), right=(Mode(1, 0.1, -0.4),))
+
+    @pytest.mark.parametrize("call", ["observe", "reconstruct"])
+    def test_unbounded_shift_refused(self, call):
+        # the span of the frequencies (about 21) times 1e308 overflows: refused by name, as
+        # by the pencil, before a phase is formed and with no numpy warning
+        grid = SamplingGrid(0.2, 10, 1e308)
+        with pytest.raises(ValidationError, match="^t_shift times the span") as err:
+            if call == "observe":
+                observe(self.TWO_MODES, grid)
+            else:
+                reconstruct(ObservationTrace(grid, np.ones(2 * grid.J + 1)), self.TWO_MODES)
+        assert err.value.details == {"t_shift": 1e308}
+
+    def test_large_finite_shift_round_trips(self):
+        sys = self.TWO_MODES
+        rec = reconstruct(observe(sys, SamplingGrid(0.2, 10, 1e306)), sys)
+        for got, want in zip(rec.left + rec.right, sys.left + sys.right):
+            assert abs(got.plus - want.plus) <= 1e-12 and abs(got.minus - want.minus) <= 1e-12
