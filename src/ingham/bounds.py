@@ -16,17 +16,17 @@ u = e_k + e_p and v = (e_p - e_k)/d, where `quadforms.q_matrix` gives Q
 as a diagonal.  The Gram's rows and columns of u and v are formed by
 closed forms that do not cancel as d -> 0 and whose cost does not grow
 with J (`_pair_basis`, for the sampled Gram and for the continuous one on
-[-R, R], its zero-step limit).  Scaling each basis function by its Q
-entry leaves Q = 1 at the pairs, so the pencil of a frame is mostly the
-eigenproblem of the Gram itself, which LAPACK's divide-and-conquer solver
-(numpy's eigh) diagonalizes; every eigenpair is then checked against the
-residual gate ||S v - lambda Q v|| <= 1e-9 ||S||.
+[-R, R], its zero-step limit).  That is the Gram B^T S B itself, and Q
+stays `q_matrix`'s diagonal: `hermitian_pencil_eig`, the one place that
+applies Q, scales the pencil by Q^{-1/2} for LAPACK's divide-and-conquer
+solver (numpy's eigh), and checks every eigenpair against the residual
+gate ||S v - lambda Q v|| <= 1e-9 ||S||.
 
 The grid's shift t' is the similarity S(t') = Phi S(0) Phi^H, Phi = diag(e^{i w t'}):
 every Gram is formed real on the unshifted grid (`_gram_from_omegas`), a pencil
-against a diagonal Q is real at every t', and t' enters only the pairs' Q
-(`_pair_factor`) and, as a unit phase `sums._phasors(t', w)` per coefficient,
-`sampled_gram` and `observability`.
+without pairs is real at every t', and t' enters only the pairs' Q, as a 2x2
+shear of each pair's rows and columns (`_pair_pencil`), and, as a unit phase
+`sums._phasors(t', w)` per coefficient, `sampled_gram` and `observability`.
 
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule (`_singular`) for `frame_constants`,
@@ -194,43 +194,19 @@ def _pairs_first(omegas, q_diag, leads):
     return np.asarray(omegas)[order], np.asarray(q_diag)[order]
 
 
-def _pair_factor(q_pairs, gaps, t_shift: float) -> np.ndarray:
-    """The (2p, 2p) inverse Cholesky factor of the pairs' Q in the divided-difference
-    basis, pairs first, where the grid's shift t' has moved into Q.
-
-    The pencil (S(t'), Q) is (S(0), Phi^H Q Phi).  Phi leaves 1 and 1 + d^2 alone and
-    turns a pair's block of Q, q_u = 4 + 2d^2 and q_v = 2 on its u and v
-    at t' = 0, into [[q_u - 4 s^2, 2i sin(d t')/d], [., q_v + 4 s^2/d^2]],
-    s = sin(d t'/2), whose determinant stays q_u q_v.  Its factor takes
-    u -> a u and v -> b u + c v; at t' = 0 it is the scaling by q^{-1/2}.
-    """
-    p = len(gaps)
-    factor = np.zeros((2 * p, 2 * p), dtype=complex if t_shift else float)
-    for i, (q_u, q_v, d) in enumerate(zip(q_pairs[:p], q_pairs[p:], gaps.tolist())):
-        s = math.sin(0.5 * t_shift * d)
-        alpha = q_u - 4.0 * (s * s)
-        c = math.sqrt(alpha / (q_u * q_v))
-        factor[i, i], factor[p + i, p + i] = 1.0 / math.sqrt(alpha), c
-        if t_shift:
-            factor[p + i, i] = 2j * math.sin(t_shift * d) / (d * alpha) * c
-    return factor
-
-
 # `_pair_basis`'s kernel (sine, cosine, x - sin x, endpoint weight): the sampled Gram's, and its zero-step limit
 _SAMPLED = (np.sin, np.cos, _x_minus_sin, 1.0)
 _CONTINUUM = (lambda z: z, lambda z: 1.0, lambda z: 0.0, 0.0)
 
 
-def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kernel) -> np.ndarray:
-    """The real Gram g of omegas, taken at t' = 0 with the pairs first
-    (`_pairs_first`), in the divided-difference basis, so that the pencil of
-    the shift t' is the result against 1 at the pairs (`_pair_factor`): g
-    rewritten in place, or a complex copy of it where t' is not 0.
+def _pair_basis(g, omegas, gaps, delta: float, J, kernel) -> np.ndarray:
+    """B^T g B for the real Gram g of omegas, taken at t' = 0 with the pairs first
+    (`_pairs_first`), and B the divided-difference basis: g rewritten in place.
 
     The p pairs come first: the leads k, then the partners p = k + 1, gaps
-    d = w_p - w_k, Q entries `q_pairs`.  A pair trades its columns e_k, e_p
-    for u = e_k + e_p and v = (e_p - e_k)/d.  The closed forms below do not
-    cancel as d -> 0 and do not grow with J.  With D the Dirichlet kernel,
+    d = w_p - w_k.  A pair trades its columns e_k, e_p for u = e_k + e_p and
+    v = (e_p - e_k)/d.  The closed forms below do not cancel as d -> 0 and do
+    not grow with J.  With D the Dirichlet kernel,
     N = 2J+1, x = (m - w_n) delta for the pair's midpoint m, h = d delta/2
     and den = sin((x-h)/2) sin((x+h)/2):
 
@@ -263,8 +239,7 @@ def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kerne
 
     A pair's own <u, v> is 0 (the grid is symmetric about 0), its own
     columns above (0 by 0) are overwritten, and <u, v'> is <v', u>.  The
-    pairs' rows are taken through `_pair_factor` and their columns through
-    its conjugate, their block made Hermitian by averaging its triangles.
+    pairs' block is made symmetric by averaging its triangles.
     """
     sin, cos, x_minus_sin, ends = kernel
     p, m = len(gaps), 2 * len(gaps)
@@ -297,19 +272,15 @@ def _pair_basis(g, omegas, gaps, q_pairs, delta: float, J, t_shift: float, kerne
     n = 2 * J + ends
     vv = [2.0 * delta / (d * d) * (_x_minus_sin(n * z) - n * x_minus_sin(z)) / s
           for d, (z,), (s,) in zip(gaps.tolist(), h.tolist(), s_h.tolist())]
-    factor = _pair_factor(q_pairs, gaps, t_shift)
     rows = np.concatenate([g[:p] + g[p:m], v])
     rows[:, :p] += rows[:, p:m]
     rows[:p, p:m] = rows[p:, :p].T
     rows[p:, p:m] = t
     rows[:p, p:m].flat[:: p + 1] = rows[p:, :p].flat[:: p + 1] = 0.0
     rows[p:, p:m].flat[:: p + 1] = vv
-    rows = factor @ rows
-    pairs = rows[:, :m] @ factor.conj().T
-    rows[:, :m] = 0.5 * (pairs + pairs.conj().T)
-    g = g.astype(rows.dtype, copy=False)
+    rows[:, :m] = 0.5 * (rows[:, :m] + rows[:, :m].T)
     g[:m] = rows
-    g[:, :m] = rows.conj().T
+    g[:, :m] = rows.T
     return g
 
 
@@ -373,21 +344,47 @@ def _singular(min_eig: float, max_eig: float) -> bool:
 
 def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kernel):
     """(vals, vecs, singular, g) of the pencil of the Gram g of omegas against diag(q_diag),
-    both from `_pairs_first`, singular by `_singular`: with pairs, g (and so vecs) is taken to
-    their basis by `_pair_basis` and q_diag set to 1 at the pairs, in place."""
-    m = 2 * len(gaps)
+    both from `_pairs_first`, singular by `_singular`.
+
+    With pairs, g is taken to their basis by `_pair_basis`, in place, against `q_matrix`'s
+    Q as it is, and vecs are coefficients in that basis.  The pencil of a shift t' is
+    (g, Phi^H Q Phi), whose block at a pair is [[alpha, 2i sin(d t')/d], [., q_v + 4
+    sin^2(d t'/2)/d^2]], alpha = q_u - 4 sin^2(d t'/2), formed as 4 cos^2(d t'/2) + 2d^2,
+    which does not cancel near d t' = pi.  Its LDL^H takes l times the u row of g from the
+    v row, l = -2i sin(d t')/(d alpha), and conj(l) times the u column from the v column,
+    and leaves alpha and q_u q_v/alpha on the diagonal.  A power of two f per pair then
+    takes u to f u and v to v/f, f^2 alpha within a factor 2 of q_u: the problem that
+    `hermitian_pencil_eig` scales and solves keeps every bit, and its residual gate reads
+    the pencil where the pair's Q is near q_matrix's, as at t' = 0, not where alpha is
+    down to 2d^2 and q_u q_v/alpha up to 4/d^2.  vecs are then coefficients in the basis
+    sheared by L^{-H} and balanced by f.
+    """
+    p, m = len(gaps), 2 * len(gaps)
     if m:
-        q_pairs = q_diag[:m].tolist()
-        q_diag[:m] = 1.0
-        g = _pair_basis(g, omegas, gaps, q_pairs, delta, J, t_shift, kernel)
+        g = _pair_basis(g, omegas, gaps, delta, J, kernel)
+        if t_shift:
+            alpha = 4.0 * np.cos((0.5 * t_shift) * gaps) ** 2 + 2.0 * (gaps * gaps)
+            ell = -2j * np.sin(t_shift * gaps) / (gaps * alpha)
+            f = np.ldexp(1.0, -(np.frexp(alpha / q_diag[:p])[1] // 2))
+            f = np.concatenate([f, 1.0 / f])
+            q_diag[p:m] = q_diag[:p] * q_diag[p:m] / alpha
+            q_diag[:p] = alpha
+            q_diag[:m] *= f * f
+            g = g.astype(complex)
+            g[p:m] -= ell[:, None] * g[:p]
+            g[:, p:m] -= g[:, :p] * ell.conj()
+            g[:m] *= f[:, None]
+            g[:, :m] *= f
+            g[:m, :m] = 0.5 * (g[:m, :m] + g[:m, :m].conj().T)
     vals, vecs = hermitian_pencil_eig(g, q_diag)
     return vals, vecs, _singular(float(vals[0]), float(vals[-1])), g
 
 
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
     """(vals, vecs, singular, G) of the sampled Gram G of omegas on grid against
-    diag(q_diag), on the unshifted grid, real unless pairs at positions `leads` (gaps
-    `gaps`) take t' into their divided-difference basis (`_pair_pencil`).
+    diag(q_diag), on the unshifted grid, with the pairs at positions `leads` (gaps
+    `gaps`) in their divided-difference basis (`_pair_pencil`): G is real, and vecs are
+    coefficients in the pair basis, unless t' shears the pairs, where G is complex.
     A t' whose product with the span of omegas is not finite is refused (`_check_shift`)."""
     _check_shift(omegas, grid.t_shift)
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)

@@ -10,10 +10,11 @@ unpacked with `git archive`), by the worker of `tests/bench_identity.py`:
 a fresh interpreter that imports that tree's `src/` alone, with one BLAS
 thread and `-W error::RuntimeWarning`.  The --out file holds, per
 instance, its command and config, the reference of each constant as a
-50-digit decimal string, and per tree the exit code, each reported constant
-and its relative error against the reference (null where the run did not
-report it).  A junction also records its round trip: `min_singular_value`
-against sqrt(lambda_min / delta) of the reference Gram, and
+50-digit decimal string, and per tree the exit code (null where the call
+raised), each reported constant and its relative error against the reference
+(null where the run did not report it; a singular frame reports its
+constants with exit 2).  A junction also records its round trip:
+`min_singular_value` against sqrt(lambda_min / delta) of the reference Gram, and
 `amplitude_error`, an error already, whose reference is the drawn
 amplitudes of the witness: it is stored under rel_error as reported.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +51,14 @@ def _near_pair(d: float, J: int = 16, t_shift: float = 0.0) -> dict:
             "delta": 0.18, "J": J, "t_shift": t_shift}
 
 
+def _half_period(d: float, fraction: float) -> dict:
+    """`_near_pair(d)` at t' = fraction pi/d, d the double gap: d t' = pi makes the pair's u
+    a difference of its two exponentials, whose Q entry is 2d^2."""
+    cfg = _near_pair(d)
+    cfg["t_shift"] = fraction * math.pi / (cfg["omegas"][2] - cfg["omegas"][1])
+    return cfg
+
+
 def _junction(e: float) -> dict:
     """Strings joined at a = 1/3 + e, modes 1 | 1, 2: two cross-side pairs of gap about 42.4 e."""
     mode = {"plus": [0.3, 0.1], "minus": [0.2, -0.4]}
@@ -57,6 +67,8 @@ def _junction(e: float) -> dict:
 
 
 CHAIN = {"omegas": [0.0, 0.5, 3.0, 3.4, 6.0], "gamma": 1.0, "gamma0": 0.85}
+README = {"omegas": [-3.0, -0.5, 0.3, 2.8, 5.9], "gamma": 1.3, "gamma0": 0.9}
+CONTINUUM = {"omegas": [-3.1, -0.4, 0.2, 2.6, 5.6], "gamma": 1.2, "gamma0": 0.8, "R": 4.0}
 
 # (instance id, CLI command, config)
 INSTANCES = (
@@ -69,10 +81,16 @@ INSTANCES = (
                                    "delta": 0.18, "J": 16, "t_shift": 1e12}),
     *((f"junction e={e:g}", "string", _junction(e)) for e in (1e-3, 1e-5, 1e-7)),
     ("haraux chain", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=25)),
-    ("continuum scan", "scan", {"task": "continuum",
-                                "base": {"omegas": [-3.1, -0.4, 0.2, 2.6, 5.6], "gamma": 1.2,
-                                         "gamma0": 0.8, "R": 4.0},
+    ("continuum scan", "scan", {"task": "continuum", "base": CONTINUUM,
                                 "axes": [{"name": "J", "values": [32, 128]}]}),
+    # the pencils of the frame, haraux and scan goldens
+    *((f"chain delta={delta:g} J={J}", "frame", dict(CHAIN, delta=delta, J=J))
+      for delta, J in ((0.2, 16), (0.25, 16), (0.3, 16), (0.2, 24), (0.25, 24))),
+    *((f"readme delta={delta:g}", "frame", dict(README, delta=delta, J=16)) for delta in (0.1, 0.15, 0.18, 0.2, 0.25)),
+    ("haraux chain J'=30", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=30)),
+    ("continuum scan J=64", "scan", {"task": "continuum", "base": CONTINUUM, "axes": [{"name": "J", "values": [64]}]}),
+    *((f"near-pair d={d:g} t'={f:g} pi/d", "frame", _half_period(d, f))
+      for d in (1e-2, 1e-4, 1e-6, 1e-9) for f in (1.0, 0.999999)),
 )
 
 
@@ -225,7 +243,7 @@ def run_tree(tree: Path, workdir: Path) -> dict:
         sys.exit(f"error: the worker failed on {tree}")
     results = {}
     for case_id, (code, text) in json.loads(out.read_text()).items():
-        results[case_id] = (code, json.loads(text)["report"] if code == 0 else None)
+        results[case_id] = (code, json.loads(text).get("report") if code in (0, 2) else None)
     return results
 
 
@@ -256,6 +274,7 @@ def main(argv=None) -> int:
             refs = references(command, cfg)
         entry = {"id": case_id, "command": command, "config": cfg,
                  "reference": {k: mp.nstr(v, DIGITS) for k, v in refs.items()}}
+        summary = []
         for name, results in runs.items():
             code, report = results[case_id]
             values = constants(command, report) if report is not None else dict.fromkeys(refs)
@@ -263,11 +282,9 @@ def main(argv=None) -> int:
             if command == "string":
                 errors["amplitude_error"] = None if report is None else report["roundtrip"]["amplitude_error"]
             entry[name] = {"exit": code, "constants": values, "rel_error": errors}
+            summary.append(f"{name} exit {code} worst " + (f"{max(errors.values()):.2e}" if report else "-"))
         record.append(entry)
-        print(f"{case_id}: " + ", ".join(
-            f"{name} exit {entry[name]['exit']} worst "
-            + (f"{max(e for e in entry[name]['rel_error'].values()):.2e}" if entry[name]["exit"] == 0 else "-")
-            for name in runs))
+        print(f"{case_id}: " + ", ".join(summary))
     args.out.write_text(json.dumps({"dps": DPS, "instances": record}, indent=2) + "\n")
     return 0
 

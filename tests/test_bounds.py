@@ -40,8 +40,20 @@ from ingham import (
     sampled_energy,
     sampled_gram,
 )
-from ingham.bounds import _PI_PARTS, _filter_factor, _gram_from_omegas, _sinc, _sinc_crossing, _upper_pairs
+from ingham.bounds import (
+    _CONTINUUM,
+    _PI_PARTS,
+    _SAMPLED,
+    _filter_factor,
+    _gram_from_omegas,
+    _pair_basis,
+    _pairs_first,
+    _sinc,
+    _sinc_crossing,
+    _upper_pairs,
+)
 from ingham.cli import _sanitize
+from ingham.sums import continuous_gram
 
 CHAIN = ExponentSequence((0.0, 0.5, 3.0, 3.4, 6.0), 1.0, 0.85)
 
@@ -257,7 +269,11 @@ class TestPencil:
 
     def test_q_matrix_pencils_match_lu_bitwise(self, rng, monkeypatch):
         # the frame pencils as frame_constants builds them, real at t' = 0 and complex
-        # otherwise: the Gram in the divided-difference basis against q_matrix's Q
+        # otherwise: the Gram in the divided-difference basis against q_matrix's Q, sheared
+        # by the shift.  The dense reference is bitwise only in complex arithmetic: in float64
+        # the triangular solve multiplies by a reciprocal of sqrt(q), where the scaled path
+        # divides, so a real pencil is compared through its complex copy (its real solve is
+        # pinned against mpmath by TestNearPairs)
         pencils = []
         monkeypatch.setattr(ingham.bounds, "hermitian_pencil_eig",
                             lambda s, q: pencils.append((s, q)) or hermitian_pencil_eig(s, q))
@@ -271,7 +287,7 @@ class TestPencil:
         assert pairs > 0 and len(pencils) == 12
         assert {np.iscomplexobj(s) for s, _ in pencils} == {False, True}
         for s, q in pencils:
-            self.assert_matches_lu(s, q)
+            self.assert_matches_lu(s.astype(complex), q)
 
     @pytest.mark.parametrize(
         "unit, entry, bad",
@@ -664,6 +680,24 @@ class TestNearPairs:
         assert rep.c_lower == pytest.approx(float(ref["c_lower"]), rel=1e-12, abs=0.0)
         assert rep.c_upper == pytest.approx(float(ref["c_upper"]), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.999999])
+    @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_shift_at_half_period_of_the_gap(self, d, fraction, tmp_path):
+        # at d t' = pi the pair's shifted Q entry q_u - 4 sin^2(d t'/2) would cancel to 2d^2,
+        # and to 0 at d = 1e-9, and its two entries span 2d^2 to 4/d^2, which the residual
+        # gate must not read unbalanced; c_lower carries eps times the condition number, so
+        # only c_upper is held to the reference
+        cfg = bench_accuracy._half_period(d, fraction)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with mock.patch("sys.stdout", io.StringIO()) as out:
+            code = ingham.cli.main(["frame", "--input", str(path)])
+        assert code in (0, 2)
+        report = json.loads(out.getvalue())["report"]
+        with mp.workdps(60):
+            ref = bench_accuracy.references("frame", cfg)
+        assert report["c_upper"] == pytest.approx(float(ref["c_upper"]), rel=1e-14, abs=0.0)
+
     def test_pair_at_j_2p52(self):
         # closed forms: the cost does not grow with J, so a pair at J = 2^52 returns
         rep = frame_constants(CHAIN, SamplingGrid(0.25, 2**52))
@@ -694,6 +728,62 @@ class TestNearPairs:
             ref = bench_accuracy.references("scan", cfg)
         for name in ("c1_discrete", "c2_discrete", "c1_continuous", "c2_continuous"):
             assert getattr(row, name) == pytest.approx(float(ref[f"J=32 {name}"]), rel=1e-14, abs=0.0)
+
+
+def _pair_basis_error(got, gaps, gram) -> float:
+    """Worst |got - B^T gram B| of an entry over the largest reference entry of its row, B
+    the divided-difference basis of the pairs-first order on the double gaps."""
+    n, p = len(got), len(gaps)
+    b = mp.eye(n)
+    for i, d in enumerate(gaps.tolist()):
+        b[p + i, i] = 1
+        b[i, p + i], b[p + i, p + i] = -1 / mp.mpf(d), 1 / mp.mpf(d)
+    ref = b.T * gram * b
+    return max(
+        float(abs(got[i, j] - ref[i, j]) / max(abs(ref[i, k]) for k in range(n)))
+        for i in range(n) for j in range(n)
+    )
+
+
+class TestPairBasis:
+    """`_pair_basis` is the real B^T S B, pairs first, against mpmath on the same doubles."""
+
+    @staticmethod
+    def pairs_first(seq, delta):
+        qm = q_matrix(seq, band_mask(seq, delta))
+        first, q_diag = _pairs_first(np.array([seq.omegas[k] for k in qm.active]), qm.diag, qm.leads)
+        return first, q_diag, qm.gaps
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-7, 1e-9, 1e-11])
+    def test_sampled_matches_mpmath(self, d):
+        seq, grid, _ = _near_pair(d)
+        first, _, gaps = self.pairs_first(seq, grid.delta)
+        got = _pair_basis(_gram_from_omegas(first, grid.delta, grid.J), first, gaps, grid.delta, grid.J, _SAMPLED)
+        assert got.dtype == np.float64 and np.array_equal(got, got.T)
+        with mp.workdps(60):
+            assert _pair_basis_error(got, gaps, bench_accuracy.mp_sampled_gram(first, grid.delta, grid.J, 0.0)) <= 2e-15
+
+    @pytest.mark.parametrize("d", [0.6, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_continuum_matches_mpmath_quad(self, d):
+        # the omegas of test_continuum_row_matches_mpmath_quad, on [-R, R] at R = 4
+        seq = ExponentSequence((-3.1, -0.4, -0.4 + d, 2.6, 5.6), 1.2, 0.8)
+        first, _, gaps = self.pairs_first(seq, 4.0 / 32)
+        got = _pair_basis(continuous_gram(first, 4.0), first, gaps, 1.0, 4.0, _CONTINUUM)
+        assert got.dtype == np.float64 and np.array_equal(got, got.T)
+        with mp.workdps(60):
+            assert _pair_basis_error(got, gaps, bench_accuracy.mp_continuous_gram(first, 4.0)) <= 2e-15
+
+    @pytest.mark.parametrize("seq, delta", [(_near_pair(1e-6)[0], 0.18), (CHAIN, 0.25)], ids=["near-pair", "chain"])
+    def test_unshifted_pencil_is_real_against_q_matrix(self, seq, delta, monkeypatch):
+        # at t' = 0 the Gram reaches the eigensolver real, against q_matrix's diagonal as it is
+        pencils = []
+        monkeypatch.setattr(ingham.bounds, "hermitian_pencil_eig",
+                            lambda s, q: pencils.append((s, q.copy())) or hermitian_pencil_eig(s, q))
+        frame_constants(seq, SamplingGrid(delta, 16))
+        ((s, q),) = pencils
+        _, q_diag, gaps = self.pairs_first(seq, delta)
+        assert len(gaps) and s.dtype == np.float64
+        assert np.array_equal(q.view(np.uint64), q_diag.view(np.uint64))
 
 
 class TestEpsilonK:
