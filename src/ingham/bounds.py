@@ -24,9 +24,9 @@ gate ||S v - lambda Q v|| <= 1e-9 ||S||.
 
 The grid's shift t' is the similarity S(t') = Phi S(0) Phi^H, Phi = diag(e^{i w t'}):
 every Gram is formed real on the unshifted grid (`_gram_from_omegas`), a pencil
-without pairs is real at every t', and t' enters only the pairs' Q, as a 2x2
-shear of each pair's rows and columns (`_pair_pencil`), and, as a unit phase
-`sums._phasors(t', w)` per coefficient, `sampled_gram` and `observability`.
+without pairs is real at every t', and t' enters only as a rotation of each pair's
+basis, 2x2 with determinant one (`_pair_pencil`), against the same Q, and, as a unit
+phase `sums._phasors(t', w)` per coefficient, `sampled_gram` and `observability`.
 
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule (`_singular`) for `frame_constants`,
@@ -346,35 +346,26 @@ def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kerne
     """(vals, vecs, singular, g) of the pencil of the Gram g of omegas against diag(q_diag),
     both from `_pairs_first`, singular by `_singular`.
 
-    With pairs, g is taken to their basis by `_pair_basis`, in place, against `q_matrix`'s
-    Q as it is, and vecs are coefficients in that basis.  The pencil of a shift t' is
-    (g, Phi^H Q Phi), whose block at a pair is [[alpha, 2i sin(d t')/d], [., q_v + 4
-    sin^2(d t'/2)/d^2]], alpha = q_u - 4 sin^2(d t'/2), formed as 4 cos^2(d t'/2) + 2d^2,
-    which does not cancel near d t' = pi.  Its LDL^H takes l times the u row of g from the
-    v row, l = -2i sin(d t')/(d alpha), and conj(l) times the u column from the v column,
-    and leaves alpha and q_u q_v/alpha on the diagonal.  A power of two f per pair then
-    takes u to f u and v to v/f, f^2 alpha within a factor 2 of q_u: the problem that
-    `hermitian_pencil_eig` scales and solves keeps every bit, and its residual gate reads
-    the pencil where the pair's Q is near q_matrix's, as at t' = 0, not where alpha is
-    down to 2d^2 and q_u q_v/alpha up to 4/d^2.  vecs are then coefficients in the basis
-    sheared by L^{-H} and balanced by f.
+    With pairs, g is taken to their basis by `_pair_basis`, in place, and q_diag, `q_matrix`'s
+    Q, reaches `hermitian_pencil_eig` as it is at every t'.  A shift t' multiplies each
+    coefficient by e^{i w t'}; at a pair, apart from the common phase of its midpoint, which
+    a diagonal Q does not see, that is the change of its basis T = [[c, i s/d], [i d s, c]],
+    c and s the cosine and sine of d t'/2, with determinant one.  g becomes T^H g T on the
+    pair rows and columns (u <- c u + i d s v and v <- i (s/d) u + c v on the columns, the
+    conjugate on the rows), and its pair block is averaged with its conjugate transpose.
+    c, s and s/d do not cancel at any d t'.  vecs are coefficients z in the pair basis,
+    x = Phi^H B T z with Phi = diag(e^{i w t'}), and T = I at t' = 0, where g stays real.
     """
     p, m = len(gaps), 2 * len(gaps)
     if m:
         g = _pair_basis(g, omegas, gaps, delta, J, kernel)
         if t_shift:
-            alpha = 4.0 * np.cos((0.5 * t_shift) * gaps) ** 2 + 2.0 * (gaps * gaps)
-            ell = -2j * np.sin(t_shift * gaps) / (gaps * alpha)
-            f = np.ldexp(1.0, -(np.frexp(alpha / q_diag[:p])[1] // 2))
-            f = np.concatenate([f, 1.0 / f])
-            q_diag[p:m] = q_diag[:p] * q_diag[p:m] / alpha
-            q_diag[:p] = alpha
-            q_diag[:m] *= f * f
+            c, s = np.cos((0.5 * t_shift) * gaps), np.sin((0.5 * t_shift) * gaps)
+            ds, sd = 1j * gaps * s, 1j * s / gaps
             g = g.astype(complex)
-            g[p:m] -= ell[:, None] * g[:p]
-            g[:, p:m] -= g[:, :p] * ell.conj()
-            g[:m] *= f[:, None]
-            g[:, :m] *= f
+            g[:, :p], g[:, p:m] = c * g[:, :p] + ds * g[:, p:m], sd * g[:, :p] + c * g[:, p:m]
+            c, ds, sd = c[:, None], ds.conj()[:, None], sd.conj()[:, None]
+            g[:p], g[p:m] = c * g[:p] + ds * g[p:m], sd * g[:p] + c * g[p:m]
             g[:m, :m] = 0.5 * (g[:m, :m] + g[:m, :m].conj().T)
     vals, vecs = hermitian_pencil_eig(g, q_diag)
     return vals, vecs, _singular(float(vals[0]), float(vals[-1])), g
@@ -383,8 +374,8 @@ def _pair_pencil(g, omegas, q_diag, gaps, delta: float, J, t_shift: float, kerne
 def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), gaps=()):
     """(vals, vecs, singular, G) of the sampled Gram G of omegas on grid against
     diag(q_diag), on the unshifted grid, with the pairs at positions `leads` (gaps
-    `gaps`) in their divided-difference basis (`_pair_pencil`): G is real, and vecs are
-    coefficients in the pair basis, unless t' shears the pairs, where G is complex.
+    `gaps`) in their divided-difference basis (`_pair_pencil`): vecs are coefficients in the
+    pair basis, rotated by t' at each pair, and G is real unless t' rotates a pair.
     A t' whose product with the span of omegas is not finite is refused (`_check_shift`)."""
     _check_shift(omegas, grid.t_shift)
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)

@@ -91,6 +91,10 @@ INSTANCES = (
     ("continuum scan J=64", "scan", {"task": "continuum", "base": CONTINUUM, "axes": [{"name": "J", "values": [64]}]}),
     *((f"near-pair d={d:g} t'={f:g} pi/d", "frame", _half_period(d, f))
       for d in (1e-2, 1e-4, 1e-6, 1e-9) for f in (1.0, 0.999999)),
+    # two pairs, each rotated by a shift
+    *((f"chain delta={delta:g} J=16 t'={t:g}", "frame", dict(CHAIN, delta=delta, J=16, t_shift=t))
+      for delta, t in ((0.2, 0.37), (0.25, -2.1))),
+    ("haraux chain t'=0.37", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=25, t_shift=0.37)),
 )
 
 
@@ -212,8 +216,9 @@ def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mp
         return {"c_lower": low, "c_upper": high}
     if command == "haraux":
         J_ext = cfg["J"] + cfg["J_prime"]
-        low, high = _frame(seq, seq.omegas, cfg["delta"], J_ext, 0.0, extra=cfg["omega_prime"])
-        base_low, base_high = _frame(seq, seq.omegas, cfg["delta"], cfg["J"], 0.0)
+        t_shift = cfg.get("t_shift", 0.0)
+        low, high = _frame(seq, seq.omegas, cfg["delta"], J_ext, t_shift, extra=cfg["omega_prime"])
+        base_low, base_high = _frame(seq, seq.omegas, cfg["delta"], cfg["J"], t_shift)
         return {"c_lower": low, "c_upper": high, "c1_base": base_low, "c2_base": base_high}
     from ingham import band_mask
 

@@ -17,7 +17,11 @@ run imports its tree's `src/` alone and runs each case through its
 its exit code or the bytes it writes to stdout differ; a call that raises,
 a numpy warning included, is recorded by its exception type and message.
 The tool prints one line per differing case and a summary, and exits 1 if
-any case differs, else 0.
+any case differs, else 0.  A differing case that keeps its exit code also
+shows how far it moved (`largest_change`): the largest relative change over
+the paired numbers of its two JSON outputs, or "structure differs" where
+anything else differs.  The summary gives the largest change over all cases
+and the count of cases that moved in exit code or structure.
 
 The worker (`start_worker`) and the environment it runs in (`tree_env`)
 serve `tests/bench_accuracy.py` too, and `tree_env` serves
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +62,39 @@ for case_id, argv in json.loads(Path(cases_path).read_text()):
     results[case_id] = [code, text]
 Path(out_path).write_text(json.dumps(results))
 """
+
+
+def _change(a, b) -> float | None:
+    """The largest relative change |x - y| / max(|x|, |y|) over the numbers paired by position
+    in a and b, 0.0 if none; None where anything else differs: a key, a length, a string, a
+    bool or a non-finite number."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = list(zip(a, b))
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in (a, b)):
+        return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    else:
+        return 0.0 if a == b and type(a) is type(b) else None
+    largest = 0.0
+    for x, y in pairs:
+        moved = _change(x, y)
+        if moved is None:
+            return None
+        largest = max(largest, moved)
+    return largest
+
+
+def largest_change(before: str, after: str) -> float | None:
+    """`_change` of two JSON texts; None where either is not JSON."""
+    try:
+        return _change(json.loads(before), json.loads(after))
+    except ValueError:
+        return None
 
 
 def _cases(seeds, workdir: Path) -> list[tuple[str, list[str]]]:
@@ -123,9 +161,17 @@ def main(argv=None) -> int:
             return 2
         before, after = (json.loads((workdir / f"run{k}.json").read_text()) for k in range(2))
     differ = [case_id for case_id, _ in cases if before[case_id] != after[case_id]]
+    largest, other = 0.0, 0
     for case_id in differ:
-        print(f"DIFFERS {case_id}: exit {before[case_id][0]} -> {after[case_id][0]}")
-    print(f"{len(differ)} of {len(cases)} cases differ (seeds {args.seeds})")
+        (code, text), (code_after, text_after) = before[case_id], after[case_id]
+        moved = largest_change(text, text_after) if code == code_after else None
+        if moved is not None:
+            largest, note = max(largest, moved), f", moved {moved:.2g}"
+        else:
+            other, note = other + 1, ", structure differs" if code == code_after else ""
+        print(f"DIFFERS {case_id}: exit {code} -> {code_after}{note}")
+    print(f"{len(differ)} of {len(cases)} cases differ (seeds {args.seeds}); largest relative change"
+          f" {largest:.2g}, {other} with another exit code or structure")
     return 1 if differ else 0
 
 

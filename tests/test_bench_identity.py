@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from bench_identity import largest_change
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tests" / "bench_identity.py"
 
@@ -18,17 +20,19 @@ def _run(*mode: str) -> subprocess.CompletedProcess:
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
-def _summary(proc) -> tuple[int, int]:
+def _summary(proc) -> tuple[int, int, float, int]:
+    """(differing, total, largest relative change, with another exit code or structure)."""
     last = proc.stdout.splitlines()[-1]
-    differ, total = re.fullmatch(r"(\d+) of (\d+) cases differ \(seeds 101\)", last).groups()
-    return int(differ), int(total)
+    pattern = r"(\d+) of (\d+) cases differ \(seeds 101\); largest relative change (\S+), (\d+) with another exit code or structure"
+    differ, total, largest, other = re.fullmatch(pattern, last).groups()
+    return int(differ), int(total), float(largest), int(other)
 
 
 def test_tree_is_identical_to_itself():
     proc = _run("--parent", str(ROOT))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    differ, total = _summary(proc)
-    assert differ == 0 and total > 0
+    differ, total, largest, other = _summary(proc)
+    assert differ == other == largest == 0 and total > 0
 
 
 @pytest.mark.parametrize("threads", ["1,1", "1,2"])
@@ -37,8 +41,8 @@ def test_same_thread_count_is_identical(threads):
     # output depends on how BLAS splits its work
     proc = _run("--threads", threads)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    differ, total = _summary(proc)
-    assert differ == 0 and total > 0
+    differ, total, largest, other = _summary(proc)
+    assert differ == other == largest == 0 and total > 0
 
 
 def test_changed_output_is_reported(tmp_path):
@@ -48,9 +52,10 @@ def test_changed_output_is_reported(tmp_path):
     cli.write_text(cli.read_text().replace('{"name": "ingham"', '{"name": "other"'))
     proc = _run("--parent", str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    differ, total = _summary(proc)
-    assert differ == total > 0
+    differ, total, largest, other = _summary(proc)
+    assert differ == total == other > 0 and largest == 0
     assert proc.stdout.startswith("DIFFERS 101/")
+    assert proc.stdout.splitlines()[0].endswith(": exit 0 -> 0, structure differs")
 
 
 def test_warning_is_reported(tmp_path):
@@ -63,5 +68,27 @@ def test_warning_is_reported(tmp_path):
     cli.write_text(text.replace(head, head + '    __import__("warnings").warn("patched", RuntimeWarning)\n'))
     proc = _run("--parent", str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    differ, total = _summary(proc)
-    assert differ == total > 0
+    differ, total, _, other = _summary(proc)
+    assert differ == total == other > 0
+
+
+@pytest.mark.parametrize("before, after, moved", [
+    ('{"c": [4.0, 1.5], "s": "ok", "n": 3}', '{"c": [4.0, 1.5], "s": "ok", "n": 3}', 0.0),
+    ('{"c": [4.0, 1.5], "s": "ok"}', '{"c": [4.0, 1.5000000000000004], "s": "ok"}', 4.440892098500626e-16 / 1.5),
+    ('{"c": [4.0, -2.0]}', '{"c": [4.0000001, -2.1]}', 0.1 / 2.1),
+    ('{"c": 0}', '{"c": 0.0}', 0.0),
+    ('{"c": 0.0}', '{"c": 1e-300}', 1.0),
+    ('{"c": [4.0, 1.5]}', '{"c": [4.0]}', None),
+    ('{"c": 1.0}', '{"d": 1.0}', None),
+    ('{"c": "inf"}', '{"c": 1.0}', None),
+    ('{"s": "ok"}', '{"s": "no"}', None),
+    ('{"b": true}', '{"b": 1}', None),
+    ('{"b": true}', '{"b": false}', None),
+    ('{"c": null}', '{"c": 1.0}', None),
+    ("ValueError: x", '{"c": 1.0}', None),
+], ids=["same", "last-bit", "relative", "int-float", "from-zero", "length", "key", "string-number",
+        "string", "bool-int", "bool", "null", "not-json"])
+def test_largest_change(before, after, moved):
+    # the relative change of paired numbers, and None where anything else differs
+    for got in (largest_change(before, after), largest_change(after, before)):
+        assert got == (None if moved is None else pytest.approx(moved, rel=1e-12, abs=0.0))

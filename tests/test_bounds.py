@@ -48,6 +48,7 @@ from ingham.bounds import (
     _gram_from_omegas,
     _pair_basis,
     _pairs_first,
+    _sampled_pencil,
     _sinc,
     _sinc_crossing,
     _upper_pairs,
@@ -269,8 +270,8 @@ class TestPencil:
 
     def test_q_matrix_pencils_match_lu_bitwise(self, rng, monkeypatch):
         # the frame pencils as frame_constants builds them, real at t' = 0 and complex
-        # otherwise: the Gram in the divided-difference basis against q_matrix's Q, sheared
-        # by the shift.  The dense reference is bitwise only in complex arithmetic: in float64
+        # otherwise: the Gram in the divided-difference basis, each pair rotated by the shift,
+        # against q_matrix's Q.  The dense reference is bitwise only in complex arithmetic: in float64
         # the triangular solve multiplies by a reciprocal of sqrt(q), where the scaled path
         # divides, so a real pencil is compared through its complex copy (its real solve is
         # pinned against mpmath by TestNearPairs)
@@ -683,10 +684,9 @@ class TestNearPairs:
     @pytest.mark.parametrize("fraction", [1.0, 0.999999])
     @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-9])
     def test_shift_at_half_period_of_the_gap(self, d, fraction, tmp_path):
-        # at d t' = pi the pair's shifted Q entry q_u - 4 sin^2(d t'/2) would cancel to 2d^2,
-        # and to 0 at d = 1e-9, and its two entries span 2d^2 to 4/d^2, which the residual
-        # gate must not read unbalanced; c_lower carries eps times the condition number, so
-        # only c_upper is held to the reference
+        # at d t' = pi the shift turns the pair's u into a difference of its two exponentials;
+        # the rotation's c, s and s/d do not cancel there, and Q stays q_matrix's.  Where the
+        # pencil is not singular (d = 1e-2), c_lower is held to the reference too
         cfg = bench_accuracy._half_period(d, fraction)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -697,6 +697,8 @@ class TestNearPairs:
         with mp.workdps(60):
             ref = bench_accuracy.references("frame", cfg)
         assert report["c_upper"] == pytest.approx(float(ref["c_upper"]), rel=1e-14, abs=0.0)
+        if code == 0:
+            assert report["c_lower"] == pytest.approx(float(ref["c_lower"]), rel=1e-12, abs=0.0)
 
     def test_pair_at_j_2p52(self):
         # closed forms: the cost does not grow with J, so a pair at J = 2^52 returns
@@ -730,17 +732,28 @@ class TestNearPairs:
             assert getattr(row, name) == pytest.approx(float(ref[f"J=32 {name}"]), rel=1e-14, abs=0.0)
 
 
-def _pair_basis_error(got, gaps, gram) -> float:
-    """Worst |got - B^T gram B| of an entry over the largest reference entry of its row, B
-    the divided-difference basis of the pairs-first order on the double gaps."""
+def _pair_basis_error(got, gaps, gram, t_shift=0.0) -> float:
+    """Worst |T^{-H} got T^{-1} - B^T gram B| of an entry over the largest reference entry of
+    its row, B the divided-difference basis of the pairs-first order on the double gaps.  T
+    rotates each pair by t': [[c, i s/d], [i d s, c]], c and s the cosine and sine of the double
+    angle (t'/2) d, the one rounding before them, and its inverse is T at -t'.  Taking got back
+    keeps the measure of the pair basis: at d t' = pi, T's s/d = 1/d makes a row's largest entry
+    one that its rounding in B^T S B was not measured against."""
     n, p = len(got), len(gaps)
-    b = mp.eye(n)
+    b, back = mp.eye(n), mp.matrix(got.tolist())
     for i, d in enumerate(gaps.tolist()):
         b[p + i, i] = 1
         b[i, p + i], b[p + i, p + i] = -1 / mp.mpf(d), 1 / mp.mpf(d)
+    if t_shift:
+        rot = mp.eye(n)
+        for i, d in enumerate(gaps.tolist()):
+            angle = mp.mpf((0.5 * t_shift) * d)
+            rot[i, i] = rot[p + i, p + i] = mp.cos(angle)
+            rot[i, p + i], rot[p + i, i] = mp.mpc(0, -mp.sin(angle) / d), mp.mpc(0, -d * mp.sin(angle))
+        back = rot.H * back * rot
     ref = b.T * gram * b
     return max(
-        float(abs(got[i, j] - ref[i, j]) / max(abs(ref[i, k]) for k in range(n)))
+        float(abs(back[i, j] - ref[i, j]) / max(abs(ref[i, k]) for k in range(n)))
         for i in range(n) for j in range(n)
     )
 
@@ -773,17 +786,44 @@ class TestPairBasis:
         with mp.workdps(60):
             assert _pair_basis_error(got, gaps, bench_accuracy.mp_continuous_gram(first, 4.0)) <= 2e-15
 
+    @pytest.mark.parametrize("t_shift", [0.0, 0.37, "pi/d"])
     @pytest.mark.parametrize("seq, delta", [(_near_pair(1e-6)[0], 0.18), (CHAIN, 0.25)], ids=["near-pair", "chain"])
-    def test_unshifted_pencil_is_real_against_q_matrix(self, seq, delta, monkeypatch):
-        # at t' = 0 the Gram reaches the eigensolver real, against q_matrix's diagonal as it is
+    def test_q_matrix_reaches_the_solver_at_every_shift(self, seq, delta, t_shift, monkeypatch):
+        # q_matrix's diagonal reaches the eigensolver as it is at every t', against the real
+        # B^T S B at t' = 0, and against T^H B^T S B T, complex, otherwise
+        first, q_diag, gaps = self.pairs_first(seq, delta)
+        t_shift = math.pi / gaps[0] if t_shift == "pi/d" else t_shift
         pencils = []
         monkeypatch.setattr(ingham.bounds, "hermitian_pencil_eig",
                             lambda s, q: pencils.append((s, q.copy())) or hermitian_pencil_eig(s, q))
-        frame_constants(seq, SamplingGrid(delta, 16))
+        frame_constants(seq, SamplingGrid(delta, 16, t_shift))
         ((s, q),) = pencils
-        _, q_diag, gaps = self.pairs_first(seq, delta)
-        assert len(gaps) and s.dtype == np.float64
-        assert np.array_equal(q.view(np.uint64), q_diag.view(np.uint64))
+        assert len(gaps) and np.array_equal(q.view(np.uint64), q_diag.view(np.uint64))
+        assert (s.dtype == np.float64) == (t_shift == 0.0)
+        if t_shift:
+            with mp.workdps(60):
+                gram = bench_accuracy.mp_sampled_gram(first, delta, 16, 0.0)
+                assert _pair_basis_error(s, gaps, gram, t_shift) <= 2e-15
+
+    @pytest.mark.parametrize("delta, t_shift", [(0.2, 0.0), (0.2, 0.37), (0.25, -2.1)])
+    def test_vectors_are_witnesses_at_every_shift(self, delta, t_shift):
+        # the coefficients z of an eigenvector give x = Phi^H B T z, Phi = diag(e^{i w t'}),
+        # whose sampled energy over its Q-form is the eigenvalue
+        grid = SamplingGrid(delta, 16, t_shift)
+        qm = q_matrix(CHAIN, band_mask(CHAIN, delta))
+        omegas = np.array([CHAIN.omegas[k] for k in qm.active])
+        vals, vecs, _, _ = _sampled_pencil(omegas, qm.diag, grid, qm.leads, qm.gaps)
+        order, _ = _pairs_first(np.arange(len(omegas)), qm.diag, qm.leads)
+        p, gaps = len(qm.gaps), qm.gaps
+        c, s = np.cos(0.5 * t_shift * gaps), np.sin(0.5 * t_shift * gaps)
+        for i in (0, -1):
+            y = vecs[:, i].astype(complex)
+            u, v = c * y[:p] + 1j * s / gaps * y[p:2 * p], 1j * gaps * s * y[:p] + c * y[p:2 * p]
+            y[:p], y[p:2 * p] = u - v / gaps, u + v / gaps
+            x = np.zeros(len(CHAIN), dtype=complex)
+            x[np.array(qm.active)[order]] = y * np.exp(-1j * omegas[order] * t_shift)
+            ratio = sampled_energy(ExpSum(CHAIN, tuple(x)), grid) / q_form(CHAIN, x)
+            assert ratio == pytest.approx(vals[i], rel=1e-13, abs=0.0)
 
 
 class TestEpsilonK:
