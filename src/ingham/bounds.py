@@ -290,45 +290,38 @@ def hermitian_pencil_eig(s: np.ndarray, q_diag: np.ndarray):
 
     S is complex Hermitian, or real symmetric, which is solved in real
     arithmetic.  Q = diag(q_diag) is real, and must be positive (else
-    ValidationError).  For a unit Q the pencil is the eigenproblem of S
-    itself, solved with no copy and no division.  Otherwise S is scaled on
-    both sides by 1/sqrt(q_diag), Cholesky's factor of Q, to
-    A = Q^{-1/2} S Q^{-1/2}, and an eigenvector u of A gives v = Q^{-1/2} u.
+    ValidationError).  Every Q, a unit one included, takes one path: S is
+    scaled on both sides by 1/sqrt(q_diag), Cholesky's factor of Q, to
+    A = Q^{-1/2} S Q^{-1/2}, made Hermitian, and an eigenvector u of A gives
+    v = Q^{-1/2} u.
 
     Residuals ||S v - lambda Q v|| are verified against 1e-9 ||S||; a failed
-    eigensolve or residual check (for example NaN or inf in S) raises
-    StructuralError, and so does an ||S|| past the double range, against
-    which every residual would pass.
+    eigensolve or residual check (for example NaN or inf in S, or a residual
+    that overflows) raises StructuralError, and so does an ||S|| past the
+    double range, against which every residual would pass.
     """
     s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     n = np.size(q_diag)
     if np.iscomplexobj(q_diag) or np.ndim(q_diag) != 1 or s.shape != (n, n) or n == 0:
         raise StructuralError("pencil S must be n x n with n >= 1, and Q a real diagonal of length n")
     q_diag = np.asarray(q_diag, dtype=float)
-    unit = (q_diag == 1.0).all()
-    if not (unit or (q_diag > 0.0).all()):  # written so that a NaN entry fails
+    if not (q_diag > 0.0).all():  # written so that a NaN entry fails
         raise ValidationError("Q not positive definite")
-    # as LAPACK, without a warning: a non-finite A fails the residual gate, and an
+    # as LAPACK, without a warning: a non-finite A or residual fails the gate, and an
     # overflowing ||S|| is refused by name
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if unit:
-            a = s
-        else:
-            scale = np.sqrt(q_diag)
-            a = s / scale[:, None]
-            a = (a.conj().T / scale[:, None]).conj().T
-            a = 0.5 * (a + a.conj().T)
+        scale = np.sqrt(q_diag)
+        a = s / scale[:, None] / scale
         try:
-            vals, u = np.linalg.eigh(a)
+            vals, u = np.linalg.eigh(0.5 * (a + a.conj().T))
         except np.linalg.LinAlgError:
             raise StructuralError("pencil eigensolver did not converge") from None
         s_norm = math.sqrt(float(np.vdot(s, s).real))
         if not math.isfinite(s_norm):
             raise StructuralError(f"pencil residual gate undefined: ||S|| = {s_norm}, not finite")
-        vecs = u if unit else u / scale[:, None]
-        qv = vecs if unit else q_diag[:, None] * vecs
-    resid = s @ vecs - qv * vals
-    worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
+        vecs = u / scale[:, None]
+        resid = s @ vecs - q_diag[:, None] * vecs * vals
+        worst = float(np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)))
     # written so that a NaN residual fails
     if not worst <= _RESIDUAL_RTOL * max(s_norm, 1e-300):
         raise StructuralError(

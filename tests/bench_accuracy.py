@@ -13,7 +13,8 @@ instance, its command and config, the reference of each constant as a
 50-digit decimal string, and per tree the exit code (null where the call
 raised), each reported constant and its relative error against the reference
 (null where the run did not report it; a singular frame reports its
-constants with exit 2).  A junction also records its round trip:
+constants with exit 2, and its c_lower error is null, since the singular rule
+reports c_lower as 0 by definition).  A junction also records its round trip:
 `min_singular_value` against sqrt(lambda_min / delta) of the reference Gram, and
 `amplitude_error`, an error already, whose reference is the drawn
 amplitudes of the witness: it is stored under rel_error as reported.
@@ -66,6 +67,12 @@ def _junction(e: float) -> dict:
             "delta": 0.2, "J": 60, "epsilon": 0.05, "trials": 10}
 
 
+def _graded(epsilon: float) -> dict:
+    """The `string` golden (a = sqrt(2)/2, no close pair) at Sobolev order epsilon: N = diag(nu)
+    spans about 3^(2 + 2 epsilon)."""
+    return dict(json.loads((ROOT / "tests" / "golden" / "string.json").read_text()), epsilon=epsilon)
+
+
 CHAIN = {"omegas": [0.0, 0.5, 3.0, 3.4, 6.0], "gamma": 1.0, "gamma0": 0.85}
 README = {"omegas": [-3.0, -0.5, 0.3, 2.8, 5.9], "gamma": 1.3, "gamma0": 0.9}
 CONTINUUM = {"omegas": [-3.1, -0.4, 0.2, 2.6, 5.6], "gamma": 1.2, "gamma0": 0.8, "R": 4.0}
@@ -80,6 +87,7 @@ INSTANCES = (
     ("no pair t'=1e12", "frame", {"omegas": [-3.0, -0.5, 1.2, 2.8, 5.9], "gamma": 1.3, "gamma0": 0.9,
                                    "delta": 0.18, "J": 16, "t_shift": 1e12}),
     *((f"junction e={e:g}", "string", _junction(e)) for e in (1e-3, 1e-5, 1e-7)),
+    *((f"graded N epsilon={eps:g}", "string", _graded(eps)) for eps in (2.0, 5.0, 8.0, 10.0)),
     ("haraux chain", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=25)),
     ("continuum scan", "scan", {"task": "continuum", "base": CONTINUUM,
                                 "axes": [{"name": "J", "values": [32, 128]}]}),
@@ -284,10 +292,14 @@ def main(argv=None) -> int:
             code, report = results[case_id]
             values = constants(command, report) if report is not None else dict.fromkeys(refs)
             errors = {k: rel_error(values[k], refs[k]) for k in refs}
+            # a frame's or haraux's c_lower is 0 by the singular rule, not an eigenvalue
+            if "c_lower" in errors and report is not None and report.get("extended", report)["singular"]:
+                errors["c_lower"] = None
             if command == "string":
                 errors["amplitude_error"] = None if report is None else report["roundtrip"]["amplitude_error"]
             entry[name] = {"exit": code, "constants": values, "rel_error": errors}
-            summary.append(f"{name} exit {code} worst " + (f"{max(errors.values()):.2e}" if report else "-"))
+            worst = max((e for e in errors.values() if e is not None), default=None)
+            summary.append(f"{name} exit {code} worst " + ("-" if worst is None else f"{worst:.2e}"))
         record.append(entry)
         print(f"{case_id}: " + ", ".join(summary))
     args.out.write_text(json.dumps({"dps": DPS, "instances": record}, indent=2) + "\n")

@@ -44,3 +44,16 @@ def test_junction_records_its_round_trip(entry):
     for side in ("parent", "change"):
         if side in entry:
             assert set(entry[side]["rel_error"]) == {"c_pencil", "min_singular_value", "amplitude_error"}
+
+
+@pytest.mark.parametrize("entry", [e for e in RECORD["instances"] if e["command"] == "frame"], ids=lambda e: e["id"])
+def test_singular_frame_has_no_lower_error(entry):
+    # the singular rule reports c_lower as 0 by definition, so its relative error of 1 would
+    # measure nothing: it is stored as null, and c_upper's error is kept
+    for side in ("parent", "change"):
+        if side in entry:
+            singular = entry[side]["exit"] == 2
+            assert (entry[side]["rel_error"]["c_lower"] is None) == singular
+            assert entry[side]["rel_error"]["c_upper"] is not None
+            if singular:
+                assert entry[side]["constants"]["c_lower"] == 0.0

@@ -181,6 +181,16 @@ class TestPencil:
         with pytest.raises(StructuralError, match=r"pencil residual gate undefined: \|\|S\|\| = inf"):
             hermitian_pencil_eig(s, np.ones(2))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    def test_subnormal_q_refused_without_warning(self, tiny, dtype):
+        # 1/sqrt(q) of a subnormal entry overflows the vector and its residual: the gate's
+        # norms run under the solve's errstate, so the NaN residual fails by name (the suite
+        # turns warnings into errors)
+        s = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=dtype)
+        with pytest.raises(StructuralError, match=r"^pencil residual nan exceeds 1e-09 \* \|\|S\|\|$"):
+            hermitian_pencil_eig(s, np.array([1.0, tiny]))
+
     def test_residual_gate(self, rng):
         # a Q eigenvalue of 1e-14 amplifies the congruence's rounding past 1e-9 ||S||
         s = random_spd(rng, 6)

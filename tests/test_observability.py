@@ -1,11 +1,15 @@
 import cmath
+import json
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+
+import bench_accuracy
 
 from ingham import observability
 from ingham import (
@@ -32,7 +36,7 @@ from ingham import (
     with_amplitudes,
 )
 from ingham.bounds import _gram_from_omegas
-from ingham.cli import _sanitize, _system_from
+from ingham.cli import _sanitize, _system_from, main
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -474,6 +478,27 @@ class TestVerifyObservability:
             ratio = initial_data_energy(trial, 0.05) / observe(trial, grid).energy()
             assert ratio <= rep.c_pencil * (1.0 + 1e-9)
 
+    @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.floats(0.01, 1.0),
+           st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1))
+    def test_pencil_bounds_every_trial(self, kind, a, eps, t_shift, seed):
+        # C_pencil = 1/lambda_min(S, N) bounds the ratio of every trial, for any modes within
+        # mode_caps and at any shift
+        rng = np.random.default_rng(seed)
+        delta = 0.2 if kind == STRING else 0.015
+        probe = CoupledSystem(kind, a, gamma=8.0 if kind == BEAM else None)
+
+        def modes(cap):
+            picked = [n for n in range(1, int(math.floor(cap)) + 1) if rng.random() < 0.5]
+            return tuple(Mode(n) for n in picked or [1])
+
+        sys = CoupledSystem(kind, a, *map(modes, mode_caps(probe, delta)), gamma=probe.gamma)
+        try:
+            rep = verify_observability(sys, SamplingGrid(delta, 30, t_shift), eps, trials=20, seed=seed,
+                                       enforce_horizon=False)
+        except ValidationError:  # a resonant a, or a beam spectrum that breaks the gap condition
+            assume(False)
+        assert rep.c_empirical <= rep.c_pencil * (1.0 + 1e-9)
+
     @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.floats(0.01, 0.9), st.integers(0, 2**32 - 1))
     def test_pencil_weights_are_the_energy(self, kind, a, eps, seed):
         # N = diag(nu) of the pencil is the initial-data energy in the coefficients c of the
@@ -650,6 +675,42 @@ class TestVerifyObservability:
         d = _sanitize(rep)
         assert d["kind"] == STRING and d["trials"] == 3
         assert isinstance(d["diagnostics"], list)
+
+
+ITEM_14 = "ROADMAP item 14: lambda_min(S, N) carries eps ||N^{-1/2} S N^{-1/2}||"
+
+
+class TestPencilOracle:
+    """c_pencil within 1e-12 of `tests/bench_accuracy.py`'s reference, a DPS-digit pencil on the
+    same doubles.  Two triggers of item 14 lose it: a close cross-side pair (`_junction(e)`), and
+    a graded N = diag(nu) at large epsilon (`_graded`, the `string` golden)."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(bench_accuracy._junction(1e-3), id="junction-e=1e-3"),
+            pytest.param(bench_accuracy._junction(1e-5), id="junction-e=1e-5",
+                         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
+            pytest.param(bench_accuracy._junction(1e-7), id="junction-e=1e-7",
+                         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
+            pytest.param(bench_accuracy._graded(0.05), id="golden-epsilon=0.05"),
+            pytest.param(bench_accuracy._graded(8.0), id="golden-epsilon=8",
+                         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
+        ],
+    )
+    def test_c_pencil_matches_reference(self, cfg):
+        sys = _system_from(dict(cfg, kind=STRING))
+        rep = verify_observability(sys, SamplingGrid(cfg["delta"], cfg["J"]), cfg["epsilon"], trials=0)
+        with mp.workdps(bench_accuracy.DPS):
+            reference = bench_accuracy.references("string", cfg)["c_pencil"]
+            assert abs(mp.mpf(rep.c_pencil) - reference) <= mp.mpf(10) ** -12 * reference
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)
+    def test_graded_golden_exits_zero(self, tmp_path):
+        # epsilon = 10: nu spans about 3^22, and the residual gate refuses the pencil (exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bench_accuracy._graded(10.0)))
+        assert main(["string", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
 
 
 class TestReconstruct:
