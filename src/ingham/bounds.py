@@ -30,9 +30,9 @@ phase `sums._phasors(t', w)` per coefficient, `sampled_gram` and `observability`
 
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule (`_singular`) for `frame_constants`,
-`extended_frame_constants`, the discrete rows of `continuum_limit_scan`,
-`observability.verify_observability` and, against a unit Q, the normal
-equations of `observability.reconstruct`; it and the continuous pencil of
+`extended_frame_constants`, the discrete rows of `continuum_limit_scan` and,
+against a unit Q, `observability.reconstruct` and `_max_against_gram`, the bound
+of `observability.verify_observability`; it and the continuous pencil of
 `continuum_limit_scan` share `_pair_pencil`.
 
 The augmentation machinery follows the averaging filter
@@ -374,6 +374,18 @@ def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), ga
     omegas, q_diag = _pairs_first(omegas, q_diag, leads)
     g = _gram_from_omegas(omegas, grid.delta, grid.J)
     return _pair_pencil(g, omegas, q_diag, gaps, grid.delta, grid.J, grid.t_shift, _SAMPLED)
+
+
+def _max_against_gram(omegas: np.ndarray, m_diag, grid: SamplingGrid):
+    """(lambda_max(M, G), singular, G) of M = diag(m_diag) against the sampled Gram G of omegas,
+    from G = V Lambda V^H of `_sampled_pencil` against a unit Q: the largest eigenvalue of W^H M W,
+    W = V Lambda^{-1/2}, solved against a unit Q, so no graded diagonal reaches
+    `hermitian_pencil_eig`; inf where G is singular by `_singular`."""
+    vals, vecs, singular, g = _sampled_pencil(omegas, np.ones(len(omegas)), grid)
+    if singular:
+        return math.inf, singular, g
+    w = vecs / np.sqrt(vals)
+    return float(hermitian_pencil_eig((w.conj().T * m_diag) @ w, np.ones(len(vals)))[0][-1]), singular, g
 
 
 def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:

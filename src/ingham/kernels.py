@@ -277,7 +277,8 @@ def certify_constants(
     outside the double range; inverse g <= beta when R^2 or (R gamma)^2
     overflows; G(0) > 0; or G(0) - G(x) >= alpha x^2, when
     R gamma <= pi (or within the rounding step above it), reported with the
-    ratio at x = gamma/10^4, next to the infimum at x -> 0.
+    smaller of the two limits, the infimum of the ratio, and its point: 0.0
+    for x -> 0, or gamma.
     """
     if not 0.0 <= (margin := finite(margin, "margin")) < 1.0:
         raise StructuralError(f"margin must lie in [0, 1), got {margin!r}")
@@ -311,17 +312,16 @@ def certify_constants(
         def per_cube(v):  # v / (8 gamma^3), in stages so that gamma^3 cannot underflow
             return v / (8.0 * g) / g / g
 
-        # the limits at x -> 0 and x -> gamma, each per_cube(a - b) with scale per_cube(a + b)
-        ends = ((_PI2 * c, _PI2 * _PI2), (5.0 * c, 3.0 * _PI2))
-        raw = min(_outward(per_cube(a - b), per_cube(a + b), 7, -math.inf) for a, b in ends)
+        # (x, a, b) of the limits at x -> 0 and gamma, each per_cube(a - b), scale per_cube(a + b)
+        ends = ((0.0, _PI2 * c, _PI2 * _PI2), (g, 5.0 * c, 3.0 * _PI2))
+        raw = min(_outward(per_cube(a - b), per_cube(a + b), 7, -math.inf) for _, a, b in ends)
         cap = _outward(g_zero, (0.75 * c + _PI2 / 4.0) / g, 5, -math.inf)
         alpha = min((1.0 - margin) * raw, cap)
         if not 0.0 < alpha < math.inf:
-            x = g / 10000.0
-            ratio = (g_zero - float(convolution_eval(probe, x))) / (x * x)
+            value, x = min((per_cube(a - b), x) for x, a, b in ends)
             raise CertificationError(
                 "inequality G(0) - G(x) >= alpha x^2 on [0, gamma] violated",
-                details={"inequality": "G(0)-G(x) >= alpha x^2", "point": x, "value": ratio},
+                details={"inequality": "G(0)-G(x) >= alpha x^2", "point": x, "value": value},
             )
         beta = (1.0 + margin) * _outward(c, c, 2, math.inf)
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import _check_shift, _sampled_pencil, _singular
+from .bounds import _check_shift, _max_against_gram, _sampled_pencil, _singular
 from .errors import StructuralError, ValidationError, count, finite_complex, positive
 from .exponents import ExponentSequence, validate_weak_gap
 from .sums import ExpSum, SamplingGrid, _exact_sum, _phasors, eval_sum
@@ -332,16 +332,6 @@ def _sobolev_factors(sys: CoupledSystem, spec: SobolevSpec) -> np.ndarray:
     )
 
 
-def _coef_sq(sys: CoupledSystem, plus: np.ndarray, minus: np.ndarray, which: str) -> np.ndarray:
-    """|coef|^2 per mode for amplitude arrays shaped (..., modes)."""
-    if which == "u0":
-        return _abs2(plus + minus)
-    if which == "u1":
-        omega = np.array([sys.mode_frequency(side, m.n) for side, m in _modes(sys)], dtype=float)
-        return omega * omega * _abs2(plus - minus)
-    raise StructuralError(f"which must be 'u0' or 'u1', got {which!r}")
-
-
 def sobolev_norm(sys: CoupledSystem, spec: SobolevSpec, which: str) -> float:
     """Squared spectral Sobolev norm of u0 or u1.
 
@@ -349,8 +339,14 @@ def sobolev_norm(sys: CoupledSystem, spec: SobolevSpec, which: str) -> float:
     (plus-minus); each contributes (side/2) * lambda^s * |coef|^2 with
     lambda the spatial eigenvalue (n pi / side)^2.
     """
-    amps = _amplitudes(sys)
-    coef_sq = _coef_sq(sys, amps[:, 0], amps[:, 1], which)
+    plus, minus = _amplitudes(sys).T
+    if which == "u0":
+        coef_sq = _abs2(plus + minus)
+    elif which == "u1":
+        omega = np.array([sys.mode_frequency(side, m.n) for side, m in _modes(sys)], dtype=float)
+        coef_sq = omega * omega * _abs2(plus - minus)
+    else:
+        raise StructuralError(f"which must be 'u0' or 'u1', got {which!r}")
     return math.fsum(_sobolev_factors(sys, spec) * coef_sq)
 
 
@@ -414,37 +410,32 @@ class ObservabilityReport:
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0.0 else math.inf
-
-
 def _trial_ratios(
-    sys: CoupledSystem, gram: np.ndarray, t_shift: float, epsilon: float, trials: int, seed: int
+    sys: CoupledSystem, gram: np.ndarray, nu: np.ndarray, t_shift: float, trials: int, seed: int
 ) -> np.ndarray:
     """Energy ratio of each seeded trial, evaluated _TRIAL_CHUNK trials at a time.
 
     Trial k carries the amplitudes that the k-th of repeated
     with_amplitudes calls on default_rng(seed) would draw.  Its ratio is
-    initial_data_energy over the sampled jump energy, c^T S conj(c) in the
-    real unshifted Gram S for the exponent coefficients c phased by e^{i w t'}
-    (the conjugate phase would time-reverse the samples).  Both agree with
-    the time-domain fsum path to rounding.  A chunk's ratios are formed in
-    one array operation, the same doubles as _ratio: num / den, and inf
-    where den <= 0 or is NaN.
+    the Rayleigh quotient c^H N c / c^T S conj(c) of the observability
+    pencil, N = diag(nu) of `_pencil_weights` and S the real unshifted
+    Gram, for the exponent coefficients c phased by e^{i w t'} (the
+    conjugate phase would time-reverse the samples).  It agrees with
+    initial_data_energy over the time-domain fsum to rounding.  A chunk's
+    ratios are formed in one array operation, the same doubles as the
+    witness's: num / den, and inf where den <= 0 or is NaN.
     """
     seq, _, cols, weights = sys._layout
-    spec0, spec1 = _energy_specs(sys.kind, epsilon)
-    f0, f1 = _sobolev_factors(sys, spec0), _sobolev_factors(sys, spec1)
+    phased = weights * _phasors(t_shift, seq.omegas)
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
-        amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(f0))
-        plus, minus = amps[..., 0], amps[..., 1]
-        num = f0 * _coef_sq(sys, plus, minus, "u0") + f1 * _coef_sq(sys, plus, minus, "u1")
-        coeffs = weights * _phasors(t_shift, seq.omegas) * amps.reshape(len(amps), -1)[:, cols]
+        amps = _unit_disc(rng, min(_TRIAL_CHUNK, trials - start), len(cols) // 2)
+        coeffs = phased * amps.reshape(len(amps), -1)[:, cols]
+        num = (_abs2(coeffs) * nu).sum(axis=1)
         den = np.einsum("ti,ti->t", coeffs, coeffs.conj() @ gram).real
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios[start:start + len(amps)] = np.where(den > 0.0, num.sum(axis=1) / den, math.inf)
+            ratios[start:start + len(amps)] = np.where(den > 0.0, num / den, math.inf)
     return ratios
 
 
@@ -460,21 +451,17 @@ def _median(x: np.ndarray) -> float:
     return (mid[0] + mid[-1]) / 2.0 if n % 2 == 0 else mid[0]
 
 
-def _pencil_weights(sys: CoupledSystem, epsilon: float) -> list[float]:
-    """N = diag(nu) of the observability pencil, per merged exponent: the initial-data
-    energy is sum nu_k |c_k|^2 over the coefficients c of `trace_jump_sum`."""
-    seq, tags, _, weights = sys._layout
+def _pencil_weights(sys: CoupledSystem, epsilon: float) -> np.ndarray:
+    """N = diag(nu) of the observability pencil: the initial-data energy is sum nu_k |c_k|^2 over
+    the coefficients c of `trace_jump_sum`, nu_k = 2 f0 / w_k^2 for w_k the jump weight.  A mode's
+    energy f0 |p+m|^2 + f1 w^2 |p-m|^2 has f1 w^2 = f0 (lambda^{s1} w^2 = lambda^{s0}), so its cross
+    term 2 (f0 - f1 w^2) Re(p conj(m)) vanishes and the parallelogram identity leaves 2 f0 (|p|^2 + |m|^2)."""
+    _, tags, cols, weights = sys._layout
     spec0, spec1 = _energy_specs(sys.kind, epsilon)
-    nu = []
-    for tag, w in zip(tags, weights):
-        lam = sys.spatial_eigenvalue(tag.side, tag.n)
-        omega = sys.mode_frequency(tag.side, tag.n)
-        length = sys.side_length(tag.side)
-        # parallelogram identity: |p+m|^2 + |p-m|^2 = 2(|p|^2+|m|^2), so the
-        # initial-data energy decouples to (side/2)(lam^{s0} + lam^{s1} w^2)
-        # per +- branch of each mode
-        nu.append(0.5 * length * (spec0.weight(lam) + spec1.weight(lam) * omega * omega) / (w * w))
-    return nu
+    # either weight fails first at the largest lambda, the first exponent's: refused there, as by the energy
+    for spec in (spec0, spec1):
+        spec.weight(sys.spatial_eigenvalue(tags[0].side, tags[0].n))
+    return 2.0 * _sobolev_factors(sys, spec0)[cols // 2] / (weights * weights)
 
 
 def verify_observability(
@@ -500,14 +487,14 @@ def verify_observability(
     and its ratio recomputed in the time domain; a relative disagreement
     above _WITNESS_RTOL raises StructuralError.  The CLI's round trip
     reconstructs this same trial 0 from its trace (the report's `_witness`).
-    Independently, the pencil of the sampled Gram against N, the diagonal of
-    Sobolev weights over squared jump weights (`_pencil_weights`), certifies finiteness: its
-    smallest eigenvalue lambda_min gives C_pencil = 1/lambda_min, an upper
-    bound for every ratio.  The pencil is `bounds._sampled_pencil`, the one
-    step that `frame_constants`, `extended_frame_constants` and
-    `continuum_limit_scan` also take; the trials reuse its Gram.  With
-    trials = 0 only the pencil route runs, and trial 0 is drawn and
-    observed but not compared.
+    Independently, C_pencil = lambda_max(N, S) of N, the diagonal of Sobolev
+    weights over squared jump weights (`_pencil_weights`), against the sampled
+    Gram S bounds every ratio: `bounds._max_against_gram` reads it from the
+    eigenpairs of S that `bounds._sampled_pencil` gives `reconstruct` too, and
+    an S singular by `bounds._singular` gives inf.  min_eig is 1/C_pencil, and
+    the trials are Rayleigh quotients of the same pencil.  With trials = 0
+    only the pencil route runs, and trial 0 is drawn and observed but not
+    compared.
     """
     epsilon = positive(epsilon, "epsilon")
     trials = count(trials, "trials", least=0)
@@ -521,15 +508,16 @@ def verify_observability(
             details={"J_delta": horizon, "required_above": threshold},
         )
     seq = sys._layout[0]
-    vals, _, singular, gram = _sampled_pencil(seq.omegas, _pencil_weights(sys, epsilon), grid)
-    min_eig = float(vals[0])
-    c_pencil = math.inf if singular else 1.0 / min_eig
-    ratios = _trial_ratios(sys, gram, grid.t_shift, epsilon, trials, seed)
+    nu = _pencil_weights(sys, epsilon)
+    c_pencil, singular, gram = _max_against_gram(seq.omegas, nu, grid)
+    min_eig = 1.0 / c_pencil
+    ratios = _trial_ratios(sys, gram, nu, grid.t_shift, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))
     trace = observe(trial, grid)
     if trials:
         first = float(ratios[0])
-        again = _ratio(initial_data_energy(trial, epsilon), trace.energy())
+        num, den = initial_data_energy(trial, epsilon), trace.energy()
+        again = num / den if den > 0.0 else math.inf
         if again != first and not abs(again - first) <= _WITNESS_RTOL * abs(first):
             raise StructuralError(f"trial 0 ratio {first!r} differs from its recomputation {again!r}")
         c_emp = max(ratios.tolist())

@@ -19,13 +19,19 @@ reports c_lower as 0 by definition).  A junction also records its round trip:
 `amplitude_error`, an error already, whose reference is the drawn
 amplitudes of the witness: it is stored under rel_error as reported.
 
+With --parent the tool judges the accuracy rule (`verdicts`): it prints
+`EXIT <id>: a -> b` for each instance whose exit code changed, and
+`WORSE <id>` for each whose worst error grew more than 10x or rose above
+1e-12 from below, and exits 1 if any instance reads WORSE.
+
 The references are mpmath values on the same doubles (`references`): the
 sampled Gram in closed form, delta e^{i theta t'} sin(N theta delta/2) /
 sin(theta delta/2) with N = 2J+1 (`mp_sampled_gram`, which also sums it
 sample by sample), the continuous Gram by quadrature of cos(theta t) over
-[-R, R], Q in the coefficient basis (`mp_block_q`) or the junction's
-diagonal N of `observability._pencil_weights`, and the extreme eigenvalues
-of each pencil by a Cholesky congruence and `mp.eighe`, at DPS digits.
+[-R, R], Q in the coefficient basis (`mp_block_q`), and the extreme
+eigenvalues of each pencil by a Cholesky congruence and `mp.eighe`, at DPS
+digits.  A junction's c_pencil is lambda_max(N, S) of the diagonal N of
+`observability._pencil_weights`, congruent by the Cholesky factor of the Gram S.
 """
 
 from __future__ import annotations
@@ -67,10 +73,10 @@ def _junction(e: float) -> dict:
             "delta": 0.2, "J": 60, "epsilon": 0.05, "trials": 10}
 
 
-def _graded(epsilon: float) -> dict:
-    """The `string` golden (a = sqrt(2)/2, no close pair) at Sobolev order epsilon: N = diag(nu)
-    spans about 3^(2 + 2 epsilon)."""
-    return dict(json.loads((ROOT / "tests" / "golden" / "string.json").read_text()), epsilon=epsilon)
+def _graded(epsilon: float, kind: str = "string") -> dict:
+    """The `string` or `beam` golden (a = sqrt(2)/2, no close pair) at Sobolev order epsilon:
+    N = diag(nu) spans about 3^(2 + 2 epsilon) for strings and 3^(2 epsilon) for beams."""
+    return dict(json.loads((ROOT / "tests" / "golden" / f"{kind}.json").read_text()), epsilon=epsilon)
 
 
 CHAIN = {"omegas": [0.0, 0.5, 3.0, 3.4, 6.0], "gamma": 1.0, "gamma0": 0.85}
@@ -87,7 +93,8 @@ INSTANCES = (
     ("no pair t'=1e12", "frame", {"omegas": [-3.0, -0.5, 1.2, 2.8, 5.9], "gamma": 1.3, "gamma0": 0.9,
                                    "delta": 0.18, "J": 16, "t_shift": 1e12}),
     *((f"junction e={e:g}", "string", _junction(e)) for e in (1e-3, 1e-5, 1e-7)),
-    *((f"graded N epsilon={eps:g}", "string", _graded(eps)) for eps in (2.0, 5.0, 8.0, 10.0)),
+    *((f"graded N epsilon={eps:g}", "string", _graded(eps)) for eps in (2.0, 5.0, 8.0, 10.0, 20.0, 50.0, 100.0, 140.0)),
+    *((f"beam graded epsilon={eps:g}", "beam", _graded(eps, "beam")) for eps in (3.0, 6.0)),
     ("haraux chain", "haraux", dict(CHAIN, delta=0.2, J=20, omega_prime=4.7, J_prime=25)),
     ("continuum scan", "scan", {"task": "continuum", "base": CONTINUUM,
                                 "axes": [{"name": "J", "values": [32, 128]}]}),
@@ -114,7 +121,7 @@ def constants(command: str, report: dict) -> dict[str, float]:
         ext = report["extended"]
         return {"c_lower": ext["c_lower"], "c_upper": ext["c_upper"],
                 "c1_base": ext["companions"]["c1_base"], "c2_base": ext["companions"]["c2_base"]}
-    if command == "string":
+    if command in ("string", "beam"):
         return {"c_pencil": report["c_pencil"], "min_singular_value": report["roundtrip"]["min_singular_value"]}
     return {f"J={row['J']} {k}": row[k] for row in report["rows"]
             for k in ("c1_discrete", "c2_discrete", "c1_continuous", "c2_continuous")}
@@ -170,7 +177,8 @@ def mp_block_q(seq, active) -> mp.matrix:
 
 
 def mp_pencil(gram: mp.matrix, q: mp.matrix) -> tuple:
-    """(min, max) eigenvalue of gram v = lambda q v, q real symmetric positive definite."""
+    """(min, max) eigenvalue of gram v = lambda q v, q real symmetric positive definite, from
+    q = L L^T and the eigenvalues of L^{-1} gram L^{-T}."""
     low = mp.inverse(mp.cholesky(q))
     a = low * gram * low.T
     vals = mp.eighe((a + a.H) / 2, eigvals_only=True)
@@ -196,13 +204,13 @@ def _frame(seq, omegas, delta, J, t_shift, extra=None, summed=False) -> tuple:
     return mp_pencil(mp_sampled_gram(w, delta, J, t_shift, summed), q)
 
 
-def _junction_pencil(cfg: dict):
-    """The merged omegas, the grid and N = diag(nu) of the junction's pencil."""
+def _junction_pencil(kind: str, cfg: dict):
+    """The merged omegas, N = diag(nu) and the grid of the pencil of a `string` or `beam`."""
     from ingham import SamplingGrid
     from ingham.cli import _system_from
     from ingham.observability import _pencil_weights
 
-    system = _system_from(dict(cfg, kind="string"))
+    system = _system_from(dict(cfg, kind=kind))
     return list(system._layout[0].omegas), _pencil_weights(system, cfg["epsilon"]), SamplingGrid(cfg["delta"], cfg["J"])
 
 
@@ -211,12 +219,14 @@ def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mp
     frame's Gram is summed sample by sample."""
     from ingham import ExponentSequence
 
-    if command == "string":
-        omegas, nu, grid = _junction_pencil(cfg)
+    if command in ("string", "beam"):
+        omegas, nu, grid = _junction_pencil(command, cfg)
         gram = mp_sampled_gram(omegas, grid.delta, grid.J, 0.0)
-        low, _ = mp_pencil(gram, mp.diag([mp.mpf(v) for v in nu]))
+        # lambda_max(N, S) through S = L L^T: a Cholesky factor of a widely graded N is not
+        # positive definite at DPS digits
+        _, high = mp_pencil(mp.diag([mp.mpf(v) for v in nu]), gram)
         gram_low, _ = mp_pencil(gram, mp.eye(len(omegas)))
-        return {"c_pencil": 1 / low, "min_singular_value": mp.sqrt(gram_low / mp.mpf(grid.delta))}
+        return {"c_pencil": high, "min_singular_value": mp.sqrt(gram_low / mp.mpf(grid.delta))}
     base = cfg["base"] if command == "scan" else cfg
     seq = ExponentSequence(tuple(base["omegas"]), base["gamma"], base["gamma0"])
     if command == "frame":
@@ -266,6 +276,26 @@ def rel_error(value, reference) -> float | None:
     return float(abs(mp.mpf(value) - reference) / abs(reference))
 
 
+def worst(side: dict) -> float | None:
+    """The largest relative error a tree's run of an instance recorded, None if it recorded none."""
+    return max((e for e in side["rel_error"].values() if e is not None), default=None)
+
+
+def verdicts(record: dict) -> list[str]:
+    """The accuracy rule on a record of both trees: `EXIT <id>: a -> b` where the exit code
+    changed, and `WORSE <id>` where the worst error grew more than 10x, or rose above 1e-12
+    from at most 1e-12."""
+    lines = []
+    for entry in record["instances"]:
+        before, after = entry["parent"], entry["change"]
+        if before["exit"] != after["exit"]:
+            lines.append(f"EXIT {entry['id']}: {before['exit']} -> {after['exit']}")
+        old, new = worst(before), worst(after)
+        if old is not None and new is not None and (new > 10.0 * old or old <= 1e-12 < new):
+            lines.append(f"WORSE {entry['id']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
@@ -295,15 +325,19 @@ def main(argv=None) -> int:
             # a frame's or haraux's c_lower is 0 by the singular rule, not an eigenvalue
             if "c_lower" in errors and report is not None and report.get("extended", report)["singular"]:
                 errors["c_lower"] = None
-            if command == "string":
+            if command in ("string", "beam"):
                 errors["amplitude_error"] = None if report is None else report["roundtrip"]["amplitude_error"]
             entry[name] = {"exit": code, "constants": values, "rel_error": errors}
-            worst = max((e for e in errors.values() if e is not None), default=None)
-            summary.append(f"{name} exit {code} worst " + ("-" if worst is None else f"{worst:.2e}"))
+            high = worst(entry[name])
+            summary.append(f"{name} exit {code} worst " + ("-" if high is None else f"{high:.2e}"))
         record.append(entry)
         print(f"{case_id}: " + ", ".join(summary))
-    args.out.write_text(json.dumps({"dps": DPS, "instances": record}, indent=2) + "\n")
-    return 0
+    record = {"dps": DPS, "instances": record}
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    lines = verdicts(record) if args.parent else []
+    for line in lines:
+        print(line)
+    return 1 if any(line.startswith("WORSE") for line in lines) else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """`tests/bench_accuracy.py`: the newest committed accuracy record, `ACCURACY_<n>.json`
-of the highest n, its J = 16 references recomputed from the Gram summed sample by sample."""
+of the highest n, its J = 16 references recomputed from the Gram summed sample by sample,
+and the accuracy rule that the tool judges with --parent, on synthetic records."""
 
 import json
 import sys
@@ -34,12 +35,13 @@ def test_stored_references_at_j16(entry):
             assert abs(mp.mpf(entry["reference"][name]) - value) <= mp.mpf(10) ** -30 * abs(value)
 
 
-@pytest.mark.parametrize("entry", [e for e in RECORD["instances"] if e["command"] == "string"], ids=lambda e: e["id"])
+@pytest.mark.parametrize("entry", [e for e in RECORD["instances"] if e["command"] in ("string", "beam")],
+                         ids=lambda e: e["id"])
 def test_junction_records_its_round_trip(entry):
     # min_singular_value against sqrt(lambda_min / delta) of the reference Gram, recomputed;
     # amplitude_error, whose reference is the drawn amplitudes, as reported
     with mp.workdps(60):
-        again = bench_accuracy.references("string", entry["config"])["min_singular_value"]
+        again = bench_accuracy.references(entry["command"], entry["config"])["min_singular_value"]
         assert abs(mp.mpf(entry["reference"]["min_singular_value"]) - again) <= mp.mpf(10) ** -30 * again
     for side in ("parent", "change"):
         if side in entry:
@@ -57,3 +59,50 @@ def test_singular_frame_has_no_lower_error(entry):
             assert entry[side]["rel_error"]["c_upper"] is not None
             if singular:
                 assert entry[side]["constants"]["c_lower"] == 0.0
+
+
+def _side(code, **errors) -> dict:
+    return {"exit": code, "constants": {}, "rel_error": errors}
+
+
+def _record(*pairs) -> dict:
+    return {"instances": [{"id": f"case {i}", "parent": parent, "change": change}
+                          for i, (parent, change) in enumerate(pairs)]}
+
+
+@pytest.mark.parametrize(
+    "parent, change, lines",
+    [
+        # within 10x, and below 1e-12 on both sides: no line
+        (_side(0, c=1e-16), _side(0, c=9.9e-16), []),
+        # the worst error of an instance is its largest constant's, a null one left out
+        (_side(0, a=1e-16, b=None), _side(0, a=1e-16, b=1e-15), []),
+        (_side(0, a=4e-16, b=1e-16), _side(0, a=1e-16, b=4.1e-15), ["WORSE case 0"]),
+        # more than 10x
+        (_side(0, c=1e-16), _side(0, c=1.1e-15), ["WORSE case 0"]),
+        (_side(0, c=1e-9), _side(0, c=2e-8), ["WORSE case 0"]),
+        # above 1e-12 from below, though within 10x
+        (_side(0, c=5e-13), _side(0, c=2e-12), ["WORSE case 0"]),
+        # above 1e-12 on both sides and within 10x
+        (_side(0, c=5e-12), _side(0, c=4e-11), []),
+        # better
+        (_side(0, c=2.3e-9), _side(0, c=5.5e-16), []),
+        # a changed exit code is printed, and does not fail by itself
+        (_side(1, c=None), _side(0, c=3.7e-16), ["EXIT case 0: 1 -> 0"]),
+        (_side(0, c=1e-16), _side(None, c=None), ["EXIT case 0: 0 -> None"]),
+        (_side(0, c=1e-16), _side(2, c=1e-14), ["EXIT case 0: 0 -> 2", "WORSE case 0"]),
+    ],
+)
+def test_verdicts_on_synthetic_records(parent, change, lines):
+    assert bench_accuracy.verdicts(_record((parent, change))) == lines
+
+
+def test_verdicts_name_each_instance():
+    record = _record((_side(0, c=1e-16), _side(0, c=1e-16)), (_side(0, c=1e-16), _side(0, c=1e-14)),
+                     (_side(1, c=None), _side(0, c=1e-16)))
+    assert bench_accuracy.verdicts(record) == ["WORSE case 1", "EXIT case 2: 1 -> 0"]
+
+
+def test_committed_record_reads_no_worse():
+    # the newest record, made with --parent, passes the rule that the tool applies
+    assert not [line for line in bench_accuracy.verdicts(RECORD) if line.startswith("WORSE")]

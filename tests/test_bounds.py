@@ -1241,12 +1241,14 @@ def _pencil_uses(path: Path) -> set[tuple[str, str]]:
 
 def test_one_sampled_pencil_step():
     # every sampled pencil's Gram is formed in bounds._sampled_pencil, and every pencil,
-    # sampled or continuous, is solved in bounds._pair_pencil; the round trip takes its
-    # eigenpairs from the same step, so observability imports neither name
+    # sampled or continuous, is solved in bounds._pair_pencil; the round trip and the
+    # junction's bound take their Gram eigenpairs from the same step, the bound solving
+    # W^H N W in bounds._max_against_gram beside it, so observability imports neither name
     package = Path(ingham.__file__).resolve().parent
     uses = set().union(*(_pencil_uses(path) for path in package.glob("*.py")))
     assert uses == {
         ("__init__.py:import", "hermitian_pencil_eig"),
+        ("bounds.py:_max_against_gram", "hermitian_pencil_eig"),
         ("bounds.py:_pair_pencil", "hermitian_pencil_eig"),
         ("bounds.py:_sampled_pencil", "_gram_from_omegas"),
         ("bounds.py:sampled_gram", "_gram_from_omegas"),

@@ -328,13 +328,22 @@ class TestCertification:
             certify_constants(variant, 1.5, R=R, grid_points=grid_points)
 
     def test_inverse_pinch_reports_ratio_next_to_zero(self):
+        # the refusal reports the infimum of (G(0) - G(x))/x^2, the smaller of the proof's two
+        # ends, min(pi^2 (c - pi^2), 5c - 3 pi^2)/(8 gamma^3): here the limit x -> 0
         with pytest.raises(CertificationError) as err:
             certify_constants("inverse", 2.0, R=1.5)
-        x = 2.0 / 10000.0
+        details = err.value.details
+        with mp.workdps(30):
+            c, pi2 = mp.mpf(1.5 * 2.0) ** 2, mp.pi ** 2
+            infimum = float(min(pi2 * (c - pi2), 5 * c - 3 * pi2) / (8 * mp.mpf(2.0) ** 3))
+        assert details["inequality"] == "G(0)-G(x) >= alpha x^2" and details["point"] == 0.0
+        assert abs(details["value"] - infimum) <= 1e-14 * abs(infimum)
+        assert details["value"] < 0.0
+        # the ratio sampled on (0, gamma] lies above it
         k = WindowKernel("inverse", 2.0, 1.0, 1.0, R=1.5)
-        ratio = (float(convolution_eval(k, 0.0)) - float(convolution_eval(k, x))) / (x * x)
-        assert err.value.details == {"inequality": "G(0)-G(x) >= alpha x^2", "point": x, "value": ratio}
-        assert ratio < 0.0
+        for x in (2e-2, 0.5, 1.0, 1.9):
+            ratio = (float(convolution_eval(k, 0.0)) - float(convolution_eval(k, x))) / (x * x)
+            assert ratio >= details["value"]
 
     def test_inverse_refused_exactly_up_to_r_gamma_pi(self):
         # math.pi lies below pi, so R gamma = math.pi is refused; 1e-12 above pi certifies

@@ -6,12 +6,12 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import bench_accuracy
 
-from ingham import observability
+from ingham import bounds, observability
 from ingham import (
     BEAM,
     STRING,
@@ -478,11 +478,14 @@ class TestVerifyObservability:
             ratio = initial_data_energy(trial, 0.05) / observe(trial, grid).energy()
             assert ratio <= rep.c_pencil * (1.0 + 1e-9)
 
-    @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.floats(0.01, 1.0),
+    @given(st.sampled_from([STRING, BEAM]), st.floats(0.3, 0.7), st.floats(0.01, 20.0),
            st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1))
+    # graded N that the residual gate refused while N reached the solver as Q
+    @example(STRING, 0.6180339887498949, 20.0, 0.37, 2)
+    @example(BEAM, 0.6180339887498949, 20.0, 0.37, 2)
     def test_pencil_bounds_every_trial(self, kind, a, eps, t_shift, seed):
-        # C_pencil = 1/lambda_min(S, N) bounds the ratio of every trial, for any modes within
-        # mode_caps and at any shift
+        # C_pencil = lambda_max(N, S) bounds the ratio of every trial, for any modes within
+        # mode_caps, at any shift, and however widely N = diag(nu) is graded
         rng = np.random.default_rng(seed)
         delta = 0.2 if kind == STRING else 0.015
         probe = CoupledSystem(kind, a, gamma=8.0 if kind == BEAM else None)
@@ -503,6 +506,7 @@ class TestVerifyObservability:
     def test_pencil_weights_are_the_energy(self, kind, a, eps, seed):
         # N = diag(nu) of the pencil is the initial-data energy in the coefficients c of the
         # jump sum: sum nu |c|^2, the + and - branches decoupled by the parallelogram identity
+        # once lambda^{s1} w^2 = lambda^{s0} cancels the cross term
         rng = np.random.default_rng(seed)
         sys = full_string(a, 0.2, rng) if kind == STRING else full_beam(a, 8.0, 0.015, rng)
         try:
@@ -614,7 +618,8 @@ class TestVerifyObservability:
         # a Gram of zeros, of -1 or of NaN makes every sampled energy 0, -|sum c|^2 or NaN
         sys = full_string(A_IRR, 0.2)
         n = len(sys._layout[0])
-        ratios = observability._trial_ratios(sys, np.full((n, n), fill), 0.0, 0.05, 5, 3)
+        nu = observability._pencil_weights(sys, 0.05)
+        ratios = observability._trial_ratios(sys, np.full((n, n), fill), nu, 0.0, 5, 3)
         assert ratios.tolist() == [math.inf] * 5
 
     @pytest.mark.parametrize(
@@ -677,40 +682,92 @@ class TestVerifyObservability:
         assert isinstance(d["diagnostics"], list)
 
 
-ITEM_14 = "ROADMAP item 14: lambda_min(S, N) carries eps ||N^{-1/2} S N^{-1/2}||"
+ITEM_14 = "ROADMAP item 14: a close cross-side pair loses lambda_max(N, S) in the coefficient basis"
+
+
+def _run(tmp_path, kind: str, cfg: dict) -> tuple[int, dict]:
+    """Exit code and output envelope of the CLI's `kind` command on cfg."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    path.write_text(json.dumps(cfg))
+    code = main([kind, "--input", str(path), "--output", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def _near_reference(c_pencil: float, kind: str, cfg: dict) -> bool:
+    with mp.workdps(bench_accuracy.DPS):
+        reference = bench_accuracy.references(kind, cfg)["c_pencil"]
+        return abs(mp.mpf(c_pencil) - reference) <= mp.mpf(10) ** -12 * reference
 
 
 class TestPencilOracle:
     """c_pencil within 1e-12 of `tests/bench_accuracy.py`'s reference, a DPS-digit pencil on the
-    same doubles.  Two triggers of item 14 lose it: a close cross-side pair (`_junction(e)`), and
-    a graded N = diag(nu) at large epsilon (`_graded`, the `string` golden)."""
+    same doubles.  A close cross-side pair (`_junction(e)`) still loses it (item 14); a graded
+    N = diag(nu) at large epsilon (`_graded`, the `string` and `beam` goldens) does not, since
+    the bound is read from the Gram's eigenpairs (`bounds._max_against_gram`)."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "kind, cfg",
         [
-            pytest.param(bench_accuracy._junction(1e-3), id="junction-e=1e-3"),
-            pytest.param(bench_accuracy._junction(1e-5), id="junction-e=1e-5",
+            pytest.param(STRING, bench_accuracy._junction(1e-3), id="junction-e=1e-3"),
+            pytest.param(STRING, bench_accuracy._junction(1e-5), id="junction-e=1e-5",
                          marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
-            pytest.param(bench_accuracy._junction(1e-7), id="junction-e=1e-7",
+            pytest.param(STRING, bench_accuracy._junction(1e-7), id="junction-e=1e-7",
                          marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
-            pytest.param(bench_accuracy._graded(0.05), id="golden-epsilon=0.05"),
-            pytest.param(bench_accuracy._graded(8.0), id="golden-epsilon=8",
-                         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)),
+            pytest.param(STRING, bench_accuracy._graded(0.05), id="golden-epsilon=0.05"),
+            pytest.param(STRING, bench_accuracy._graded(8.0), id="golden-epsilon=8"),
+            pytest.param(BEAM, bench_accuracy._graded(3.0, BEAM), id="beam-golden-epsilon=3"),
+            pytest.param(BEAM, bench_accuracy._graded(6.0, BEAM), id="beam-golden-epsilon=6"),
         ],
     )
-    def test_c_pencil_matches_reference(self, cfg):
-        sys = _system_from(dict(cfg, kind=STRING))
+    def test_c_pencil_matches_reference(self, kind, cfg):
+        sys = _system_from(dict(cfg, kind=kind))
         rep = verify_observability(sys, SamplingGrid(cfg["delta"], cfg["J"]), cfg["epsilon"], trials=0)
-        with mp.workdps(bench_accuracy.DPS):
-            reference = bench_accuracy.references("string", cfg)["c_pencil"]
-            assert abs(mp.mpf(rep.c_pencil) - reference) <= mp.mpf(10) ** -12 * reference
+        assert _near_reference(rep.c_pencil, kind, cfg)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_14)
-    def test_graded_golden_exits_zero(self, tmp_path):
-        # epsilon = 10: nu spans about 3^22, and the residual gate refuses the pencil (exit 1)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(bench_accuracy._graded(10.0)))
-        assert main(["string", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    @pytest.mark.parametrize("epsilon", [10.0, 50.0, 140.0])
+    def test_graded_golden_exits_zero(self, tmp_path, epsilon):
+        # nu spans about 3^(2 + 2 epsilon); before the bound was read from the Gram's
+        # eigenpairs, the residual gate refused the graded pencil (exit 1)
+        cfg = bench_accuracy._graded(epsilon)
+        code, envelope = _run(tmp_path, STRING, cfg)
+        assert code == 0
+        assert _near_reference(envelope["report"]["c_pencil"], STRING, cfg)
+
+    @pytest.mark.parametrize("trials", [0, 10])
+    def test_underflowing_weight_refused(self, tmp_path, trials):
+        # at epsilon = 143 the u0 weight of the largest lambda is finite, and nu needs no
+        # other, but the u1 weight underflows: refused by name, as the energy's norms refuse it
+        cfg = dict(bench_accuracy._graded(143.0), trials=trials)
+        code, envelope = _run(tmp_path, STRING, cfg)
+        sys = _system_from(dict(cfg, kind=STRING))
+        top = max(sys.spatial_eigenvalue(side, m.n) for side, m in observability._modes(sys))
+        assert SobolevSpec(-143.0).weight(top) > 0.0
+        assert code == 2
+        assert envelope["error"]["message"] == f"Sobolev weight not positive finite at lambda={top}"
+
+    @pytest.mark.parametrize(
+        "kind, cfg",
+        [
+            *(pytest.param(STRING, bench_accuracy._junction(e), id=f"junction-e={e:g}") for e in (1e-3, 1e-5, 1e-7)),
+            *(pytest.param(STRING, bench_accuracy._graded(eps), id=f"golden-epsilon={eps:g}")
+              for eps in (0.05, 8.0, 50.0)),
+            *(pytest.param(BEAM, bench_accuracy._graded(eps, BEAM), id=f"beam-golden-epsilon={eps:g}")
+              for eps in (0.05, 6.0)),
+        ],
+    )
+    def test_only_unit_q_reaches_the_solver(self, monkeypatch, tmp_path, kind, cfg):
+        # three solves: the Gram's eigenpairs and W^H N W for the bound, and the Gram's
+        # eigenpairs again for the round trip; every Q that reaches them is all ones
+        solve, seen = bounds.hermitian_pencil_eig, []
+
+        def spy(s, q_diag):
+            seen.append(np.array(q_diag))
+            return solve(s, q_diag)
+
+        monkeypatch.setattr(bounds, "hermitian_pencil_eig", spy)
+        assert _run(tmp_path, kind, cfg)[0] == 0
+        assert len(seen) == 3
+        assert all((q == 1.0).all() for q in seen)
 
 
 class TestReconstruct:
