@@ -31,9 +31,9 @@ phase `sums._phasors(t', w)` per coefficient, `sampled_gram` and `observability`
 One step, `_sampled_pencil`, builds the sampled Gram, solves and applies
 the singular rule (`_singular`) for `frame_constants`,
 `extended_frame_constants`, the discrete rows of `continuum_limit_scan` and,
-against a unit Q, `observability.reconstruct` and `_max_against_gram`, the bound
-of `observability.verify_observability`; it and the continuous pencil of
-`continuum_limit_scan` share `_pair_pencil`.
+against a unit Q, once per junction case, `observability.verify_observability`,
+whose bound (`_max_against_gram`) and round trip (`reconstruct`) read that one
+solve; it and the continuous pencil of `continuum_limit_scan` share `_pair_pencil`.
 
 The augmentation machinery follows the averaging filter
 
@@ -376,16 +376,15 @@ def _sampled_pencil(omegas: np.ndarray, q_diag, grid: SamplingGrid, leads=(), ga
     return _pair_pencil(g, omegas, q_diag, gaps, grid.delta, grid.J, grid.t_shift, _SAMPLED)
 
 
-def _max_against_gram(omegas: np.ndarray, m_diag, grid: SamplingGrid):
-    """(lambda_max(M, G), singular, G) of M = diag(m_diag) against the sampled Gram G of omegas,
-    from G = V Lambda V^H of `_sampled_pencil` against a unit Q: the largest eigenvalue of W^H M W,
-    W = V Lambda^{-1/2}, solved against a unit Q, so no graded diagonal reaches
-    `hermitian_pencil_eig`; inf where G is singular by `_singular`."""
-    vals, vecs, singular, g = _sampled_pencil(omegas, np.ones(len(omegas)), grid)
+def _max_against_gram(pencil, m_diag) -> float:
+    """lambda_max(M, G) of M = diag(m_diag) against G = V Lambda V^H, pencil the (vals, vecs, singular,
+    G) of `_sampled_pencil(omegas, ones, grid)`: the largest eigenvalue of W^H M W, W = V Lambda^{-1/2},
+    against a unit Q, so no graded diagonal reaches `hermitian_pencil_eig`; inf where G is singular."""
+    vals, vecs, singular, _ = pencil
     if singular:
-        return math.inf, singular, g
+        return math.inf
     w = vecs / np.sqrt(vals)
-    return float(hermitian_pencil_eig((w.conj().T * m_diag) @ w, np.ones(len(vals)))[0][-1]), singular, g
+    return float(hermitian_pencil_eig((w.conj().T * m_diag) @ w, np.ones(len(vals)))[0][-1])
 
 
 def _frame_report(pencil, diagnostics, companions=None) -> FrameBoundReport:

@@ -490,11 +490,11 @@ def verify_observability(
     Independently, C_pencil = lambda_max(N, S) of N, the diagonal of Sobolev
     weights over squared jump weights (`_pencil_weights`), against the sampled
     Gram S bounds every ratio: `bounds._max_against_gram` reads it from the
-    eigenpairs of S that `bounds._sampled_pencil` gives `reconstruct` too, and
-    an S singular by `bounds._singular` gives inf.  min_eig is 1/C_pencil, and
-    the trials are Rayleigh quotients of the same pencil.  With trials = 0
-    only the pencil route runs, and trial 0 is drawn and observed but not
-    compared.
+    eigenpairs of S, solved once by `bounds._sampled_pencil` and held, read-only,
+    by the witness trace for `reconstruct`; an S singular by `bounds._singular`
+    gives inf.  min_eig is 1/C_pencil, and the trials are Rayleigh quotients of
+    the same pencil.  With trials = 0 only the pencil route runs, and trial 0 is
+    drawn and observed but not compared.
     """
     epsilon = positive(epsilon, "epsilon")
     trials = count(trials, "trials", least=0)
@@ -509,11 +509,14 @@ def verify_observability(
         )
     seq = sys._layout[0]
     nu = _pencil_weights(sys, epsilon)
-    c_pencil, singular, gram = _max_against_gram(seq.omegas, nu, grid)
+    vals, vecs, singular, gram = pencil = _sampled_pencil(seq.omegas, np.ones(len(seq)), grid)
+    vals.flags.writeable = vecs.flags.writeable = gram.flags.writeable = False  # the trace holds them
+    c_pencil = _max_against_gram(pencil, nu)
     min_eig = 1.0 / c_pencil
     ratios = _trial_ratios(sys, gram, nu, grid.t_shift, trials, seed)
     trial = with_amplitudes(sys, np.random.default_rng(seed))
     trace = observe(trial, grid)
+    object.__setattr__(trace, "_pencil", (seq.omegas, pencil))
     if trials:
         first = float(ratios[0])
         num, den = initial_data_energy(trial, epsilon), trace.energy()
@@ -570,11 +573,12 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     """Recover modal amplitudes from jump samples by least squares.
 
     Fits sample_j = sum_k b_k e^{i omega_k j delta}, b_k = c_k e^{i omega_k t'}, on the design E
-    of the unshifted offsets.  E^H E is the real Gram S / delta, whose eigenpairs, from the pencil
-    (S, I) of `bounds._sampled_pencil`, solve the normal equations, then once more for the residual
-    y - E b (corrected semi-normal equations); every product with E is an einsum, which no BLAS
-    thread splits.  Amplitudes are c over the jump weights.  Fewer samples than exponents, an
-    unbounded t' (`bounds._check_shift`), or an S singular by `bounds._singular`, is an error.
+    of the unshifted offsets.  E^H E is the real Gram S / delta.  Its eigenpairs, held by a
+    `verify_observability` trace of sys's omegas or else solved as the pencil (S, I) of
+    `bounds._sampled_pencil`, solve the normal equations, then once more for the residual y - E b
+    (corrected semi-normal equations); every product with E is an einsum, which no BLAS thread
+    splits.  Amplitudes are c over the jump weights.  Fewer samples than exponents, an unbounded
+    t' (`bounds._check_shift`), or an S singular by `bounds._singular`, is an error.
     min_singular_value is ||E v|| for the unit eigenvector v of lambda_min(S): sqrt(lambda_min /
     delta) without the digits that the square root of a small eigenvalue loses.
     """
@@ -583,7 +587,8 @@ def reconstruct(trace: ObservationTrace, sys: CoupledSystem) -> ReconstructionRe
     if 2 * J + 1 < n:
         raise ValidationError("rank-deficient reconstruction: fewer samples than exponents",
                               details={"samples": 2 * J + 1, "exponents": n})
-    vals, vecs, singular, _ = _sampled_pencil(seq.omegas, np.ones(n), trace.grid)
+    held, pencil = getattr(trace, "_pencil", ((), None))
+    vals, vecs, singular, _ = pencil if held == seq.omegas else _sampled_pencil(seq.omegas, np.ones(n), trace.grid)
     if singular:
         rank = sum(not _singular(v, vals[-1]) for v in vals.tolist())
         raise ValidationError("rank-deficient reconstruction", details={"min_eig": float(vals[0]) / delta, "rank": rank})

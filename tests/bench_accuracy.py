@@ -22,7 +22,9 @@ amplitudes of the witness: it is stored under rel_error as reported.
 With --parent the tool judges the accuracy rule (`verdicts`): it prints
 `EXIT <id>: a -> b` for each instance whose exit code changed, and
 `WORSE <id>` for each whose worst error grew more than 10x or rose above
-1e-12 from below, and exits 1 if any instance reads WORSE.
+1e-12 from below, and exits 1 if any instance reads WORSE.  It also prints
+`GREW <id> <constant>: a -> b` for each constant whose own error grew so,
+without failing.
 
 The references are mpmath values on the same doubles (`references`): the
 sampled Gram in closed form, delta e^{i theta t'} sin(N theta delta/2) /
@@ -30,8 +32,9 @@ sin(theta delta/2) with N = 2J+1 (`mp_sampled_gram`, which also sums it
 sample by sample), the continuous Gram by quadrature of cos(theta t) over
 [-R, R], Q in the coefficient basis (`mp_block_q`), and the extreme
 eigenvalues of each pencil by a Cholesky congruence and `mp.eighe`, at DPS
-digits.  A junction's c_pencil is lambda_max(N, S) of the diagonal N of
-`observability._pencil_weights`, congruent by the Cholesky factor of the Gram S.
+digits.  A junction's c_pencil is lambda_max(N, S), congruent by the Cholesky
+factor of the Gram S, of the diagonal N that `_junction_pencil` forms in mpmath
+from the config, so that no tree's own weights set the reference.
 """
 
 from __future__ import annotations
@@ -205,13 +208,38 @@ def _frame(seq, omegas, delta, J, t_shift, extra=None, summed=False) -> tuple:
 
 
 def _junction_pencil(kind: str, cfg: dict):
-    """The merged omegas, N = diag(nu) and the grid of the pencil of a `string` or `beam`."""
+    """The merged omegas, N = diag(nu) and the grid of the pencil of a `string` or `beam`, formed
+    from the config, so that both trees are measured against one nu.
+
+    A mode n on the side of length ell (ell = a on the left, 1 - a on the right) has the spatial
+    eigenvalue lambda = (n pi / ell)^2, and the exponents +-w, w = n pi / ell for strings and
+    (n pi / ell)^2 for beams.  The omegas are doubles by `CoupledSystem.mode_frequency`'s formula,
+    merged in ascending order, and must equal the tree's own `_layout[0].omegas`.  Each exponent
+    carries, at mp.dps digits,
+
+        nu = ell lambda^(s0 - 1),   s0 = -epsilon (strings), 1 - epsilon (beams),
+
+    the u0 Sobolev factor (ell/2) lambda^s0 of the initial-data energy times 2 over the squared
+    jump weight (n pi / ell)^2 = lambda: `_pencil_weights`' 2 f0 / w^2, with no call into it.
+    """
     from ingham import SamplingGrid
     from ingham.cli import _system_from
-    from ingham.observability import _pencil_weights
 
-    system = _system_from(dict(cfg, kind=kind))
-    return list(system._layout[0].omegas), _pencil_weights(system, cfg["epsilon"]), SamplingGrid(cfg["delta"], cfg["J"])
+    a = float(cfg["a"])
+    s0 = (0 if kind == "string" else 1) - mp.mpf(cfg["epsilon"])
+    entries = []
+    for length, ell, modes in ((a, mp.mpf(a), cfg["left"]), (1.0 - a, 1 - mp.mpf(a), cfg["right"])):
+        for mode in modes:
+            n = int(mode["n"])
+            base = n * math.pi / length
+            w = base if kind == "string" else base * base
+            nu = ell * ((n * mp.pi / ell) ** 2) ** (s0 - 1)
+            entries += [(w, nu), (-w, nu)]
+    entries.sort(key=lambda entry: entry[0])
+    omegas = [w for w, _ in entries]
+    tree = list(_system_from(dict(cfg, kind=kind))._layout[0].omegas)
+    assert omegas == tree, f"the omegas formed from the config differ from the tree's: {omegas} != {tree}"
+    return omegas, [nu for _, nu in entries], SamplingGrid(cfg["delta"], cfg["J"])
 
 
 def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mpf]:
@@ -224,7 +252,7 @@ def references(command: str, cfg: dict, summed: bool = False) -> dict[str, mp.mp
         gram = mp_sampled_gram(omegas, grid.delta, grid.J, 0.0)
         # lambda_max(N, S) through S = L L^T: a Cholesky factor of a widely graded N is not
         # positive definite at DPS digits
-        _, high = mp_pencil(mp.diag([mp.mpf(v) for v in nu]), gram)
+        _, high = mp_pencil(mp.diag(nu), gram)
         gram_low, _ = mp_pencil(gram, mp.eye(len(omegas)))
         return {"c_pencil": high, "min_singular_value": mp.sqrt(gram_low / mp.mpf(grid.delta))}
     base = cfg["base"] if command == "scan" else cfg
@@ -281,18 +309,27 @@ def worst(side: dict) -> float | None:
     return max((e for e in side["rel_error"].values() if e is not None), default=None)
 
 
+def _grew(old: float | None, new: float | None) -> bool:
+    """The 10x rule: new grew more than 10x over old, or rose above 1e-12 from at most 1e-12."""
+    return old is not None and new is not None and (new > 10.0 * old or old <= 1e-12 < new)
+
+
 def verdicts(record: dict) -> list[str]:
     """The accuracy rule on a record of both trees: `EXIT <id>: a -> b` where the exit code
-    changed, and `WORSE <id>` where the worst error grew more than 10x, or rose above 1e-12
-    from at most 1e-12."""
+    changed, `WORSE <id>` where the worst error grew by the 10x rule (`_grew`), and
+    `GREW <id> <constant>: a -> b` for each constant whose own error grew by it, which a
+    larger error of another constant can hide from WORSE.  Only WORSE fails the run."""
     lines = []
     for entry in record["instances"]:
         before, after = entry["parent"], entry["change"]
         if before["exit"] != after["exit"]:
             lines.append(f"EXIT {entry['id']}: {before['exit']} -> {after['exit']}")
-        old, new = worst(before), worst(after)
-        if old is not None and new is not None and (new > 10.0 * old or old <= 1e-12 < new):
+        if _grew(worst(before), worst(after)):
             lines.append(f"WORSE {entry['id']}")
+        for name, new in after["rel_error"].items():
+            old = before["rel_error"].get(name)
+            if _grew(old, new):
+                lines.append(f"GREW {entry['id']} {name}: {old:.2e} -> {new:.2e}")
     return lines
 
 

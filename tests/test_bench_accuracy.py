@@ -77,12 +77,13 @@ def _record(*pairs) -> dict:
         (_side(0, c=1e-16), _side(0, c=9.9e-16), []),
         # the worst error of an instance is its largest constant's, a null one left out
         (_side(0, a=1e-16, b=None), _side(0, a=1e-16, b=1e-15), []),
-        (_side(0, a=4e-16, b=1e-16), _side(0, a=1e-16, b=4.1e-15), ["WORSE case 0"]),
+        (_side(0, a=4e-16, b=1e-16), _side(0, a=1e-16, b=4.1e-15),
+         ["WORSE case 0", "GREW case 0 b: 1.00e-16 -> 4.10e-15"]),
         # more than 10x
-        (_side(0, c=1e-16), _side(0, c=1.1e-15), ["WORSE case 0"]),
-        (_side(0, c=1e-9), _side(0, c=2e-8), ["WORSE case 0"]),
+        (_side(0, c=1e-16), _side(0, c=1.1e-15), ["WORSE case 0", "GREW case 0 c: 1.00e-16 -> 1.10e-15"]),
+        (_side(0, c=1e-9), _side(0, c=2e-8), ["WORSE case 0", "GREW case 0 c: 1.00e-09 -> 2.00e-08"]),
         # above 1e-12 from below, though within 10x
-        (_side(0, c=5e-13), _side(0, c=2e-12), ["WORSE case 0"]),
+        (_side(0, c=5e-13), _side(0, c=2e-12), ["WORSE case 0", "GREW case 0 c: 5.00e-13 -> 2.00e-12"]),
         # above 1e-12 on both sides and within 10x
         (_side(0, c=5e-12), _side(0, c=4e-11), []),
         # better
@@ -90,7 +91,12 @@ def _record(*pairs) -> dict:
         # a changed exit code is printed, and does not fail by itself
         (_side(1, c=None), _side(0, c=3.7e-16), ["EXIT case 0: 1 -> 0"]),
         (_side(0, c=1e-16), _side(None, c=None), ["EXIT case 0: 0 -> None"]),
-        (_side(0, c=1e-16), _side(2, c=1e-14), ["EXIT case 0: 0 -> 2", "WORSE case 0"]),
+        (_side(0, c=1e-16), _side(2, c=1e-14),
+         ["EXIT case 0: 0 -> 2", "WORSE case 0", "GREW case 0 c: 1.00e-16 -> 1.00e-14"]),
+        # one constant grows 20x, or rises above 1e-12, under a larger error of another: the
+        # instance's worst error does not move, so only GREW names it, and it does not fail
+        (_side(0, a=1e-16, b=3e-15), _side(0, a=2e-15, b=3e-15), ["GREW case 0 a: 1.00e-16 -> 2.00e-15"]),
+        (_side(0, a=5e-13, b=1e-9), _side(0, a=2e-12, b=1e-9), ["GREW case 0 a: 5.00e-13 -> 2.00e-12"]),
     ],
 )
 def test_verdicts_on_synthetic_records(parent, change, lines):
@@ -100,9 +106,31 @@ def test_verdicts_on_synthetic_records(parent, change, lines):
 def test_verdicts_name_each_instance():
     record = _record((_side(0, c=1e-16), _side(0, c=1e-16)), (_side(0, c=1e-16), _side(0, c=1e-14)),
                      (_side(1, c=None), _side(0, c=1e-16)))
-    assert bench_accuracy.verdicts(record) == ["WORSE case 1", "EXIT case 2: 1 -> 0"]
+    assert bench_accuracy.verdicts(record) == [
+        "WORSE case 1", "GREW case 1 c: 1.00e-16 -> 1.00e-14", "EXIT case 2: 1 -> 0",
+    ]
 
 
 def test_committed_record_reads_no_worse():
     # the newest record, made with --parent, passes the rule that the tool applies
     assert not [line for line in bench_accuracy.verdicts(RECORD) if line.startswith("WORSE")]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [pytest.param(command, cfg, id=case_id)
+     for case_id, command, cfg in bench_accuracy.INSTANCES if command in ("string", "beam")],
+)
+def test_junction_nu_from_the_config(command, cfg):
+    # the reference's nu, formed in mpmath from the config (its omegas checked against the
+    # tree's inside), is the tree's nu up to the rounding of lambda^(s0 - 1) in doubles,
+    # which grows with epsilon; a subnormal weight of the tree keeps fewer digits
+    from ingham.cli import _system_from
+    from ingham.observability import _pencil_weights
+
+    with mp.workdps(bench_accuracy.DPS):
+        _, nu, _ = bench_accuracy._junction_pencil(command, cfg)
+        tree = _pencil_weights(_system_from(dict(cfg, kind=command)), cfg["epsilon"])
+        for ours, theirs in zip(nu, tree.tolist()):
+            if theirs >= sys.float_info.min:
+                assert abs(mp.mpf(theirs) - ours) <= (1 + cfg["epsilon"]) * mp.mpf(1e-15) * ours

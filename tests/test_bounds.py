@@ -1241,9 +1241,10 @@ def _pencil_uses(path: Path) -> set[tuple[str, str]]:
 
 def test_one_sampled_pencil_step():
     # every sampled pencil's Gram is formed in bounds._sampled_pencil, and every pencil,
-    # sampled or continuous, is solved in bounds._pair_pencil; the round trip and the
-    # junction's bound take their Gram eigenpairs from the same step, the bound solving
-    # W^H N W in bounds._max_against_gram beside it, so observability imports neither name
+    # sampled or continuous, is solved in bounds._pair_pencil; a junction case takes its
+    # Gram eigenpairs from that step once, in verify_observability, and its bound (W^H N W,
+    # solved in bounds._max_against_gram) and its round trip both read them, so observability
+    # imports neither name
     package = Path(ingham.__file__).resolve().parent
     uses = set().union(*(_pencil_uses(path) for path in package.glob("*.py")))
     assert uses == {

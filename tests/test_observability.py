@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -37,6 +38,9 @@ from ingham import (
 )
 from ingham.bounds import _gram_from_omegas
 from ingham.cli import _sanitize, _system_from, main
+
+sys.path.insert(0, str(bench_accuracy.ROOT / "perfbench"))
+from workloads import warmup  # noqa: E402
 
 A_IRR = math.sqrt(2.0) / 2.0
 
@@ -685,12 +689,18 @@ class TestVerifyObservability:
 ITEM_14 = "ROADMAP item 14: a close cross-side pair loses lambda_max(N, S) in the coefficient basis"
 
 
-def _run(tmp_path, kind: str, cfg: dict) -> tuple[int, dict]:
+def _run(tmp_path, kind: str, cfg: dict, seed: int = 0) -> tuple[int, dict]:
     """Exit code and output envelope of the CLI's `kind` command on cfg."""
     path, out = tmp_path / "cfg.json", tmp_path / "out.json"
     path.write_text(json.dumps(cfg))
-    code = main([kind, "--input", str(path), "--output", str(out)])
+    code = main([kind, "--input", str(path), "--output", str(out), "--seed", str(seed)])
     return code, json.loads(out.read_text())
+
+
+def _junction_warmup() -> list:
+    """The `string` and `beam` cases among the warm-up cases of the benchmark's `junction`
+    workload at seed 101 (`perfbench/workloads.py`)."""
+    return [case for case in warmup("junction", 101) if case.kind in (STRING, BEAM)]
 
 
 def _near_reference(c_pencil: float, kind: str, cfg: dict) -> bool:
@@ -746,27 +756,37 @@ class TestPencilOracle:
         assert envelope["error"]["message"] == f"Sobolev weight not positive finite at lambda={top}"
 
     @pytest.mark.parametrize(
-        "kind, cfg",
+        "kind, cfg, seed",
         [
-            *(pytest.param(STRING, bench_accuracy._junction(e), id=f"junction-e={e:g}") for e in (1e-3, 1e-5, 1e-7)),
-            *(pytest.param(STRING, bench_accuracy._graded(eps), id=f"golden-epsilon={eps:g}")
+            *(pytest.param(STRING, bench_accuracy._junction(e), 0, id=f"junction-e={e:g}") for e in (1e-3, 1e-5, 1e-7)),
+            *(pytest.param(STRING, bench_accuracy._graded(eps), 0, id=f"golden-epsilon={eps:g}")
               for eps in (0.05, 8.0, 50.0)),
-            *(pytest.param(BEAM, bench_accuracy._graded(eps, BEAM), id=f"beam-golden-epsilon={eps:g}")
+            *(pytest.param(BEAM, bench_accuracy._graded(eps, BEAM), 0, id=f"beam-golden-epsilon={eps:g}")
               for eps in (0.05, 6.0)),
+            # the benchmark's own traffic: the warm-up cases of its junction workload
+            *(pytest.param(case.kind, case.config, case.cli_seed, id=f"warmup-{case.case_id}")
+              for case in _junction_warmup()),
         ],
     )
-    def test_only_unit_q_reaches_the_solver(self, monkeypatch, tmp_path, kind, cfg):
-        # three solves: the Gram's eigenpairs and W^H N W for the bound, and the Gram's
-        # eigenpairs again for the round trip; every Q that reaches them is all ones
-        solve, seen = bounds.hermitian_pencil_eig, []
+    def test_only_unit_q_reaches_the_solver(self, monkeypatch, tmp_path, kind, cfg, seed):
+        # one Gram and two solves per case: the Gram's eigenpairs, which the bound and the
+        # round trip share, and W^H N W for the bound; every Q that reaches them is all ones
+        solve, seen, grams = bounds.hermitian_pencil_eig, [], []
+        gram = bounds._gram_from_omegas
 
         def spy(s, q_diag):
             seen.append(np.array(q_diag))
             return solve(s, q_diag)
 
+        def count(omegas, delta, J):
+            grams.append(len(omegas))
+            return gram(omegas, delta, J)
+
         monkeypatch.setattr(bounds, "hermitian_pencil_eig", spy)
-        assert _run(tmp_path, kind, cfg)[0] == 0
-        assert len(seen) == 3
+        monkeypatch.setattr(bounds, "_gram_from_omegas", count)
+        assert _run(tmp_path, kind, cfg, seed)[0] == 0
+        assert len(grams) == 1
+        assert len(seen) == 2
         assert all((q == 1.0).all() for q in seen)
 
 
@@ -810,6 +830,36 @@ class TestReconstruct:
         assert 0.0 < result.residual < 1e-2
         for got, want in zip(result.left, sys.left):
             assert got.plus == pytest.approx(want.plus, abs=0.05)
+
+    @pytest.mark.parametrize("t_shift", [0.0, 0.37])
+    def test_witness_trace_lends_its_eigenpairs(self, monkeypatch, rng, t_shift):
+        # the witness trace holds the Gram eigenpairs of its bound: reconstruct reads them for a
+        # system of their omegas, and solves its own Gram for a trace built by hand or for another
+        # system, with the result, bit for bit, of the same trace without the held pencil
+        grid = SamplingGrid(0.2, 8, t_shift)
+        trial, trace = verify_observability(full_string(A_IRR, 0.2, rng), grid, epsilon=0.05, trials=3)._witness
+        other = CoupledSystem(STRING, 0.6, trial.left[:2], trial.right[:1])
+        bare = ObservationTrace(trace.grid, trace.samples)
+        solve, solves = bounds.hermitian_pencil_eig, []
+
+        def spy(s, q_diag):
+            solves.append(len(s))
+            return solve(s, q_diag)
+
+        monkeypatch.setattr(bounds, "hermitian_pencil_eig", spy)
+        for held, target, solved in ((trace, trial, 0), (bare, trial, 1), (trace, other, 1)):
+            solves.clear()
+            got = reconstruct(held, target)
+            assert solves == [len(target._layout[0])] * solved
+            assert repr(got) == repr(reconstruct(bare, target))
+
+    @pytest.mark.parametrize("index", [0, 1, 3], ids=["vals", "vecs", "gram"])
+    def test_held_eigenpairs_are_read_only(self, index):
+        sys, grid = full_string(A_IRR, 0.2), SamplingGrid(0.2, 8)
+        _, trace = verify_observability(sys, grid, epsilon=0.05, trials=0)._witness
+        held = trace._pencil[1][index]
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1.0
 
     def test_fewer_samples_than_exponents(self, rng):
         sys = full_string(A_IRR, 0.2, rng)
